@@ -494,6 +494,20 @@ def _overrides(args) -> dict:
     return out
 
 
+def _setting(value, default, flag: str, least):
+    """The given value, or `default` when it was not given (None); a given
+    value below `least` is rejected naming its flag."""
+    if value is None:
+        return default
+    if not value >= least:
+        raise ConfigError(flag, f"must be >= {least}, got {value!r}")
+    return value
+
+
+def _given(value, default):
+    return default if value is None else value
+
+
 def _run(args) -> tuple[dict, int]:
     config_path = getattr(args, "config", None)
     cfg = parse_config(config_path) if config_path else RunConfig(raw={})
@@ -503,6 +517,8 @@ def _run(args) -> tuple[dict, int]:
     threads = max(1, getattr(args, "threads", 1) or 1)
     mode = cfg.mode or "strict"
     tol = cfg.tol
+    if tol is not None and not tol > 0.0:
+        raise ConfigError("--tol", f"must be positive, got {tol!r}")
     report = {"command": args.command, "config_hash": chash,
               "results": {}, "diagnostics": {}}
     code = EXIT_OK
@@ -513,7 +529,7 @@ def _run(args) -> tuple[dict, int]:
         if z is None:
             raise ConfigError("--z", "polylog needs an argument point")
         if args.li is not None:
-            r = li(args.li, z, tol if tol else 1e-12)
+            r = li(args.li, z, _given(tol, 1e-12))
             report["results"] = {"kind": f"li{args.li}", "value": r.value,
                                  "error_bound": r.error_bound,
                                  "terms_used": r.terms_used}
@@ -521,7 +537,8 @@ def _run(args) -> tuple[dict, int]:
             kw = {}
             if cfg.odd_denominator or args.odd_denominator:
                 kw["odd_denominator"] = args.odd_denominator or cfg.odd_denominator
-            r = ramakrishnan_D(args.ramakrishnan, z, tol if tol else 1e-10, **kw)
+            r = ramakrishnan_D(args.ramakrishnan, z, _given(tol, 1e-10),
+                               **kw)
             report["results"] = {"kind": f"ramakrishnan_d{args.ramakrishnan}",
                                  "value": r.value, "error_bound": r.error_bound,
                                  "terms_used": r.terms_used}
@@ -533,7 +550,7 @@ def _run(args) -> tuple[dict, int]:
     elif cmd == "elliptic":
         if cfg.q is None or cfg.x is None:
             raise ConfigError("--q/--x", "elliptic needs q and x")
-        r = elliptic_d2(cfg.q, cfg.x, tol if tol else 1e-10)
+        r = elliptic_d2(cfg.q, cfg.x, _given(tol, 1e-10))
         report["results"] = {"value": r.value, "error_bound": r.error_bound,
                              "terms_used": r.terms_used}
 
@@ -545,20 +562,23 @@ def _run(args) -> tuple[dict, int]:
                                  "violations": list(group.validation.violations)}
             report["results"]["group"] = _group_spec_dict(group)
         elif args.action == "limitset":
-            depth = cfg.depth if cfg.depth else 6
+            depth = _setting(cfg.depth, 6, "--depth", 1)
             if args.format == "ppm":
-                data = render_limit_set_ppm(group, depth,
-                                            cfg.window or 4.0,
-                                            cfg.width or 512,
-                                            cfg.height or 512)
+                window = _given(cfg.window, 4.0)
+                if not window > 0.0:
+                    raise ConfigError("--window", f"must be positive, got {window!r}")
+                data = render_limit_set_ppm(group, depth, window,
+                                            _setting(cfg.width, 512, "--width", 1),
+                                            _setting(cfg.height, 512, "--height", 1))
                 _write_bytes(data, out_path)
                 return None, EXIT_OK
             sample = limit_set(group, depth)
             pts = [_jsonable(p) for p in sample.points]
             report["results"] = {"depth": depth, "count": len(pts), "points": pts}
         elif args.action == "delta":
-            est = estimate_delta(group, cfg.resolution or 0.01,
-                                 cfg.depth or 10, threads=threads)
+            est = estimate_delta(group, _given(cfg.resolution, 0.01),
+                                 _setting(cfg.depth, 10, "--depth", 2),
+                                 threads=threads)
             report["results"] = {"delta": est.delta, "bracket": list(est.bracket),
                                  "shell_ratios": list(est.shell_ratios),
                                  "max_depth": est.max_depth}
@@ -577,11 +597,7 @@ def _run(args) -> tuple[dict, int]:
         if cfg.measure_csv:
             measure = read_measure_csv(cfg.measure_csv)
         else:
-            delta = cfg.delta
-            if delta is None:
-                delta = estimate_delta(group, cfg.resolution or 0.01,
-                                       cfg.depth or 10, threads=threads).delta
-            measure = build_ps(group, delta, cfg.depth if cfg.depth else 8)
+            measure = _measure(group, cfg, threads)
         if args.action == "build":
             if out_path and out_path.endswith(".csv"):
                 write_measure_csv(measure, out_path)
@@ -601,7 +617,7 @@ def _run(args) -> tuple[dict, int]:
         group = cfg.build_group()
         max_len = cfg.max_len if cfg.max_len is not None else 10
         weight = cfg.weight or "holomorphic"
-        stol = tol if tol else 1e-8
+        stol = _given(tol, 1e-8)
         if args.action == "eval":
             z = cfg.z
             if z is None:
@@ -618,8 +634,9 @@ def _run(args) -> tuple[dict, int]:
                 report["diagnostics"]["verdict"] = ev.verdict
                 code = EXIT_NUMERIC
         elif args.action == "automorphy":
-            n = cfg.samples or 8
-            samples = fundamental_domain_samples(group, n, cfg.seed or 0)
+            n = _setting(cfg.samples, 8, "--samples", 1)
+            samples = fundamental_domain_samples(
+                group, n, _setting(cfg.seed, 0, "--seed", 0))
             elements = [cfg.element] if cfg.element is not None else \
                 [l for l in group.letters if l > 0]
             per = {}
@@ -630,7 +647,7 @@ def _run(args) -> tuple[dict, int]:
                                  "weight_mode": weight, "n_samples": n}
         else:
             rep = convergence_report(group, cfg.z, max_len,
-                                     cfg.resolution or 1e-3, threads)
+                                     _given(cfg.resolution, 1e-3), threads)
             report["results"] = {
                 "exponents": list(rep.exponents),
                 "shell_sums": [list(r) for r in rep.shell_sums],
@@ -640,18 +657,16 @@ def _run(args) -> tuple[dict, int]:
 
     elif cmd == "bers":
         group = cfg.build_group()
-        delta = cfg.delta
-        if delta is None:
-            delta = estimate_delta(group, cfg.resolution or 0.01,
-                                   cfg.depth or 10, threads=threads).delta
-        measure = build_ps(group, delta, cfg.depth if cfg.depth else 8)
-        density = NayataniDensity(measure)
-        r = bers_integral(group, density, None, cfg.samples or 10000,
-                          cfg.seed or 0, threads)
+        n_samples = _setting(cfg.samples, 10000, "--samples", 1000)
+        density = NayataniDensity(_measure(group, cfg, threads))
+        r = bers_integral(group, density, None, n_samples,
+                          _setting(cfg.seed, 0, "--seed", 0), threads)
         report["results"] = {
             "estimate": r.estimate, "stderr": r.stderr,
             "n_samples": r.n_samples, "n_singular": r.n_singular,
             "decile_shares": list(r.decile_shares), "heavy_tail": r.heavy_tail,
+            "density_rel_err": r.density_rel_err,
+            "estimate_rel_err": r.estimate_rel_err,
         }
         if r.heavy_tail:
             report["diagnostics"]["heavy_tail"] = (
@@ -659,6 +674,17 @@ def _run(args) -> tuple[dict, int]:
                 "estimate is not trustworthy at this sample size")
 
     return report, code
+
+
+def _measure(group: SchottkyGroup, cfg: RunConfig, threads: int):
+    """build_ps at --depth (default 8) with --delta, or with delta estimated
+    to --resolution at that depth (default 10)."""
+    depth = _setting(cfg.depth, 8, "--depth", 2)
+    delta = cfg.delta
+    if delta is None:
+        delta = estimate_delta(group, _given(cfg.resolution, 0.01),
+                               _given(cfg.depth, 10), threads=threads).delta
+    return build_ps(group, delta, depth)
 
 
 def _group_spec_dict(group: SchottkyGroup) -> dict:

@@ -258,7 +258,13 @@ def fundamental_domain_samples(group: SchottkyGroup, n: int, seed: int = 0,
 
 @dataclass(frozen=True)
 class BersResult:
-    """Monte-Carlo estimate of the sphere integral of F^(2/delta) |Phi|."""
+    """Monte-Carlo estimate of the sphere integral of F^(2/delta) |Phi|.
+
+    density_rel_err is the worst certified relative error of F over the
+    samples; estimate_rel_err is the relative error of the estimate it
+    implies, about (2/delta) density_rel_err.  Neither covers the Monte
+    Carlo error, which stderr describes.
+    """
 
     estimate: float
     stderr: float
@@ -267,6 +273,8 @@ class BersResult:
     decile_shares: tuple[float, ...]
     heavy_tail: bool
     seed: int
+    density_rel_err: float
+    estimate_rel_err: float
 
 
 def bers_integral(group: SchottkyGroup, density: NayataniDensity,
@@ -288,7 +296,7 @@ def bers_integral(group: SchottkyGroup, density: NayataniDensity,
         raise MeasureError("Bers integrand needs delta > 0")
     rng = np.random.default_rng(seed)
     pts, msk = uniform_sphere_points(rng, n_samples)
-    fvals, singular = _density_power_many(density, pts, msk, 2.0 / d, threads)
+    fvals, singular, rel = _density_power_many(density, pts, msk, 2.0 / d, threads)
     n_singular = 0
     limit = max(1, int(0.01 * n_samples))
     while np.any(singular):
@@ -301,9 +309,11 @@ def bers_integral(group: SchottkyGroup, density: NayataniDensity,
         np_, nm_ = uniform_sphere_points(rng, idx.size)
         pts[idx] = np_
         msk[idx] = nm_
-        f_new, s_new = _density_power_many(density, np_, nm_, 2.0 / d, threads)
+        f_new, s_new, r_new = _density_power_many(density, np_, nm_, 2.0 / d,
+                                                  threads)
         fvals[idx] = f_new
         singular[idx] = s_new
+        rel[idx] = r_new
     phi_vals = np.abs(integrand.eval_many(pts, msk, threads))
     vals = fvals * phi_vals
     total = math.fsum(vals)
@@ -320,7 +330,14 @@ def bers_integral(group: SchottkyGroup, density: NayataniDensity,
     else:
         shares = tuple(0.0 for _ in range(10))
     heavy = shares[-1] > 0.5
-    return BersResult(estimate, stderr, n_samples, n_singular, shares, heavy, seed)
+    # every sampled term is F^p |Phi| >= 0, so the worst relative error of
+    # F^p over the samples bounds that of the mean
+    eps = float(np.max(rel))
+    p = 2.0 / d
+    est_rel = max(math.expm1(p * math.log1p(eps)),
+                  -math.expm1(p * math.log1p(-eps)) if eps < 1.0 else math.inf)
+    return BersResult(estimate, stderr, n_samples, n_singular, shares, heavy,
+                      seed, eps, est_rel)
 
 
 def _density_power_many(density: NayataniDensity, pts, msk, power: float,
@@ -328,20 +345,19 @@ def _density_power_many(density: NayataniDensity, pts, msk, power: float,
     if threads > 1 and pts.size > 1024:
         vals = np.empty(pts.size, dtype=float)
         sing = np.empty(pts.size, dtype=bool)
+        rel = np.empty(pts.size, dtype=float)
         spans = [(lo, min(lo + 1024, pts.size)) for lo in range(0, pts.size, 1024)]
 
         def work(span):
             lo, hi = span
-            v, s = density.F_many(pts[lo:hi], msk[lo:hi])
-            vals[lo:hi] = v
-            sing[lo:hi] = s
+            vals[lo:hi], sing[lo:hi], rel[lo:hi] = density.F_many(pts[lo:hi],
+                                                                  msk[lo:hi])
 
         with ThreadPoolExecutor(max_workers=threads) as ex:
             list(ex.map(work, spans))
     else:
-        vals, sing = density.F_many(pts, msk)
-    out = np.where(sing, np.inf, vals) ** power
-    return out, sing
+        vals, sing, rel = density.F_many(pts, msk)
+    return vals**power, sing, rel
 
 
 @dataclass(frozen=True)

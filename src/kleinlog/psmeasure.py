@@ -166,43 +166,171 @@ def quasi_invariance_residual(measure: PSMeasure, group: SchottkyGroup,
     return worst
 
 
+# Hierarchical evaluation of F.  A build_ps measure stores the atom of word
+# u.l at index idx(u)*(2g-1) + rank(l), so the atoms under each prefix u form
+# one contiguous block inside the image disk of a defining disk under u.
+# Those blocks are the nodes of the tree.  A node far from x is replaced by
+# the second-order expansion of phi^-delta about its centre c, using
+#   phi(x, y) = phi(x, c) - n(x).(n(y) - n(c)),
+# which is exact algebra on the unit sphere; the node is accepted only when
+# the third-order remainder plus the rounding of every quantity involved is
+# at most rel_tol of its contribution.  The remaining atoms are summed with
+# the homogeneous-coordinate kernel.  All error bounds are relative to the
+# exact sum over the points as represented by their bounded homogeneous
+# coordinates (Z, W); the rounding constants below are multiples of the unit
+# roundoff _U with generous margins.
+
+REL_TOL = 1e-13
+_U = 2.0**-53
+GUARD_PHI = 0.5 * ATOM_GUARD**2   # phi at chordal distance ATOM_GUARD
+LEAF_ATOMS = 8                    # leaves: smallest prefix blocks this large
+MAX_RHO = 2.0**-6                 # accepted nodes have all |t_i| <= MAX_RHO * phi
+PAIR_BUDGET = 1 << 20             # (point, leaf) pairs one batch can reach
+POINT_BATCH = 1024
+LEAF_BLOCK = 1 << 14              # elements of one leaf-kernel temporary
+
+
+@dataclass(frozen=True)
+class _Level:
+    """Internal tree level: node j holds atoms [j*size, (j+1)*size) and its
+    children are nodes j*branch + r of the next level."""
+
+    branch: int
+    W: np.ndarray      # node weight
+    Zc: np.ndarray     # centre c, bounded homogeneous coordinates
+    Wc: np.ndarray
+    Nc: np.ndarray     # |Zc|^2 + |Wc|^2
+    small: np.ndarray  # centre in the |z| <= 1 chart (Wc == 1)
+    m1: np.ndarray     # (3, N): sum w_i e_i, e_i = n(x_i) - n(c)
+    M2: np.ndarray     # (6, N): sum w_i e_i e_i^T as xx, yy, zz, xy, xz, yz
+    R: np.ndarray      # upper bound on max |e_i|
+    eta1: np.ndarray   # bound on the error of n.m1 as computed
+    eta2: np.ndarray   # bound on the error of n^T M2 n as computed
+
+
+@dataclass(frozen=True)
+class _Leaves:
+    """Leaf blocks of the tree as (nodes, atoms per leaf) arrays."""
+
+    Z: np.ndarray
+    W: np.ndarray
+    nsq: np.ndarray
+    w: np.ndarray
+    has_small: np.ndarray  # some atom in the |z| <= 1 chart
+    has_big: np.ndarray    # some atom outside it
+
+
+def _prefix_sizes(n_atoms: int, depth: int):
+    """Atoms per prefix block at prefix lengths 0..depth when n_atoms is
+    2g(2g-1)^(depth-1), the size of a depth-`depth` build_ps measure of a
+    rank-g group; None for any other size."""
+    if not 1 <= depth <= n_atoms.bit_length():  # n_atoms >= 2^depth for g >= 2
+        return None
+    g = 1
+    while 2 * g * (2 * g - 1) ** (depth - 1) < n_atoms:
+        g += 1
+    if 2 * g * (2 * g - 1) ** (depth - 1) != n_atoms:
+        return None
+    sizes = [n_atoms, n_atoms // (2 * g)]
+    while len(sizes) <= depth:
+        sizes.append(sizes[-1] // (2 * g - 1))
+    return sizes
+
+
+def _hom_parts(Z, W):
+    """|Z|^2 + |W|^2, the unit-sphere image (3, n) and the |z| <= 1 chart flag."""
+    nsq = Z.real**2 + Z.imag**2 + W.real**2 + W.imag**2
+    zw = Z * np.conj(W)
+    nvec = np.stack([2.0 * zw.real / nsq, 2.0 * zw.imag / nsq,
+                     (Z.real**2 + Z.imag**2 - W.real**2 - W.imag**2) / nsq])
+    return nsq, nvec, W == 1.0
+
+
+def _build_level(Z, W, nsq, nvec, small, w, size, branch) -> _Level:
+    N = w.size // size
+    Wn = w.reshape(N, size).sum(axis=1)
+    v = (w * nvec).reshape(3, N, size).sum(axis=2)
+    norm = np.sqrt((v * v).sum(axis=0))
+    # nodes without weight (or with a balanced one) take their first atom's
+    # direction; the expansion is exact for any centre, only R depends on it
+    first = nvec[:, ::size]
+    v = np.where(norm > 0.0, v, first)
+    c = v / np.sqrt((v * v).sum(axis=0))
+    c_small = c[2] <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Zc = np.where(c_small, (c[0] + 1j * c[1]) / (1.0 - c[2]), 1.0 + 0j)
+        Wc = np.where(c_small, 1.0 + 0j, (c[0] - 1j * c[1]) / (1.0 + c[2]))
+    Nc = Zc.real**2 + Zc.imag**2 + Wc.real**2 + Wc.imag**2
+    # e_i = n(x_i) - n(c) from d = Z_i Wc - Zc W_i, without cancellation:
+    # complex part 2(conj(W_i Wc) d - Z_i Zc conj(d)), third 2 Re(d conj(s)),
+    # both over |(Z_i, W_i)|^2 |(Zc, Wc)|^2, with s = Z_i Wc + Zc W_i
+    Zr, Wr, Nr = (np.repeat(a, size) for a in (Zc, Wc, Nc))
+    d = Z * Wr - Zr * W
+    s = Z * Wr + Zr * W
+    den = nsq * Nr
+    ec = 2.0 * (np.conj(W * Wr) * d - Z * Zr * np.conj(d)) / den
+    e = np.stack([ec.real, ec.imag,
+                  2.0 * (d.real * s.real + d.imag * s.imag) / den])
+    enorm = np.sqrt((e * e).sum(axis=0))
+    # d is exact up to one rounding when atom and centre share a chart; a
+    # product across charts adds an absolute error of a few ulps
+    alpha = _U * (16.0 * enorm + 12.0 * (small != np.repeat(c_small, size)))
+    A = alpha.reshape(N, size).max(axis=1)
+    R = (enorm.reshape(N, size).max(axis=1) + A) * (1.0 + 4.0 * _U)
+    we = w * e
+    m1 = we.reshape(3, N, size).sum(axis=2)
+    pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+    M2 = np.stack([(we[a] * e[b]).reshape(N, size).sum(axis=1) for a, b in pairs])
+    eta1 = Wn * (2.0 * A + (2 * size + 16) * _U * R)
+    eta2 = Wn * (3.0 * (2.0 * R + A) * A + (3 * size + 40) * _U * R * R)
+    return _Level(branch, Wn, Zc, Wc, Nc, c_small, m1, M2, R, eta1, eta2)
+
+
+def _build_tree(measure: PSMeasure):
+    """(internal levels, leaves) over the measure's atoms.  A measure whose
+    size is not that of a build_ps measure gets a flat tree: one leaf."""
+    Z, W = hom_many(measure.points, measure.inf_mask)
+    nsq, nvec, small = _hom_parts(Z, W)
+    w = measure.weights
+    n = w.size
+    sizes = _prefix_sizes(n, measure.depth) or [n]
+    n_levels = max([k for k, s in enumerate(sizes) if s >= LEAF_ATOMS], default=0)
+    levels = []
+    for k in range(n_levels):
+        levels.append(_build_level(Z, W, nsq, nvec, small, w, sizes[k],
+                                   sizes[k] // sizes[k + 1]))
+    B = sizes[n_levels]
+    sm = small.reshape(-1, B)
+    leaves = _Leaves(Z.reshape(-1, B), W.reshape(-1, B), nsq.reshape(-1, B),
+                     w.reshape(-1, B), sm.any(axis=1), ~sm.all(axis=1))
+    return tuple(levels), leaves
+
+
 @dataclass(frozen=True)
 class NayataniDensity:
     """Conformal density of a PSMeasure; evaluations are pure and share only
-    the pre-extracted atom arrays."""
+    the tree built once from the measure's atoms."""
 
     measure: PSMeasure
 
     def __post_init__(self):
-        # cache the atoms' homogeneous coordinates once; F evaluations reuse them
-        Z, W = hom_many(self.measure.points, self.measure.inf_mask)
-        object.__setattr__(self, "_atom_Z", Z)
-        object.__setattr__(self, "_atom_W", W)
-        object.__setattr__(self, "_atom_nsq",
-                           Z.real**2 + Z.imag**2 + W.real**2 + W.imag**2)
+        levels, leaves = _build_tree(self.measure)
+        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "_leaves", leaves)
 
     @property
     def delta(self) -> float:
         return self.measure.delta
 
-    def _phi_row(self, zp: complex, wp: complex) -> np.ndarray:
-        cross = np.abs(zp * self._atom_W - self._atom_Z * wp)
-        np_sq = abs(zp) ** 2 + abs(wp) ** 2
-        return 2.0 * cross**2 / (np_sq * self._atom_nsq)
-
     def F(self, x) -> float:
         p = as_sphere_point(x)
-        if p.is_infinity:
-            zp, wp = 1.0 + 0j, 0j
-        elif abs(p.value) <= 1.0:
-            zp, wp = p.value, 1.0 + 0j
-        else:
-            zp, wp = 1.0 + 0j, 1.0 / p.value
-        ph = self._phi_row(zp, wp)
-        if np.min(ph) <= 0.5 * ATOM_GUARD**2:
+        vals, singular, _ = self.F_many(
+            np.array([0j if p.is_infinity else p.value]),
+            np.array([p.is_infinity]))
+        if singular[0]:
             raise SingularEvaluationError(
                 "evaluation point within the atom guard distance")
-        return math.fsum(self.measure.weights * ph ** (-self.measure.delta))
+        return float(vals[0])
 
     def metric_factor(self, x) -> float:
         d = self.measure.delta
@@ -210,28 +338,131 @@ class NayataniDensity:
             raise MeasureError("metric factor needs delta > 0")
         return self.F(x) ** (2.0 / d)
 
-    def F_many(self, points, inf_mask, chunk: int = 256):
-        """Vectorized F with a singular mask instead of raising; fixed chunk
-        size keeps the summation order reproducible."""
+    def F_many(self, points, inf_mask, rel_tol: float = REL_TOL):
+        """F at each point, a singular mask (point within ATOM_GUARD of an
+        atom; value inf) and a certified relative error bound of each value.
+
+        rel_tol bounds the relative error each accepted tree node may add;
+        rel_tol=0 accepts none and sums every atom.  Each value depends on
+        its own point only, so splitting the points changes no bit.
+        """
         pts = np.asarray(points, dtype=complex)
         msk = np.asarray(inf_mask, dtype=bool)
-        out = np.empty(pts.shape, dtype=float)
-        singular = np.zeros(pts.shape, dtype=bool)
-        Z, W = hom_many(pts, msk)
-        np_sq = Z.real**2 + Z.imag**2 + W.real**2 + W.imag**2
+        Z, W = hom_many(pts.ravel(), msk.ravel())
+        vals = np.empty(Z.size)
+        singular = np.empty(Z.size, dtype=bool)
+        rel_err = np.empty(Z.size)
+        n_leaves = self._leaves.w.shape[0]
+        batch = max(1, min(POINT_BATCH, PAIR_BUDGET // n_leaves))
+        for lo in range(0, Z.size, batch):
+            hi = min(lo + batch, Z.size)
+            vals[lo:hi], singular[lo:hi], rel_err[lo:hi] = self._walk(
+                Z[lo:hi], W[lo:hi], msk.ravel()[lo:hi], rel_tol)
+        return (vals.reshape(pts.shape), singular.reshape(pts.shape),
+                rel_err.reshape(pts.shape))
+
+    def _walk(self, Z, W, inf, rel_tol):
+        """Level-by-level walk over (point, node) pairs.  Pairs stay in
+        point-major order, so bincount adds each point's terms in an order
+        that depends on that point alone."""
+        n = Z.size
+        nsq, nvec, small = _hom_parts(Z, W)
+        pt = (Z, W, nsq, nvec, small, inf)
+        total = np.zeros(n)
+        err = np.zeros(n)
+        count = np.zeros(n)
+        pi = np.arange(n)
+        nj = np.zeros(n, dtype=np.intp)
+        for lv in self._levels:
+            if rel_tol > 0.0:
+                acc, val, e = self._accept(lv, pi, nj, pt, rel_tol)
+                hit = pi[acc]
+                total += np.bincount(hit, val, n)
+                err += np.bincount(hit, e, n)
+                count += np.bincount(hit, minlength=n)
+                pi, nj = pi[~acc], nj[~acc]
+            pi = np.repeat(pi, lv.branch)
+            nj = (nj[:, None] * lv.branch + np.arange(lv.branch)).ravel()
+        val, e, bad = self._leaf_sums(pi, nj, pt)
+        total += np.bincount(pi, val, n)
+        err += np.bincount(pi, e, n)
+        count += np.bincount(pi, minlength=n)
+        singular = np.bincount(pi, bad, n) > 0
+        # summation of positive terms: the summands, one addition per level
+        # and a leaf's own sum
+        gam = (count + len(self._levels) + 1 + self._leaves.w.shape[1]) * _U
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = (err + gam * total) / (total * (1.0 - gam) - err) * (1.0 + 1e-6)
+        rel = np.where(rel >= 0.0, rel, np.inf)
+        total[singular] = np.inf
+        rel[singular] = np.inf
+        return total, singular, rel
+
+    def _accept(self, lv: _Level, pi, nj, pt, rel_tol):
+        """Accepted-pair mask, and the expansion value and its absolute error
+        bound for each accepted pair."""
+        Z, W, nsq, nvec, small, inf = pt
         d = self.measure.delta
-        w = self.measure.weights
-        for lo in range(0, pts.size, chunk):
-            hi = min(lo + chunk, pts.size)
-            cross = np.abs(Z[lo:hi, None] * self._atom_W[None, :]
-                           - self._atom_Z[None, :] * W[lo:hi, None])
-            ph = 2.0 * cross**2 / (np_sq[lo:hi, None] * self._atom_nsq[None, :])
-            bad = ph.min(axis=1) <= 0.5 * ATOM_GUARD**2
-            singular[lo:hi] = bad
-            ph[bad] = 1.0
-            out[lo:hi] = np.sum(w[None, :] * ph ** (-d), axis=1)
-        out[singular] = np.inf
-        return out, singular
+        take = np.take
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dz = take(Z, pi) * take(lv.Wc, nj) - take(lv.Zc, nj) * take(W, pi)
+            c2 = dz.real**2 + dz.imag**2
+            phi0 = 2.0 * c2 / (take(nsq, pi) * take(lv.Nc, nj))
+            # relative rounding of phi0; a product across charts is inexact
+            cross = (take(small, pi) != take(lv.small, nj)) & ~take(inf, pi)
+            eps = _U * (12.0 + 5.0 * cross / np.sqrt(c2))
+            phi_lo = phi0 * (1.0 - eps)
+            R = take(lv.R, nj)
+            # |t_i| <= min(|e_i|, |n(x) - n(c)| |e_i| + |e_i|^2 / 2)
+            t = np.minimum(R, np.sqrt(2.0 * phi0 * (1.0 + eps)) * R + 0.5 * R * R)
+            rho = t * (1.0 + 8.0 * _U) / phi_lo
+            n1, n2, n3 = take(nvec, pi, axis=1)
+            m1, M2 = take(lv.m1, nj, axis=1), take(lv.M2, nj, axis=1)
+            a = n1 * m1[0] + n2 * m1[1] + n3 * m1[2]
+            q = (n1 * (n1 * M2[0] + 2.0 * (n2 * M2[3] + n3 * M2[4]))
+                 + n2 * (n2 * M2[1] + 2.0 * n3 * M2[5]) + n3 * n3 * M2[2])
+            Wn, eta1, eta2 = take(lv.W, nj), take(lv.eta1, nj), take(lv.eta2, nj)
+            # (1 - u)^-d = 1 + d u + d(d+1)/2 u^2 + R3 with |R3| <= c3 rho u^2
+            # for |u| <= rho <= MAX_RHO, and sum w_i u_i^2 = q / phi0^2
+            c3 = d * (d + 1.0) * (d + 2.0) / 6.0 * (1.0 - MAX_RHO) ** (-d - 3.0)
+            trunc = c3 * rho * (np.maximum(q, 0.0) + eta2) / phi_lo**2
+            mom = d * eta1 / phi_lo + 0.5 * d * (d + 1.0) * eta2 / phi_lo**2
+            bound = trunc + mom + Wn * ((d + 2.0) * eps + 16.0 * _U)
+            # the node's contribution is at least W phi0^-d (1 + rho)^-d
+            ok = ((eps <= 1e-3) & (rho <= MAX_RHO)
+                  & (phi_lo * (1.0 - rho) > GUARD_PHI)
+                  & (bound * (1.0 + MAX_RHO) ** d <= rel_tol * Wn))
+        phi0 = phi0[ok]
+        P = phi0**-d
+        val = P * (Wn[ok] + d / phi0 * (a[ok] + 0.5 * (d + 1.0) * q[ok] / phi0))
+        return ok, val, bound[ok] * P
+
+    def _leaf_sums(self, pi, nj, pt):
+        """Kernel sums of (point, leaf) pairs on cache-sized row blocks: the
+        sum, its absolute rounding bound, and whether an atom is in guard."""
+        Z, W, nsq, _, small, inf = pt
+        lf = self._leaves
+        d = self.measure.delta
+        val = np.empty(pi.size)
+        err = np.empty(pi.size)
+        bad = np.empty(pi.size, dtype=bool)
+        rows = max(1, LEAF_BLOCK // lf.w.shape[1])
+        for lo in range(0, pi.size, rows):
+            p, j = pi[lo:lo + rows], nj[lo:lo + rows]
+            dz = Z[p, None] * lf.W[j] - lf.Z[j] * W[p, None]
+            ph = 2.0 * (dz.real**2 + dz.imag**2) / (nsq[p, None] * lf.nsq[j])
+            mn = ph.min(axis=1)
+            b = mn <= GUARD_PHI
+            ph[b] = 1.0
+            s = np.sum(lf.w[j] * ph**-d, axis=1)
+            # per-term relative rounding u (d (12 + 5/|dz|) + 10), the 5/|dz|
+            # only across charts, with |dz| >= sqrt(phi / 2)
+            cross = (small[p] & lf.has_big[j]) | (~small[p] & ~inf[p] & lf.has_small[j])
+            far = np.sqrt(2.0 / np.maximum(mn, GUARD_PHI))
+            val[lo:lo + rows] = s
+            err[lo:lo + rows] = s * _U * (d * (12.0 + 5.0 * cross * far) + 10.0)
+            bad[lo:lo + rows] = b
+        return val, err, bad
 
 
 def nayatani_F(density: NayataniDensity, x) -> float:

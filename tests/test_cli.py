@@ -209,3 +209,30 @@ def test_series_needs_group(tmp_path):
     r = run_cli("series", "eval", "--z", "0,1")
     assert r.returncode == 2
     assert b"group" in r.stderr
+
+
+@pytest.mark.parametrize("args, flag", [
+    (("bers", "--samples", "0"), "--samples"),
+    (("bers", "--samples", "999", "--delta", "0.3"), "--samples"),
+    (("bers", "--depth", "0"), "--depth"),
+    (("bers", "--depth", "1", "--delta", "0.3"), "--depth"),
+    (("measure", "build", "--depth", "0"), "--depth"),
+    (("series", "automorphy", "--samples", "0"), "--samples"),
+    (("series", "eval", "--z", "0,1", "--tol", "0"), "--tol"),
+    (("group", "delta", "--depth", "0"), "--depth"),
+])
+def test_zero_and_small_flags_rejected(std_config, capsys, args, flag):
+    from kleinlog.cli import main
+
+    assert main(["--config", std_config, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag}:"), err
+
+
+def test_bers_reports_density_error_bound(std_config):
+    r = run_cli("--config", std_config, "bers", "--depth", "6", "--samples",
+                "1000", "--delta", "0.2984", "--seed", "3")
+    assert r.returncode == 0
+    res = json.loads(r.stdout)["results"]
+    assert 0.0 < res["density_rel_err"] <= 1e-12
+    assert res["estimate_rel_err"] >= (2.0 / 0.2984) * res["density_rel_err"]

@@ -116,7 +116,7 @@ def test_density_singular_at_atom():
     d = NayataniDensity(single_atom(delta=0.7))
     with pytest.raises(SingularEvaluationError):
         d.F(SpherePoint(0j))
-    vals, singular = d.F_many(np.array([0j, 1j]), np.array([False, False]))
+    vals, singular, _ = d.F_many(np.array([0j, 1j]), np.array([False, False]))
     assert singular[0] and not singular[1]
     assert np.isinf(vals[0]) and np.isfinite(vals[1])
 
@@ -126,7 +126,7 @@ def test_f_many_matches_scalar(std_group, sharp_delta):
     den = NayataniDensity(m)
     rng = np.random.default_rng(223)
     pts = rng.normal(size=40) + 1j * rng.normal(size=40)
-    vals, singular = den.F_many(pts, np.zeros(40, dtype=bool))
+    vals, singular, _ = den.F_many(pts, np.zeros(40, dtype=bool))
     assert not singular.any()
     for p, v in zip(pts, vals):
         assert abs(den.F(SpherePoint(complex(p))) - v) <= 1e-12 * abs(v)
@@ -188,3 +188,134 @@ def test_csv_roundtrip(tmp_path, std_group, sharp_delta):
     path2 = tmp_path / "measure2.csv"
     write_measure_csv(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+# hierarchical evaluation of F ----------------------------------------------------
+
+def near_atom_points(measure, rng, k):
+    """Points at chordal distance 1e-9..1e-3 from seeded atoms, plus infinity."""
+    from kleinlog._vec import from_sphere, sphere_coords_many
+
+    idx = rng.integers(0, len(measure), k)
+    n0s = np.stack(sphere_coords_many(measure.points[idx], measure.inf_mask[idx]), 1)
+    pts, msk = [], []
+    for n0 in n0s:
+        t = rng.normal(size=3)
+        t -= t.dot(n0) * n0
+        t /= np.linalg.norm(t)
+        theta = 2.0 * math.asin(0.5 * 10.0 ** rng.uniform(-9.0, -3.0))
+        p = from_sphere(math.cos(theta) * n0 + math.sin(theta) * t)
+        pts.append(0j if p.is_infinity else p.value)
+        msk.append(p.is_infinity)
+    return np.array(pts + [0j]), np.array(msk + [True])
+
+
+def assert_within_bounds(den, pts, msk):
+    vals, singular, rel = den.F_many(pts, msk)
+    exact, singular0, rel0 = den.F_many(pts, msk, rel_tol=0.0)
+    assert np.array_equal(singular, singular0)
+    ok = ~singular
+    dev = np.abs(vals[ok] - exact[ok]) / exact[ok]
+    assert (dev <= rel[ok]).all()
+    assert (rel[ok] <= 1e-12).all() and (rel0[ok] <= 1e-12).all()
+    return vals, exact, rel
+
+
+def test_tree_error_bound_near_atoms(std_group, sharp_delta):
+    import mpmath as mp
+
+    from kleinlog._vec import hom_many, uniform_sphere_points
+
+    m = build_ps(std_group, sharp_delta, 8)
+    den = NayataniDensity(m)
+    rng = np.random.default_rng(307)
+    near, near_msk = near_atom_points(m, rng, 200)
+    far, far_msk = uniform_sphere_points(rng, 200)
+    pts = np.concatenate([near, far])
+    msk = np.concatenate([near_msk, far_msk])
+    vals, exact, rel = assert_within_bounds(den, pts, msk)
+    assert np.any(vals != exact)  # nodes were accepted, not every atom summed
+    # the bound also holds against an independent 40-digit sum over the
+    # atoms as represented in homogeneous coordinates
+    Za, Wa = hom_many(m.points, m.inf_mask)
+    Zp, Wp = hom_many(pts, msk)
+    with mp.workdps(40):
+        d = mp.mpf(m.delta)
+        atoms = [(mp.mpc(z), mp.mpc(w), mp.mpf(wt), abs(mp.mpc(z))**2 + abs(mp.mpc(w))**2)
+                 for z, w, wt in zip(Za, Wa, m.weights)]
+        for i in (0, 1, 200, len(pts) - 1):
+            zp, wp = mp.mpc(Zp[i]), mp.mpc(Wp[i])
+            nps = abs(zp) ** 2 + abs(wp) ** 2
+            ref = mp.fsum(wt * (2 * abs(zp * w - z * wp) ** 2 / (nps * ns)) ** -d
+                          for z, w, wt, ns in atoms)
+            assert abs(vals[i] - ref) <= rel[i] * ref
+
+
+def test_tree_flags_points_on_atoms(std_group, sharp_delta):
+    m = build_ps(std_group, sharp_delta, 6)
+    den = NayataniDensity(m)
+    pts = np.concatenate([m.points[:5], m.points[5:10] * (1 + 1e-14), [3.0 + 0j]])
+    vals, singular, rel = den.F_many(pts, np.zeros(pts.size, dtype=bool))
+    assert singular[:10].all() and not singular[10]
+    assert np.isinf(vals[:10]).all() and np.isfinite(vals[10])
+    with pytest.raises(SingularEvaluationError):
+        den.F(SpherePoint(complex(m.points[7])))
+
+
+def test_f_many_independent_of_splits(std_group, sharp_delta):
+    from kleinlog._vec import uniform_sphere_points
+
+    m = build_ps(std_group, sharp_delta, 8)
+    den = NayataniDensity(m)
+    rng = np.random.default_rng(311)
+    near, near_msk = near_atom_points(m, rng, 300)
+    far, far_msk = uniform_sphere_points(rng, 3000)
+    pts = np.concatenate([far, near, m.points[:3]])
+    msk = np.concatenate([far_msk, near_msk, np.zeros(3, dtype=bool)])
+    whole = den.F_many(pts, msk)
+    cuts = np.sort(rng.choice(np.arange(1, pts.size), 12, replace=False))
+    parts = [den.F_many(p, k) for p, k in zip(np.split(pts, cuts), np.split(msk, cuts))]
+    for a, b in zip(whole, zip(*parts)):
+        assert np.array_equal(a, np.concatenate(b))
+
+
+def test_bers_bitwise_across_threads(std_group, sharp_delta):
+    from kleinlog.poincare import bers_integral
+
+    den = NayataniDensity(build_ps(std_group, sharp_delta, 8))
+    one = bers_integral(std_group, den, n_samples=5000, seed=13, threads=1)
+    four = bers_integral(std_group, den, n_samples=5000, seed=13, threads=4)
+    assert one == four
+    assert 0.0 < one.density_rel_err <= 1e-12
+    assert one.estimate_rel_err >= 2.0 / sharp_delta.delta * one.density_rel_err
+
+
+def test_tree_matches_exact_path_on_other_layouts(tmp_path, std_group, sharp_delta):
+    from kleinlog._vec import uniform_sphere_points
+
+    rng = np.random.default_rng(313)
+    far, far_msk = uniform_sphere_points(rng, 300)
+    m = build_ps(std_group, sharp_delta, 8)
+    path = tmp_path / "m.csv"
+    write_measure_csv(m, path)
+    perm = rng.permutation(len(m))
+    shuffled = PSMeasure(m.points[perm], m.inf_mask[perm], m.weights[perm],
+                         m.delta, m.depth, m.basepoint)
+    for measure in (single_atom(0.7, 2.0 + 0j), read_measure_csv(path), shuffled):
+        near, near_msk = near_atom_points(measure, rng, 50)
+        assert_within_bounds(NayataniDensity(measure), np.concatenate([near, far]),
+                             np.concatenate([near_msk, far_msk]))
+
+
+def test_tree_evaluates_depth_10(std_group, sharp_delta):
+    import time
+
+    from kleinlog._vec import uniform_sphere_points
+
+    m = build_ps(std_group, sharp_delta, 10)
+    assert len(m) == 78732
+    pts, msk = uniform_sphere_points(np.random.default_rng(317), 10000)
+    t0 = time.perf_counter()
+    vals, singular, rel = NayataniDensity(m).F_many(pts, msk)
+    assert time.perf_counter() - t0 < 10.0
+    assert np.isfinite(vals[~singular]).all() and (rel[~singular] <= 1e-12).all()

@@ -1,14 +1,97 @@
-"""Vectorized sphere arithmetic over arrays of points.
+"""Vectorized sphere arithmetic over arrays of points, and the exact sum.
 
-Points are (complex ndarray, bool inf-mask) pairs; all formulas go through
-bounded homogeneous coordinates so nothing overflows near infinity.
+Points are (complex ndarray, bool inf-mask) pairs; the formulas go through
+bounded homogeneous coordinates, or forms staged like moebius.chordal, so
+nothing overflows near infinity.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
-from .moebius import INF, MoebiusMap, SpherePoint, as_sphere_point
+from .moebius import (
+    CHORDAL_AFFINE_MAX,
+    INF,
+    MoebiusMap,
+    SpherePoint,
+    as_sphere_point,
+    chordal,
+)
+
+FSUM_BLOCK = 1 << 14
+# below this length math.fsum over a list is faster than the binned sum
+FSUM_SHORT = 2048
+# frexp exponents of finite doubles run from -1073 to 1024
+_EXP_BIAS = 1073
+_NBINS = _EXP_BIAS + 1025
+
+
+def fsum(x) -> float:
+    """Correctly rounded sum of a 1-d real array or sequence: exactly
+    math.fsum(x), bit for bit.
+
+    The result depends only on the multiset of values, never on their order,
+    on blocking or on threads.
+    """
+    if len(x) < FSUM_SHORT:
+        return math.fsum(x.tolist() if isinstance(x, np.ndarray) else x)
+    return _fsum_binned(np.asarray(x, dtype=float))
+
+
+def fsum_c(z) -> complex:
+    """fsum of the real and imaginary parts of a 1-d array or sequence."""
+    z = np.asarray(z)
+    if not np.iscomplexobj(z):
+        return complex(fsum(z), 0.0)
+    return complex(fsum(z.real), fsum(z.imag))
+
+
+def _fsum_binned(a: np.ndarray) -> float:
+    # Every finite double is m * 2**(e - 53) with a signed 53-bit integer m
+    # and its frexp exponent e.  Per exponent, np.bincount sums the high 27
+    # and low 26 bits of m over blocks of FSUM_BLOCK elements; each partial
+    # sum is an integer below 2**27 * FSUM_BLOCK <= 2**53, so the float sums
+    # are exact, and int64 accumulates the blocks without loss.  The bins
+    # are combined as one Python int and rounded once by int / 2**k, which
+    # CPython rounds correctly, as math.fsum does.
+    hi_acc = np.zeros(_NBINS, dtype=np.int64)
+    lo_acc = np.zeros(_NBINS, dtype=np.int64)
+    emax = 0
+    for start in range(0, a.size, FSUM_BLOCK):
+        blk = a[start:start + FSUM_BLOCK]
+        if not np.isfinite(blk).all():
+            # nan, inf and their exceptions exactly as math.fsum gives them
+            return _fsum_python(a)
+        m, e = np.frexp(blk)
+        m *= 2.0**53
+        hi = np.floor(m * 2.0**-26)
+        m -= hi * 2.0**26
+        emax = max(emax, int(e.max()))
+        e += _EXP_BIAS
+        hi_acc += np.bincount(e, weights=hi, minlength=_NBINS).astype(np.int64)
+        lo_acc += np.bincount(e, weights=m, minlength=_NBINS).astype(np.int64)
+    if emax + a.size.bit_length() > 1023:
+        # sum |x| may reach 2**1023: math.fsum can overflow in an
+        # intermediate step, and then raises where the exact sum is finite
+        return _fsum_python(a)
+    nz = np.flatnonzero(hi_acc | lo_acc)
+    if nz.size == 0:
+        return 0.0
+    b0 = int(nz[0])
+    total = 0
+    for shift, h, lo in zip((nz - b0).tolist(), hi_acc[nz].tolist(),
+                            lo_acc[nz].tolist()):
+        total += ((h << 26) + lo) << shift
+    k = b0 - _EXP_BIAS - 53
+    return float(total << k) if k >= 0 else total / (1 << -k)
+
+
+def _fsum_python(a: np.ndarray) -> float:
+    return math.fsum(itertools.chain.from_iterable(
+        a[i:i + FSUM_BLOCK].tolist() for i in range(0, a.size, FSUM_BLOCK)))
 
 
 def hom_many(points: np.ndarray, inf_mask: np.ndarray):
@@ -47,19 +130,24 @@ def spherical_derivative_many(m: MoebiusMap, points, inf_mask) -> np.ndarray:
 
 
 def chordal_many(p, points, inf_mask) -> np.ndarray:
-    """Chordal distances from one sphere point to an array of them."""
+    """Chordal distances from one sphere point to an array of them, by the
+    forms of moebius.chordal; pairs beyond its affine range go to it."""
     p = as_sphere_point(p)
+    y = np.asarray(points, dtype=complex)
+    fin = ~np.asarray(inf_mask, dtype=bool)
+    ay = np.hypot(y.real, y.imag)
+    out = np.full(y.shape, chordal(p, INF))
     if p.is_infinity:
-        zp, wp = 1.0 + 0j, 0j
-    elif abs(p.value) <= 1.0:
-        zp, wp = p.value, 1.0 + 0j
-    else:
-        zp, wp = 1.0 + 0j, 1.0 / p.value
-    Z, W = hom_many(points, inf_mask)
-    cross = np.abs(zp * W - Z * wp)
-    np_sq = abs(zp) ** 2 + abs(wp) ** 2
-    n_sq = Z.real**2 + Z.imag**2 + W.real**2 + W.imag**2
-    return 2.0 * cross / np.sqrt(np_sq * n_sq)
+        out[fin] = 2.0 / np.hypot(1.0, ay[fin])
+        return out
+    ax = abs(p.value)
+    affine = fin & (ay < CHORDAL_AFFINE_MAX) & (ax < CHORDAL_AFFINE_MAX)
+    diff = p.value - y[affine]
+    out[affine] = 2.0 * (np.hypot(diff.real, diff.imag) / np.hypot(1.0, ax)
+                         ) / np.hypot(1.0, ay[affine])
+    for i in np.flatnonzero(fin & ~affine):
+        out[i] = chordal(p, SpherePoint(y[i]))
+    return out
 
 
 def sphere_coords_many(points, inf_mask):

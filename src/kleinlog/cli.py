@@ -5,7 +5,7 @@ Exit codes: 0 success, 2 config or validation rejection, 3 numeric
 non-convergence or runtime diagnostic.  Reports are JSON objects
 {command, config_hash, results, diagnostics}; the hash covers only the
 math-relevant effective settings, never --threads or output paths, so
-strict-mode runs stay byte-identical across thread counts.
+runs stay byte-identical across thread counts.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import ConvergenceRegimeError, elliptic_d2
+from ._vec import fsum
 from .moebius import INF, MoebiusMap, SpherePoint, as_sphere_point
 from .poincare import (
     BLOCH_WIGNER_INTEGRAND,
@@ -110,7 +111,6 @@ class RunConfig:
     seed: int = None
     weight: str = None
     samples: int = None
-    mode: str = None
     window: float = None
     width: int = None
     height: int = None
@@ -235,10 +235,9 @@ def config_from_dict(data: dict) -> RunConfig:
         if data["weight"] not in ("holomorphic", "absolute"):
             raise ConfigError("weight", "must be holomorphic or absolute")
         cfg.weight = data["weight"]
-    if "mode" in data:
-        if data["mode"] not in ("strict", "fast"):
-            raise ConfigError("mode", "must be strict or fast")
-        cfg.mode = data["mode"]
+    if "mode" in data and data["mode"] != "strict":
+        # summation is always correctly rounded; "strict" stays accepted
+        raise ConfigError("mode", f"must be strict, got {data['mode']!r}")
     if "odd_denominator" in data:
         cfg.odd_denominator = data["odd_denominator"]
     if "measure_csv" in data:
@@ -372,11 +371,10 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=S)
     common.add_argument("--weight", choices=("holomorphic", "absolute"), default=S)
     common.add_argument("--threads", type=int, default=S)
-    g = common.add_mutually_exclusive_group()
-    g.add_argument("--strict", action="store_const", const="strict", dest="mode",
-                   default=S)
-    g.add_argument("--fast", action="store_const", const="fast", dest="mode",
-                   default=S)
+    # a no-op, since every sum is correctly rounded; it still enters
+    # config_hash (via _overrides), so reports that pass it keep their hash
+    common.add_argument("--strict", action="store_const", const="strict",
+                        dest="mode", default=S)
 
     ap = argparse.ArgumentParser(prog="kleinlog", parents=[common],
                                  description="single-valued polylogarithms and "
@@ -456,7 +454,7 @@ def _cli_move(text: str):
 
 def _merged(cfg: RunConfig, args) -> RunConfig:
     # flags override config fields of the same name
-    for key in ("tol", "max_len", "depth", "seed", "weight", "mode"):
+    for key in ("tol", "max_len", "depth", "seed", "weight"):
         v = getattr(args, key, None)
         if v is not None:
             setattr(cfg, key, v)
@@ -515,7 +513,6 @@ def _run(args) -> tuple[dict, int]:
     cfg = _merged(cfg, args)
     out_path = getattr(args, "out", None)
     threads = max(1, getattr(args, "threads", 1) or 1)
-    mode = cfg.mode or "strict"
     tol = cfg.tol
     if tol is not None and not tol > 0.0:
         raise ConfigError("--tol", f"must be positive, got {tol!r}")
@@ -606,7 +603,7 @@ def _run(args) -> tuple[dict, int]:
                 "delta": measure.delta, "depth": measure.depth,
                 "n_atoms": len(measure),
                 "basepoint": _jsonable(measure.basepoint),
-                "mass": math.fsum(measure.weights),
+                "mass": fsum(measure.weights),
             }
         else:
             res = quasi_invariance_residual(measure, group)
@@ -622,7 +619,7 @@ def _run(args) -> tuple[dict, int]:
             z = cfg.z
             if z is None:
                 raise ConfigError("--z", "series eval needs a point")
-            ev = evaluate(group, None, z, weight, max_len, stol, threads, mode)
+            ev = evaluate(group, None, z, weight, max_len, stol, threads)
             report["results"] = {
                 "value": ev.value, "tail_estimate": ev.tail_estimate,
                 "verdict": ev.verdict, "weight_mode": ev.weight_mode,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._vec import fsum
 from .moebius import as_sphere_point
 from .polylog import D_GLOBAL_BOUND, PolylogResult, SingularArgumentError, _bloch_wigner_bounded
 
@@ -73,9 +74,7 @@ def elliptic_tail_bound(q, x, terms: int) -> float:
         k0 = terms + 1
         if a > 0.5:
             k0 = max(k0, math.ceil(math.log(2.0 * a) / biglog))
-        explicit = math.fsum(
-            _d_envelope(a * aq ** k) for k in range(terms + 1, k0)
-        )
+        explicit = fsum([_d_envelope(a * aq ** k) for k in range(terms + 1, k0)])
         # for k >= k0 the modulus is <= 1/2 and |D(w)| <= 2|w|(1 + |log|w||)
         r0 = aq ** k0
         geo0 = r0 / (1.0 - aq)
@@ -130,5 +129,5 @@ def elliptic_d2(q, x=None, tol: float = 1e-10) -> PolylogResult:
         values.append(vp)
         values.append(vm)
         eval_err += ep + em
-    value = math.fsum(values)
+    value = fsum(values)
     return PolylogResult(value, tail + eval_err, 2 * pairs + 1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._vec import uniform_sphere_points
+from ._vec import fsum, fsum_c, uniform_sphere_points
 from .moebius import INF, MoebiusMap, SpherePoint, as_sphere_point
 from .polylog import D_GLOBAL_BOUND, bloch_wigner, bloch_wigner_many
 from .psmeasure import MeasureError, NayataniDensity
@@ -115,16 +115,13 @@ class SeriesEvaluation:
         return tuple(w[i + 1] / w[i] for i in range(len(w) - 1) if w[i] > 0)
 
 
-def _fsum_c(values) -> complex:
-    return complex(math.fsum(v.real for v in values),
-                   math.fsum(v.imag for v in values))
-
-
 def evaluate(group: SchottkyGroup, integrand: SeriesIntegrand = None, z=0j,
              weight_mode: str = "holomorphic", max_len: int = 10,
-             tol: float = 1e-8, threads: int = 1,
-             mode: str = "strict") -> SeriesEvaluation:
+             tol: float = 1e-8, threads: int = 1) -> SeriesEvaluation:
     """Sum the series over all words of length <= max_len, shell by shell.
+
+    Every shell sum and the total are correctly rounded (fsum), so the
+    result does not depend on chunking or threads.
 
     tail_estimate extrapolates the last weight-shell ratio geometrically with
     a 2x safety factor: 2 * bound * S_N * r/(1-r).  verdict is converged only
@@ -157,16 +154,8 @@ def evaluate(group: SchottkyGroup, integrand: SeriesIntegrand = None, z=0j,
         if wts.size == 0:
             break
         vals = integrand.eval_many(pts, infm, threads)
-        absw = np.abs(wts)
-        terms = wts * vals
-        if mode == "strict":
-            signed = _fsum_c(terms)
-            s_n = math.fsum(absw)
-        else:
-            signed = complex(np.sum(terms))
-            s_n = float(np.sum(absw))
-        shells.append(signed)
-        weight_shells.append(s_n)
+        shells.append(fsum_c(wts * vals))
+        weight_shells.append(fsum(np.abs(wts)))
         if weight_mode == "holomorphic":
             img_n = np.where(infm, np.inf, 1.0 + np.abs(pts) ** 2)
             ratio = img_n / base_n
@@ -175,7 +164,7 @@ def evaluate(group: SchottkyGroup, integrand: SeriesIntegrand = None, z=0j,
                 comparability = max(comparability,
                                     float(np.max(ratio[finite])),
                                     float(1.0 / np.min(ratio[finite])))
-    value = _fsum_c(shells)
+    value = fsum_c(shells)
     ratios = [weight_shells[i + 1] / weight_shells[i]
               for i in range(len(weight_shells) - 1) if weight_shells[i] > 0]
     if group.rank == 0 or not ratios:
@@ -316,16 +305,16 @@ def bers_integral(group: SchottkyGroup, density: NayataniDensity,
         rel[idx] = r_new
     phi_vals = np.abs(integrand.eval_many(pts, msk, threads))
     vals = fvals * phi_vals
-    total = math.fsum(vals)
+    total = fsum(vals)
     mean = total / n_samples
-    var = math.fsum((vals - mean) ** 2) / max(1, n_samples - 1)
+    var = fsum((vals - mean) ** 2) / max(1, n_samples - 1)
     area = 4.0 * math.pi
     estimate = area * mean
     stderr = area * math.sqrt(var / n_samples)
     order = np.sort(vals)
     edges = np.linspace(0, n_samples, 11).astype(int)
     if total > 0:
-        shares = tuple(float(math.fsum(order[edges[i]:edges[i + 1]]) / total)
+        shares = tuple(fsum(order[edges[i]:edges[i + 1]]) / total
                        for i in range(10))
     else:
         shares = tuple(0.0 for _ in range(10))

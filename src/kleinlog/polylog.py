@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._vec import fsum, fsum_c
 from .moebius import as_sphere_point
 
 EPS = 2.220446049250313e-16
@@ -92,10 +93,6 @@ def _clean_neg(z: complex) -> complex:
     return complex(w.real + 0.0, w.imag + 0.0)
 
 
-def _fsum_complex(terms) -> complex:
-    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-
-
 def _li_series(n: int, z: complex, tol: float) -> PolylogResult:
     # direct sum, valid for |z| <= 1/2: tail after K terms is
     # <= |z|^{K+1} / ((K+1)^n (1 - |z|))
@@ -110,8 +107,8 @@ def _li_series(n: int, z: complex, tol: float) -> PolylogResult:
         tail = az ** (k + 1) / ((k + 1) ** n * (1.0 - az))
         if tail <= 0.5 * tol or k >= 10_000:
             break
-    value = _fsum_complex(terms)
-    rounding = 4.0 * EPS * math.fsum(abs(t) for t in terms)
+    value = fsum_c(terms)
+    rounding = 4.0 * EPS * fsum([abs(t) for t in terms])
     return PolylogResult(value, tail + rounding, k)
 
 
@@ -163,8 +160,8 @@ def _li_log_band(n: int, z: complex, tol: float) -> PolylogResult:
             tail = prefac * rho ** (2 * j0)
             if tail <= 0.5 * tol or k >= 600:
                 break
-    value = _fsum_complex(terms)
-    rounding = 4.0 * EPS * math.fsum(abs(t) for t in terms)
+    value = fsum_c(terms)
+    rounding = 4.0 * EPS * fsum([abs(t) for t in terms])
     return PolylogResult(value, tail + rounding, used)
 
 
@@ -310,8 +307,8 @@ def ramakrishnan_L(m: int, z, tol: float = 1e-10) -> PolylogResult:
         parts.append(coef * res.value)
         err += abs(coef) * res.error_bound
         used += res.terms_used
-    value = _fsum_complex(parts)
-    err += 4.0 * EPS * math.fsum(abs(t) for t in parts)
+    value = fsum_c(parts)
+    err += 4.0 * EPS * fsum([abs(t) for t in parts])
     return PolylogResult(value, err, used)
 
 

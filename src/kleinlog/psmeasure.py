@@ -19,6 +19,7 @@ from ._vec import (
     apply_many,
     chordal_many,
     from_sphere,
+    fsum,
     hom_many,
     sphere_coords_many,
     spherical_derivative_many,
@@ -62,7 +63,7 @@ class PSMeasure:
             raise MeasureError("a measure needs at least one atom")
         if np.any(wts < 0) or not np.all(np.isfinite(wts)):
             raise MeasureError("weights must be finite and nonnegative")
-        total = math.fsum(wts)
+        total = fsum(wts)
         if abs(total - 1.0) > MASS_TOL:
             raise MeasureError(f"total mass {total!r} is not 1 within {MASS_TOL}")
         for a in (pts, msk, wts):
@@ -100,12 +101,12 @@ def build_ps(group: SchottkyGroup, delta=None, depth: int = 8) -> PSMeasure:
     bp = group.default_basepoint()
     pts, msk, sph = group.shell_terms(depth, bp, "absolute")
     raw = sph**delta
-    total = math.fsum(raw)
+    total = fsum(raw)
     if not (total > 0.0 and math.isfinite(total)):
         raise MeasureError("degenerate weight normalization")
     wts = raw / total
     # rescale so the compensated total is exactly representable as 1
-    wts = wts / math.fsum(wts)
+    wts = wts / fsum(wts)
     if group.circles is not None:
         group._ensure_shells(depth)
         first = group._shell_first[depth]
@@ -159,9 +160,9 @@ def quasi_invariance_residual(measure: PSMeasure, group: SchottkyGroup,
         for _, f in fns:
             fx = f(*cx)
             fy = f(*cy)
-            lhs = math.fsum(wts * fx)
-            rhs = math.fsum(wts * jac * fy)
-            den = math.fsum(wts * np.abs(fx)) + RESIDUAL_EPS
+            lhs = fsum(wts * fx)
+            rhs = fsum(wts * jac * fy)
+            den = fsum(wts * np.abs(fx)) + RESIDUAL_EPS
             worst = max(worst, abs(lhs - rhs) / den)
     return worst
 

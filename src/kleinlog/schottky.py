@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._vec import fsum
 from .moebius import (
     INF,
     MoebiusMap,
@@ -487,8 +488,8 @@ def _exp_sum(logd: np.ndarray, s: float, threads: int = 1) -> float:
             out[idx] = np.exp(s * logd[idx])
         with ThreadPoolExecutor(max_workers=threads) as ex:
             list(ex.map(work, chunks))
-        return math.fsum(out)
-    return math.fsum(np.exp(s * logd))
+        return fsum(out)
+    return fsum(np.exp(s * logd))
 
 
 def shell_sums(group: SchottkyGroup, s: float, max_depth: int, basepoint=None,

@@ -2,11 +2,14 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tests.conftest import STD_CENTERS, STD_RADIUS, make_standard_group
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*args):
@@ -236,3 +239,32 @@ def test_bers_reports_density_error_bound(std_config):
     res = json.loads(r.stdout)["results"]
     assert 0.0 < res["density_rel_err"] <= 1e-12
     assert res["estimate_rel_err"] >= (2.0 / 0.2984) * res["density_rel_err"]
+
+
+@pytest.mark.parametrize("weight", ["holomorphic", "absolute"])
+def test_series_eval_report_pinned(std_config, weight):
+    """The exact bytes of a len-10 report in each weight mode, so that any
+    change of summation order or rounding shows.  Recorded with numpy 2.4 on
+    x86-64 Linux; another libm may move last digits."""
+    r = run_cli("--config", std_config, "series", "eval", "--max-len", "10",
+                "--z", "0.3,0.7", "--weight", weight)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (DATA / f"series_eval_len10_{weight}.json").read_bytes()
+
+
+def test_fast_mode_rejected_strict_is_a_no_op(std_config, tmp_path, capsys):
+    from kleinlog.cli import main
+
+    r = run_cli("--config", std_config, "series", "eval", "--max-len", "3",
+                "--z", "0.3,0.7", "--fast")
+    assert r.returncode == 2
+    assert b"--fast" in r.stderr
+    for mode, code in (("fast", 2), ("strict", 0)):
+        cfg = tmp_path / f"{mode}.json"
+        cfg.write_text(json.dumps({**std_spec(), "mode": mode}))
+        assert main(["--config", str(cfg), "--strict", "series", "eval",
+                     "--max-len", "10", "--z", "0.3,0.7"]) == code
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: mode:"), err
+    pinned = json.loads((DATA / "series_eval_len10_holomorphic.json").read_text())
+    assert json.loads(out)["results"] == pinned["results"]

@@ -2,8 +2,10 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
+from kleinlog._vec import chordal_many
 from kleinlog.moebius import (
     INF,
     MoebiusMap,
@@ -179,3 +181,38 @@ def test_conjugation():
         lhs = c.apply(h.apply(p))
         rhs = h.apply(m.apply(p))
         assert chordal(lhs, rhs) < 1e-8
+
+
+@pytest.mark.parametrize("r", [1e-3, 1e-6, 1e-9])
+def test_chordal_close_pairs_match_mpmath(r):
+    mpmath = pytest.importorskip("mpmath")
+    u = cmath.exp(0.3j)
+    pairs = [
+        (u * (1 - r / 2), u * (1 + r / 2)),    # across |z| = 1
+        (3 * u, 3 * u * (1 + r)),               # both outside the unit disk
+        (0.4 * u, 0.4 * u * (1 + r)),           # both inside
+        (1e100 * u, 1e100 * u * (1 + r)),       # far outside
+        (1e5, 9e149), (1e100, 2e100),           # (1+|x|^2)(1+|y|^2) overflows
+        (1e300, -1e300j),
+    ]
+    for x, y in pairs:
+        with mpmath.workdps(50):
+            X, Y = mpmath.mpc(x), mpmath.mpc(y)
+            ref = float(2 * abs(X - Y)
+                        / mpmath.sqrt((1 + abs(X) ** 2) * (1 + abs(Y) ** 2)))
+        vec = chordal_many(x, np.array([y, x]), np.array([False, False]))
+        assert vec[1] == 0.0
+        for d in (chordal(x, y), chordal(y, x), vec[0]):
+            assert abs(d - ref) <= 1e-15 * ref
+
+
+def test_chordal_many_matches_scalar():
+    rng = random.Random(31)
+    pts = [rand_point(rng) for _ in range(30)]
+    pts += [SpherePoint(1e200 + 3e199j), SpherePoint(-2e160 + 0j), INF,
+            SpherePoint(0j), SpherePoint(1e308 + 0j), SpherePoint(-5e307j)]
+    vals = np.array([p.value for p in pts])
+    inf_mask = np.array([p.is_infinity for p in pts])
+    for p in pts:
+        got = chordal_many(p, vals, inf_mask)
+        assert got.tolist() == [chordal(p, q) for q in pts]

@@ -47,8 +47,6 @@ from .psmeasure import (
     asymptotic_profile,
     build_ps,
     conformality_report,
-    metric_factor,
-    nayatani_F,
     quasi_invariance_residual,
     read_measure_csv,
     write_measure_csv,

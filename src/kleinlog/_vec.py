@@ -1,14 +1,19 @@
-"""Vectorized sphere arithmetic over arrays of points, and the exact sum.
+"""Vectorized sphere arithmetic over arrays of points, the exact sum, and
+the one thread pool.
 
 Points are (complex ndarray, bool inf-mask) pairs; the formulas go through
 bounded homogeneous coordinates, or forms staged like moebius.chordal, so
-nothing overflows near infinity.
+nothing overflows near infinity.  act and stretch are the Moebius kernels
+that every vector path shares.  The scalar methods of moebius stay the bit
+references: numpy and CPython round the same formulas differently (complex
+division, hypot), so a scalar call is not a one-element vector call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -108,25 +113,36 @@ def hom_many(points: np.ndarray, inf_mask: np.ndarray):
     return Z, W
 
 
+def act(a, b, c, d, Z, W):
+    """Matrices [[a, b], [c, d]] applied to homogeneous points (Z, W), all
+    broadcasting.  Returns (points, inf_mask, num, den): the images as
+    (complex, mask) pairs, and their homogeneous coordinates num/den."""
+    num = a * Z + b * W
+    den = c * Z + d * W
+    inf_mask = den == 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = num / np.where(inf_mask, 1.0, den)
+    # an overflowing quotient is infinity too
+    inf_mask = inf_mask | ~np.isfinite(points)
+    return np.where(inf_mask, 0.0, points), inf_mask, num, den
+
+
+def stretch(Z, W, num, den):
+    """Spherical derivative of a det-1 map at (Z, W), given its image
+    (num, den) from act: (|Z|^2 + |W|^2) / (|num|^2 + |den|^2)."""
+    return (abs(Z) ** 2 + abs(W) ** 2) / (
+        num.real**2 + num.imag**2 + den.real**2 + den.imag**2)
+
+
 def apply_many(m: MoebiusMap, points, inf_mask):
     """Apply a Moebius map to an array of sphere points."""
-    Z, W = hom_many(points, inf_mask)
-    num = m.a * Z + m.b * W
-    den = m.c * Z + m.d * W
-    out_inf = den == 0
-    out = num / np.where(out_inf, 1.0, den)
-    bad = ~np.isfinite(out.real) | ~np.isfinite(out.imag)
-    out_inf = out_inf | bad
-    return np.where(out_inf, 0.0, out), out_inf
+    return act(m.a, m.b, m.c, m.d, *hom_many(points, inf_mask))[:2]
 
 
 def spherical_derivative_many(m: MoebiusMap, points, inf_mask) -> np.ndarray:
     Z, W = hom_many(points, inf_mask)
-    num = m.a * Z + m.b * W
-    den = m.c * Z + m.d * W
-    n0 = Z.real**2 + Z.imag**2 + W.real**2 + W.imag**2
-    n1 = num.real**2 + num.imag**2 + den.real**2 + den.imag**2
-    return n0 / n1
+    _, _, num, den = act(m.a, m.b, m.c, m.d, Z, W)
+    return stretch(Z, W, num, den)
 
 
 def chordal_many(p, points, inf_mask) -> np.ndarray:
@@ -150,30 +166,36 @@ def chordal_many(p, points, inf_mask) -> np.ndarray:
     return out
 
 
-def sphere_coords_many(points, inf_mask):
-    """Unit-sphere embedding (n1, n2, n3); infinity maps to (0, 0, 1)."""
-    Z, W = hom_many(points, inf_mask)
-    nn = Z.real**2 + Z.imag**2 + W.real**2 + W.imag**2
+def sphere_embed(Z, W):
+    """|Z|^2 + |W|^2 and the unit-sphere image, shape (3, n), of homogeneous
+    points; (1, 0), infinity, goes to (0, 0, 1)."""
+    nsq = Z.real**2 + Z.imag**2 + W.real**2 + W.imag**2
     zw = Z * np.conj(W)
-    return 2.0 * zw.real / nn, 2.0 * zw.imag / nn, (np.abs(Z) ** 2 - np.abs(W) ** 2) / nn
+    return nsq, np.stack([2.0 * zw.real / nsq, 2.0 * zw.imag / nsq,
+                          (Z.real**2 + Z.imag**2 - W.real**2 - W.imag**2) / nsq])
+
+
+def sphere_coords_many(points, inf_mask) -> np.ndarray:
+    """Unit-sphere embedding (n1, n2, n3) as rows of a (3, n) array."""
+    return sphere_embed(*hom_many(points, inf_mask))[1]
 
 
 def to_sphere(p) -> np.ndarray:
     p = as_sphere_point(p)
-    if p.is_infinity:
-        return np.array([0.0, 0.0, 1.0])
-    pts = np.array([p.value])
-    msk = np.array([False])
-    n1, n2, n3 = sphere_coords_many(pts, msk)
-    return np.array([n1[0], n2[0], n3[0]])
+    return sphere_coords_many(np.array([p.value]), np.array([p.is_infinity]))[:, 0]
+
+
+def from_sphere_many(n1, n2, n3):
+    """Stereographic projection of unit-sphere points to (points, inf_mask)."""
+    denom = 1.0 - n3
+    inf_mask = denom <= 1e-15
+    pts = (n1 + 1j * n2) / np.where(inf_mask, 1.0, denom)
+    return np.where(inf_mask, 0.0, pts), inf_mask
 
 
 def from_sphere(n) -> SpherePoint:
-    n1, n2, n3 = (float(c) for c in n)
-    denom = 1.0 - n3
-    if denom <= 1e-15:
-        return INF
-    return SpherePoint(complex(n1 / denom, n2 / denom))
+    pts, inf_mask = from_sphere_many(*np.asarray(n, dtype=float)[:, None])
+    return INF if inf_mask[0] else SpherePoint(complex(pts[0]))
 
 
 def uniform_sphere_points(rng: np.random.Generator, n: int):
@@ -182,9 +204,17 @@ def uniform_sphere_points(rng: np.random.Generator, n: int):
     u = rng.uniform(-1.0, 1.0, size=n)  # cos(polar angle)
     ang = rng.uniform(0.0, 2.0 * np.pi, size=n)
     s = np.sqrt(np.maximum(0.0, 1.0 - u * u))
-    n1, n2, n3 = s * np.cos(ang), s * np.sin(ang), u
-    denom = 1.0 - n3
-    inf_mask = denom <= 1e-15
-    denom = np.where(inf_mask, 1.0, denom)
-    pts = (n1 + 1j * n2) / denom
-    return np.where(inf_mask, 0.0, pts), inf_mask
+    return from_sphere_many(s * np.cos(ang), s * np.sin(ang), u)
+
+
+def parallel_chunks(work, n: int, threads: int, chunk: int) -> None:
+    """Call work(lo, hi) over range(n): once on all of it when threads <= 1,
+    else on the pieces [lo, hi), each `chunk` long but the last, on at most
+    `threads` threads and never more threads than pieces."""
+    spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    workers = min(threads, len(spans))
+    if workers <= 1:
+        work(0, n)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        list(ex.map(lambda span: work(*span), spans))

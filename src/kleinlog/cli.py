@@ -512,7 +512,7 @@ def _run(args) -> tuple[dict, int]:
     chash = config_hash(cfg, _overrides(args))
     cfg = _merged(cfg, args)
     out_path = getattr(args, "out", None)
-    threads = max(1, getattr(args, "threads", 1) or 1)
+    threads = _setting(getattr(args, "threads", None), 1, "--threads", 1)
     tol = cfg.tol
     if tol is not None and not tol > 0.0:
         raise ConfigError("--tol", f"must be positive, got {tol!r}")

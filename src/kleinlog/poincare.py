@@ -11,12 +11,11 @@ orbit is the reported comparability constant.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._vec import fsum, fsum_c, uniform_sphere_points
+from ._vec import fsum, fsum_c, parallel_chunks, uniform_sphere_points
 from .moebius import INF, MoebiusMap, SpherePoint, as_sphere_point
 from .polylog import D_GLOBAL_BOUND, bloch_wigner, bloch_wigner_many
 from .psmeasure import MeasureError, NayataniDensity
@@ -24,6 +23,7 @@ from .schottky import SchottkyGroup, SchottkyError, reduce_to_fundamental_domain
 
 TAIL_SAFETY = 2.0
 EVAL_CHUNK = 65536
+DENSITY_CHUNK = 1024
 WEIGHT_MODES = ("holomorphic", "absolute")
 
 
@@ -52,45 +52,42 @@ class SeriesIntegrand:
 
     def eval_many(self, points: np.ndarray, inf_mask: np.ndarray,
                   threads: int = 1) -> np.ndarray:
+        """Values at a 1-d array of sphere points, 0 at infinity."""
         pts = np.where(inf_mask, 0.0, points)
         if self.evaluator_many is None:
             vals = np.array([float(self.evaluator(p)) for p in pts], dtype=float)
         elif threads > 1 and pts.size > 2 * EVAL_CHUNK:
-            vals = np.empty(pts.size, dtype=float)
-            spans = [(lo, min(lo + EVAL_CHUNK, pts.size))
-                     for lo in range(0, pts.size, EVAL_CHUNK)]
+            # bloch_wigner_many's last bits depend on how its input is
+            # split: numpy reuses temporaries of 256 KiB and more, which
+            # swaps the operands of a complex product, and its FMA product
+            # does not round both orders alike.  So up to 2 * EVAL_CHUNK
+            # points stay whole; beyond that threads may move last bits.
+            vals = np.empty(pts.size)
 
-            def work(span):
-                lo, hi = span
+            def work(lo, hi):
                 vals[lo:hi] = self.evaluator_many(pts[lo:hi])
 
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                list(ex.map(work, spans))
+            parallel_chunks(work, pts.size, threads, EVAL_CHUNK)
         else:
             vals = np.asarray(self.evaluator_many(pts), dtype=float)
         vals = np.where(inf_mask, 0.0, vals)
-        top = float(np.max(np.abs(vals))) if vals.size else 0.0
-        if top > self.bound * (1.0 + 1e-12) + 1e-15:
-            raise IntegrandBoundError(
-                f"integrand {self.name!r} reached {top!r}, above its declared "
-                f"bound {self.bound!r}")
+        self._check(float(np.max(np.abs(vals))) if vals.size else 0.0)
         return vals
 
     def eval_point(self, p) -> float:
         p = as_sphere_point(p)
         v = 0.0 if p.is_infinity else float(self.evaluator(p.value))
-        if abs(v) > self.bound * (1.0 + 1e-12) + 1e-15:
-            raise IntegrandBoundError(
-                f"integrand {self.name!r} reached {v!r}, above its declared "
-                f"bound {self.bound!r}")
+        self._check(abs(v))
         return v
 
+    def _check(self, top: float) -> None:
+        if top > self.bound * (1.0 + 1e-12) + 1e-15:
+            raise IntegrandBoundError(
+                f"integrand {self.name!r} reached {top!r}, above its declared "
+                f"bound {self.bound!r}")
 
-def _bw_scalar(z) -> float:
-    return bloch_wigner(z)
 
-
-BLOCH_WIGNER_INTEGRAND = SeriesIntegrand(_bw_scalar, D_GLOBAL_BOUND,
+BLOCH_WIGNER_INTEGRAND = SeriesIntegrand(bloch_wigner, D_GLOBAL_BOUND,
                                          bloch_wigner_many, "bloch-wigner")
 
 
@@ -120,8 +117,9 @@ def evaluate(group: SchottkyGroup, integrand: SeriesIntegrand = None, z=0j,
              tol: float = 1e-8, threads: int = 1) -> SeriesEvaluation:
     """Sum the series over all words of length <= max_len, shell by shell.
 
-    Every shell sum and the total are correctly rounded (fsum), so the
-    result does not depend on chunking or threads.
+    Every shell sum and the total are correctly rounded (fsum), so they do
+    not depend on chunking or threads; the integrand values of a shell above
+    2 * EVAL_CHUNK points can (see SeriesIntegrand.eval_many).
 
     tail_estimate extrapolates the last weight-shell ratio geometrically with
     a 2x safety factor: 2 * bound * S_N * r/(1-r).  verdict is converged only
@@ -331,21 +329,15 @@ def bers_integral(group: SchottkyGroup, density: NayataniDensity,
 
 def _density_power_many(density: NayataniDensity, pts, msk, power: float,
                         threads: int = 1):
-    if threads > 1 and pts.size > 1024:
-        vals = np.empty(pts.size, dtype=float)
-        sing = np.empty(pts.size, dtype=bool)
-        rel = np.empty(pts.size, dtype=float)
-        spans = [(lo, min(lo + 1024, pts.size)) for lo in range(0, pts.size, 1024)]
+    vals = np.empty(pts.size)
+    sing = np.empty(pts.size, dtype=bool)
+    rel = np.empty(pts.size)
 
-        def work(span):
-            lo, hi = span
-            vals[lo:hi], sing[lo:hi], rel[lo:hi] = density.F_many(pts[lo:hi],
-                                                                  msk[lo:hi])
+    def work(lo, hi):
+        vals[lo:hi], sing[lo:hi], rel[lo:hi] = density.F_many(pts[lo:hi],
+                                                              msk[lo:hi])
 
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(work, spans))
-    else:
-        vals, sing, rel = density.F_many(pts, msk)
+    parallel_chunks(work, pts.size, threads, DENSITY_CHUNK)
     return vals**power, sing, rel
 
 

@@ -12,22 +12,23 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._vec import fsum
+from ._vec import act, fsum, parallel_chunks, stretch
 from .moebius import (
     INF,
     MoebiusMap,
     SpherePoint,
+    _homogeneous,
     as_sphere_point,
     chordal,
     from_fixed_points_multiplier,
 )
 
 MAX_CACHED_WORDS = 4_000_000
+EXP_CHUNK = 8192
 PAIRING_RESIDUAL_TOL = 1e-9
 
 
@@ -434,22 +435,9 @@ class SchottkyGroup:
         """
         p = as_sphere_point(z)
         mats = self.shell_matrices(n)
-        a, b = mats[:, 0, 0], mats[:, 0, 1]
         c, d = mats[:, 1, 0], mats[:, 1, 1]
-        if p.is_infinity:
-            zz, ww = 1.0 + 0j, 0j
-        elif abs(p.value) <= 1.0:
-            zz, ww = p.value, 1.0 + 0j
-        else:
-            zz, ww = 1.0 + 0j, 1.0 / p.value
-        num = a * zz + b * ww
-        den = c * zz + d * ww
-        inf_mask = den == 0
-        safe = np.where(inf_mask, 1.0, den)
-        points = num / safe
-        bad = ~np.isfinite(points.real) | ~np.isfinite(points.imag)
-        inf_mask = inf_mask | bad
-        points = np.where(inf_mask, 0.0, points)
+        zz, ww = _homogeneous(p)
+        points, inf_mask, num, den = act(mats[:, 0, 0], mats[:, 0, 1], c, d, zz, ww)
         if mode == "holomorphic":
             if p.is_infinity:
                 raise SchottkyError("holomorphic weights require a finite basepoint")
@@ -458,8 +446,7 @@ class SchottkyGroup:
                 raise SchottkyError("holomorphic weight undefined at an orbit pole")
             weights = 1.0 / (w * w)
         elif mode == "absolute":
-            n0 = abs(zz) ** 2 + abs(ww) ** 2
-            weights = n0 / (num.real**2 + num.imag**2 + den.real**2 + den.imag**2)
+            weights = stretch(zz, ww, num, den)
         else:
             raise SchottkyError(f"unknown weight mode {mode!r}")
         return points, inf_mask, weights
@@ -480,16 +467,15 @@ class SchottkyGroup:
 
 
 def _exp_sum(logd: np.ndarray, s: float, threads: int = 1) -> float:
-    # fsum is exactly rounded, so the reduction is chunk-order independent
-    if threads > 1 and logd.size > 8192:
-        chunks = np.array_split(np.arange(logd.size), threads)
-        out = np.empty(logd.size, dtype=float)
-        def work(idx):
-            out[idx] = np.exp(s * logd[idx])
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(work, chunks))
-        return fsum(out)
-    return fsum(np.exp(s * logd))
+    # np.exp works elementwise and fsum rounds exactly, so the bits do not
+    # depend on the split or on threads
+    out = np.empty(logd.size)
+
+    def work(lo, hi):
+        np.exp(s * logd[lo:hi], out=out[lo:hi])
+
+    parallel_chunks(work, logd.size, threads, EXP_CHUNK)
+    return fsum(out)
 
 
 def shell_sums(group: SchottkyGroup, s: float, max_depth: int, basepoint=None,
@@ -560,32 +546,16 @@ def limit_set(group: SchottkyGroup, depth: int) -> LimitSetSample:
         seeds.append((-i, fp.fix_repelling))
     group._ensure_shells(depth)
     mats = group._shell_mats[depth]
-    last = group._shell_last[depth]
-    first = group._shell_first[depth]
-    a, b = mats[:, 0, 0], mats[:, 0, 1]
-    c, d = mats[:, 1, 0], mats[:, 1, 1]
-    points = []
-    firsts = []
-    for direction, seed in seeds:
-        keep = last != -direction
-        if seed.is_infinity:
-            zz, ww = 1.0 + 0j, 0j
-        elif abs(seed.value) <= 1.0:
-            zz, ww = seed.value, 1.0 + 0j
-        else:
-            zz, ww = 1.0 + 0j, 1.0 / seed.value
-        num = a[keep] * zz + b[keep] * ww
-        den = c[keep] * zz + d[keep] * ww
-        for nu, de, fl in zip(num, den, first[keep]):
-            if de == 0:
-                points.append(INF)
-            else:
-                q = nu / de
-                if math.isfinite(q.real) and math.isfinite(q.imag):
-                    points.append(SpherePoint(q))
-                else:
-                    points.append(INF)
-            firsts.append(int(fl))
+    # one row per seed, one column per word; the kept entries, read
+    # row-major, are seed-major and word-lexicographic within
+    keep = np.stack([group._shell_last[depth] != -direction
+                     for direction, _ in seeds])
+    Z, W = np.array([_homogeneous(seed) for _, seed in seeds]).T[:, :, None]
+    pts, inf_mask, _, _ = act(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0],
+                              mats[:, 1, 1], Z, W)
+    points = [INF if m else SpherePoint(q)
+              for q, m in zip(pts[keep].tolist(), inf_mask[keep].tolist())]
+    firsts = np.broadcast_to(group._shell_first[depth], keep.shape)[keep].tolist()
     return LimitSetSample(tuple(points), depth, tuple(seeds), tuple(firsts))
 
 

@@ -223,6 +223,7 @@ def test_series_needs_group(tmp_path):
     (("series", "automorphy", "--samples", "0"), "--samples"),
     (("series", "eval", "--z", "0,1", "--tol", "0"), "--tol"),
     (("group", "delta", "--depth", "0"), "--depth"),
+    (("group", "delta", "--depth", "6", "--threads", "0"), "--threads"),
 ])
 def test_zero_and_small_flags_rejected(std_config, capsys, args, flag):
     from kleinlog.cli import main

@@ -13,8 +13,6 @@ from kleinlog.psmeasure import (
     atom_resolution,
     build_ps,
     conformality_report,
-    metric_factor,
-    nayatani_F,
     quasi_invariance_residual,
     read_measure_csv,
     write_measure_csv,
@@ -106,10 +104,9 @@ def test_single_atom_density_closed_form():
         x = SpherePoint(complex(rng.normal(), rng.normal()))
         expected = 1.0 / phi(x, SpherePoint(0j))
         assert abs(d.F(x) - expected) < 1e-12 * abs(expected)
-        assert abs(nayatani_F(d, x) - d.F(x)) == 0.0
     # antipode of 0 is infinity: phi = 2 there, F = 1/2
     assert abs(d.F(INF) - 0.5) < 1e-15
-    assert abs(metric_factor(d, INF) - 0.25) < 1e-15
+    assert abs(d.metric_factor(INF) - 0.25) < 1e-15
 
 
 def test_density_singular_at_atom():

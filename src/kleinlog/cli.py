@@ -13,17 +13,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .elliptic import ConvergenceRegimeError, elliptic_d2
 from ._vec import fsum
-from .moebius import INF, MoebiusMap, SpherePoint, as_sphere_point
+from .moebius import INF, MoebiusMap, SpherePoint, from_fixed_points_multiplier
 from .poincare import (
-    BLOCH_WIGNER_INTEGRAND,
+    WEIGHT_MODES,
     DomainError,
     IntegrandBoundError,
     automorphy_residual,
@@ -32,7 +33,13 @@ from .poincare import (
     evaluate,
     fundamental_domain_samples,
 )
-from .polylog import SingularArgumentError, bloch_wigner, li, ramakrishnan_D
+from .polylog import (
+    ODD_DENOMINATORS,
+    SingularArgumentError,
+    bloch_wigner,
+    li,
+    ramakrishnan_D,
+)
 from .psmeasure import (
     MeasureError,
     NayataniDensity,
@@ -46,7 +53,6 @@ from .schottky import (
     EstimationError,
     SchottkyError,
     SchottkyGroup,
-    ValidationFailure,
     estimate_delta,
     limit_set,
     nielsen,
@@ -71,15 +77,62 @@ def _want(obj, path, kind):
     return obj
 
 
+def _object(obj, path, keys) -> dict:
+    """A JSON object whose keys all lie in `keys`."""
+    unknown = sorted(set(_want(obj, path, dict)) - keys)
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}", "unknown config key")
+    return obj
+
+
+def _number(v, path) -> float:
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or not abs(v) <= sys.float_info.max):  # nan, inf, ints past float
+        raise ConfigError(path, "expected a finite number")
+    return float(v)
+
+
+def _integer(v, path) -> int:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ConfigError(path, "expected an integer")
+    return v
+
+
+def _ranged(parse, bound: str, ok):
+    """`parse`, then reject a value failing `ok` as not `bound`."""
+    def check(v, path):
+        v = parse(v, path)
+        if not ok(v):
+            raise ConfigError(path, f"must be {bound}, got {v!r}")
+        return v
+    return check
+
+
+def _at_least(parse, least):
+    return _ranged(parse, f">= {least}", lambda v: v >= least)
+
+
+_positive = _ranged(_number, "positive", lambda x: x > 0.0)
+
+
+def _choice(*options):
+    def check(v, path):
+        if not isinstance(v, str) or v not in options:
+            raise ConfigError(path, f"must be {' or '.join(options)}, got {v!r}")
+        return v
+    return check
+
+
 def _complex_field(v, path) -> complex:
-    if isinstance(v, str) and v == "inf":
+    """A number, an [re, im] pair, or a complex from flag text."""
+    if v == "inf":
         raise ConfigError(path, "infinity is not allowed here")
-    if isinstance(v, (int, float)):
-        return complex(float(v), 0.0)
-    _want(v, path, list)
-    if len(v) != 2 or not all(isinstance(c, (int, float)) for c in v):
+    if isinstance(v, complex):
+        v = [v.real, v.imag]
+    parts = v if isinstance(v, list) else [v, 0.0]
+    if len(parts) != 2:
         raise ConfigError(path, "complex values are two-element [re, im] arrays")
-    return complex(float(v[0]), float(v[1]))
+    return complex(_number(parts[0], path), _number(parts[1], path))
 
 
 def _point_field(v, path) -> SpherePoint:
@@ -88,42 +141,116 @@ def _point_field(v, path) -> SpherePoint:
     return SpherePoint(_complex_field(v, path))
 
 
-_GEN_KEYS = {"matrix", "fixed_points", "multiplier"}
-_GROUP_KEYS = {"generators", "circles", "cyclic_diagnostic"}
-_TOP_KEYS = {
-    "group", "delta", "depth", "max_len", "tol", "seed", "weight", "samples",
-    "mode", "window", "width", "height", "z", "q", "x", "resolution", "move",
-    "element", "n", "m", "odd_denominator", "measure_csv",
+_MOVE_INDICES = {"invert": ("i",), "swap": ("i", "j"), "multiply": ("i", "j"),
+                 "cyclic": ()}
+
+
+def _move_field(v, path) -> tuple:
+    mv = _object(v, path, {"kind", "i", "j"})
+    kind = mv.get("kind")
+    if not isinstance(kind, str) or kind not in _MOVE_INDICES:
+        raise ConfigError(path, "kind must be invert, swap, multiply or cyclic")
+    keys = _MOVE_INDICES[kind]
+    if set(mv) != {"kind", *keys}:
+        raise ConfigError(path, f"{kind} takes the indices {list(keys)}")
+    return (kind, *(_integer(mv[k], f"{path}.{k}") for k in keys))
+
+
+def _element_field(v, path):
+    """A letter, or a list of letters as a tuple."""
+    if isinstance(v, list):
+        return tuple(_integer(l, path) for l in v)
+    return _integer(v, path)
+
+
+def _group_field(spec, path) -> dict:
+    _group_from_spec(spec)  # validate now so errors surface as exit 2
+    return spec
+
+
+# flag text in the form the config parsers take ----------------------------------
+
+def _cli_complex(text: str, flag: str):
+    if text == "inf":
+        return text
+    try:
+        return complex(*(float(p) for p in text.split(",")))
+    except (TypeError, ValueError):  # TypeError: more than two parts
+        raise ConfigError(flag, f"expected re,im or inf, got {text!r}") from None
+
+
+def _cli_move(text: str, flag: str) -> dict:
+    kind, *parts = text.split(":")
+    try:
+        idx = [int(p) for p in parts]
+    except ValueError:
+        raise ConfigError(flag, f"indices must be integers in {text!r}") from None
+    if len(idx) > 2:
+        raise ConfigError(flag, f"at most two indices in {text!r}")
+    return {"kind": kind, **dict(zip("ij", idx))}
+
+
+def _cli_element(text: str, flag: str):
+    try:
+        return [int(p) for p in text.split(",")] if "," in text else int(text)
+    except ValueError:
+        raise ConfigError(flag, "expected a letter or comma-separated letters, "
+                                f"got {text!r}") from None
+
+
+class Setting(NamedTuple):
+    # parse(value, name) checks a config value, or a flag value argparse has
+    # typed, and raises ConfigError naming the key or flag; text(text, flag)
+    # turns untyped flag text into a value parse takes
+    parse: Callable
+    text: Callable = None
+    in_config: bool = True  # a config key too, not a flag only
+
+
+# every setting of a run, keyed by its config key; its flag is --key with
+# dashes for underscores (mode's flag is --strict)
+SETTINGS = {
+    "group": Setting(_group_field),
+    "delta": Setting(_at_least(_number, 0.0)),
+    "depth": Setting(_integer),
+    "max_len": Setting(_at_least(_integer, 0)),
+    "tol": Setting(_positive),
+    "seed": Setting(_at_least(_integer, 0)),
+    "weight": Setting(_choice(*WEIGHT_MODES)),
+    "samples": Setting(_integer),
+    "mode": Setting(_choice("strict")),
+    "window": Setting(_positive),
+    "width": Setting(_at_least(_integer, 1)),
+    "height": Setting(_at_least(_integer, 1)),
+    "z": Setting(_point_field, _cli_complex),
+    "q": Setting(_complex_field, _cli_complex),
+    "x": Setting(_complex_field, _cli_complex),
+    "resolution": Setting(_ranged(_number, "in (0, 1]", lambda x: 0.0 < x <= 1.0)),
+    "move": Setting(_move_field, _cli_move),
+    "element": Setting(_element_field, _cli_element),
+    "odd_denominator": Setting(_choice(*ODD_DENOMINATORS)),
+    "measure_csv": Setting(lambda v, path: _want(v, path, str)),
+    "li": Setting(_at_least(_integer, 1), in_config=False),
+    "ramakrishnan": Setting(_at_least(_integer, 1), in_config=False),
 }
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 @dataclass
 class RunConfig:
-    """Validated settings; None means "not given" and falls back to the
-    owning module's default at dispatch time."""
+    """A parsed config: `raw` is the JSON as read, which config_hash covers,
+    and `settings` maps SETTINGS keys to checked values.  An absent key was
+    not given and falls back to the owning module's default at dispatch."""
 
     raw: dict = field(default_factory=dict)
-    group_spec: dict = None
-    delta: float = None
-    depth: int = None
-    max_len: int = None
-    tol: float = None
-    seed: int = None
-    weight: str = None
-    samples: int = None
-    window: float = None
-    width: int = None
-    height: int = None
-    z: SpherePoint = None
-    q: complex = None
-    x: complex = None
-    resolution: float = None
-    move: tuple = None
-    element: object = None
-    n: int = None
-    m: int = None
-    odd_denominator: str = None
-    measure_csv: str = None
+    settings: dict = field(default_factory=dict)
+
+    @property
+    def group_spec(self) -> dict:
+        return self.settings.get("group")
 
     def build_group(self) -> SchottkyGroup:
         if self.group_spec is None:
@@ -132,13 +259,11 @@ class RunConfig:
 
 
 def _group_from_spec(spec: dict) -> SchottkyGroup:
+    _object(spec, "group", {"generators", "circles", "cyclic_diagnostic"})
     gens = []
-    for i, g in enumerate(spec.get("generators", [])):
+    for i, g in enumerate(_want(spec.get("generators", []), "group.generators", list)):
         path = f"group.generators[{i}]"
-        _want(g, path, dict)
-        unknown = set(g) - _GEN_KEYS
-        if unknown:
-            raise ConfigError(path, f"unknown keys {sorted(unknown)}")
+        _object(g, path, {"matrix", "fixed_points", "multiplier"})
         if "matrix" in g:
             m = _want(g["matrix"], path + ".matrix", list)
             if len(m) != 4:
@@ -156,13 +281,8 @@ def _group_from_spec(spec: dict) -> SchottkyGroup:
                 raise ConfigError(path + ".fixed_points",
                                   "need [attracting, repelling]")
             lam = _complex_field(g.get("multiplier"), path + ".multiplier")
-            if abs(lam) <= 1.0:
-                raise ConfigError(path + ".multiplier",
-                                  f"multiplier modulus must exceed 1, got {abs(lam)}")
             p_att = _point_field(fp[0], path + ".fixed_points[0]")
             p_rep = _point_field(fp[1], path + ".fixed_points[1]")
-            from .moebius import from_fixed_points_multiplier
-
             try:
                 gens.append(from_fixed_points_multiplier(p_rep, p_att, lam))
             except ValueError as e:
@@ -172,23 +292,20 @@ def _group_from_spec(spec: dict) -> SchottkyGroup:
     circles = None
     if "circles" in spec:
         circles = []
-        for i, c in enumerate(spec["circles"]):
+        for i, c in enumerate(_want(spec["circles"], "group.circles", list)):
             path = f"group.circles[{i}]"
-            _want(c, path, dict)
-            unknown = set(c) - {"center", "radius"}
-            if unknown:
-                raise ConfigError(path, f"unknown keys {sorted(unknown)}")
+            _object(c, path, {"center", "radius"})
+            center = _complex_field(c.get("center"), path + ".center")
+            radius = _number(c.get("radius", 0.0), path + ".radius")
             try:
-                circles.append(Circle(_complex_field(c.get("center"), path + ".center"),
-                                      float(c.get("radius", 0.0))))
+                circles.append(Circle(center, radius))
             except ValueError as e:
                 raise ConfigError(path, str(e))
+    cyclic = spec.get("cyclic_diagnostic", False)
     try:
-        return SchottkyGroup(gens, circles,
-                             cyclic_diagnostic=bool(spec.get("cyclic_diagnostic", False)))
-    except ValidationFailure as e:
-        raise ConfigError("group", "; ".join(e.report.violations))
-    except SchottkyError as e:
+        return SchottkyGroup(gens, circles, cyclic_diagnostic=_want(
+            cyclic, "group.cyclic_diagnostic", bool))
+    except ValueError as e:  # ValidationFailure lists every violation
         raise ConfigError("group", str(e))
 
 
@@ -197,101 +314,32 @@ def parse_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as f:
             data = json.load(f)
-    except OSError as e:
-        raise ConfigError(str(path), f"cannot read config: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(str(path), f"malformed JSON at line {e.lineno}: {e.msg}")
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8, a NUL in the path
+        raise ConfigError(str(path), f"cannot read config: {e}")
     return config_from_dict(data)
 
 
 def config_from_dict(data: dict) -> RunConfig:
     _want(data, "config", dict)
-    unknown = set(data) - _TOP_KEYS
+    unknown = sorted(k for k in data if k not in SETTINGS or not SETTINGS[k].in_config)
     if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown config key")
-    cfg = RunConfig(raw=data)
-    if "group" in data:
-        g = _want(data["group"], "group", dict)
-        bad = set(g) - _GROUP_KEYS
-        if bad:
-            raise ConfigError(f"group.{sorted(bad)[0]}", "unknown config key")
-        _group_from_spec(g)  # validate now so errors surface as exit 2
-        cfg.group_spec = g
-    for key, conv in (("delta", float), ("tol", float), ("window", float),
-                      ("resolution", float)):
-        if key in data:
-            v = data[key]
-            if not isinstance(v, (int, float)) or not math.isfinite(float(v)):
-                raise ConfigError(key, "expected a finite number")
-            setattr(cfg, key, conv(v))
-    for key in ("depth", "max_len", "seed", "samples", "width", "height",
-                "n", "m"):
-        if key in data:
-            v = data[key]
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ConfigError(key, "expected an integer")
-            setattr(cfg, key, v)
-    if "weight" in data:
-        if data["weight"] not in ("holomorphic", "absolute"):
-            raise ConfigError("weight", "must be holomorphic or absolute")
-        cfg.weight = data["weight"]
-    if "mode" in data and data["mode"] != "strict":
-        # summation is always correctly rounded; "strict" stays accepted
-        raise ConfigError("mode", f"must be strict, got {data['mode']!r}")
-    if "odd_denominator" in data:
-        cfg.odd_denominator = data["odd_denominator"]
-    if "measure_csv" in data:
-        cfg.measure_csv = _want(data["measure_csv"], "measure_csv", str)
-    if "z" in data:
-        cfg.z = _point_field(data["z"], "z")
-    for key in ("q", "x"):
-        if key in data:
-            setattr(cfg, key, _complex_field(data[key], key))
-    if "move" in data:
-        mv = _want(data["move"], "move", dict)
-        bad = set(mv) - {"kind", "i", "j"}
-        if bad:
-            raise ConfigError(f"move.{sorted(bad)[0]}", "unknown config key")
-        kind = mv.get("kind")
-        if kind not in ("invert", "swap", "multiply", "cyclic"):
-            raise ConfigError("move.kind", "must be invert, swap, multiply or cyclic")
-        parts = [kind]
-        for idx_key in ("i", "j"):
-            if idx_key in mv:
-                v = mv[idx_key]
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise ConfigError(f"move.{idx_key}", "expected an integer")
-                parts.append(v)
-        cfg.move = tuple(parts)
-    if "element" in data:
-        v = data["element"]
-        if isinstance(v, int) and not isinstance(v, bool):
-            cfg.element = v
-        elif isinstance(v, list) and all(
-                isinstance(l, int) and not isinstance(l, bool) for l in v):
-            cfg.element = tuple(v)
-        else:
-            raise ConfigError("element", "expected a letter or a list of letters")
-    return cfg
+        raise ConfigError(unknown[0], "unknown config key")
+    return RunConfig(data, {k: SETTINGS[k].parse(v, k) for k, v in data.items()})
 
 
 # serialization ----------------------------------------------------------------
 
 def _jsonable(obj):
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if isinstance(obj, SpherePoint):
         return "inf" if obj.is_infinity else [obj.value.real, obj.value.imag]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.complexfloating,)):
-        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, np.generic):
+        return _jsonable(obj.item())
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (list, tuple)):
@@ -306,21 +354,24 @@ def _jsonable(obj):
 def config_hash(cfg: RunConfig, overrides: dict) -> str:
     """Hash of the math-relevant effective settings (config plus flag
     overrides); execution knobs are excluded by construction."""
-    eff = dict(cfg.raw)
-    eff.update({k: v for k, v in overrides.items() if v is not None})
-    eff.pop("threads", None)
+    eff = {**cfg.raw, **overrides}
     canon = json.dumps(_jsonable(eff), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("ascii")).hexdigest()
+
+
+@contextmanager
+def _writing(out_path):
+    try:
+        yield
+    except (OSError, ValueError) as e:  # ValueError: a NUL in the path
+        raise ConfigError(str(out_path), f"cannot write: {e}") from None
 
 
 def emit_report(report: dict, out_path) -> None:
     text = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
     if out_path:
-        try:
-            with open(out_path, "w", encoding="ascii") as f:
-                f.write(text)
-        except OSError as e:
-            raise ConfigError(str(out_path), f"cannot write report: {e}")
+        with _writing(out_path), open(out_path, "w", encoding="ascii") as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
 
@@ -348,11 +399,8 @@ def render_limit_set_ppm(group: SchottkyGroup, depth: int, window: float,
 def _write_bytes(data: bytes, out_path) -> None:
     if not out_path:
         raise ConfigError("--out", "binary output needs --out PATH")
-    try:
-        with open(out_path, "wb") as f:
-            f.write(data)
-    except OSError as e:
-        raise ConfigError(str(out_path), f"cannot write: {e}")
+    with _writing(out_path), open(out_path, "wb") as f:
+        f.write(data)
 
 
 # dispatch ---------------------------------------------------------------------
@@ -369,7 +417,7 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--max-len", type=int, default=S, dest="max_len")
     common.add_argument("--depth", type=int, default=S)
     common.add_argument("--seed", type=int, default=S)
-    common.add_argument("--weight", choices=("holomorphic", "absolute"), default=S)
+    common.add_argument("--weight", choices=WEIGHT_MODES, default=S)
     common.add_argument("--threads", type=int, default=S)
     # a no-op, since every sum is correctly rounded; it still enters
     # config_hash (via _overrides), so reports that pass it keep their hash
@@ -398,7 +446,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("group", parents=[common],
                        help="group validation, limit set, delta, moves")
     p.add_argument("action", choices=("validate", "limitset", "delta", "nielsen"))
-    p.add_argument("--format", choices=("json", "ppm", "csv"), default="json")
+    p.add_argument("--format", choices=("json", "ppm"), default="json")
     p.add_argument("--resolution", type=float, default=None)
     p.add_argument("--move", default=None, help="kind:i[:j], e.g. multiply:1:2")
     p.add_argument("--window", type=float, default=None)
@@ -427,177 +475,116 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _cli_complex(text: str, flag: str):
-    if text == "inf":
-        return INF
-    parts = text.split(",")
-    try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise ConfigError(flag, f"expected re,im or inf, got {text!r}")
-
-
-def _cli_move(text: str):
-    parts = text.split(":")
-    kind = parts[0]
-    if kind not in ("invert", "swap", "multiply", "cyclic"):
-        raise ConfigError("--move", f"unknown move kind {text!r}")
-    try:
-        return tuple([kind] + [int(p) for p in parts[1:]])
-    except ValueError:
-        raise ConfigError("--move", f"indices must be integers in {text!r}")
-
-
-def _merged(cfg: RunConfig, args) -> RunConfig:
-    # flags override config fields of the same name
-    for key in ("tol", "max_len", "depth", "seed", "weight"):
-        v = getattr(args, key, None)
-        if v is not None:
-            setattr(cfg, key, v)
-    for key in ("resolution", "samples", "window", "width", "height", "delta"):
-        v = getattr(args, key, None)
-        if v is not None:
-            setattr(cfg, key, v)
-    if getattr(args, "move", None):
-        cfg.move = _cli_move(args.move)
-    if getattr(args, "element", None):
-        el = args.element
-        if "," in el:
-            cfg.element = tuple(int(p) for p in el.split(","))
-        else:
-            cfg.element = int(el)
-    if getattr(args, "z", None):
-        p = _cli_complex(args.z, "--z")
-        cfg.z = p if isinstance(p, SpherePoint) else SpherePoint(p)
-    if getattr(args, "q", None):
-        cfg.q = complex(_cli_complex(args.q, "--q"))
-    if getattr(args, "x", None):
-        cfg.x = complex(_cli_complex(args.x, "--x"))
-    return cfg
-
-
 def _overrides(args) -> dict:
-    keys = ("tol", "max_len", "depth", "seed", "weight", "mode", "resolution",
-            "samples", "window", "width", "height", "delta", "move", "element",
-            "z", "q", "x")
-    out = {}
-    for k in keys:
-        v = getattr(args, k, None)
-        if v is not None:
-            out[k] = v
-    return out
+    """The settings given as flags, as argparse left them."""
+    return {k: getattr(args, k) for k in SETTINGS
+            if getattr(args, k, None) is not None}
 
 
-def _setting(value, default, flag: str, least):
-    """The given value, or `default` when it was not given (None); a given
-    value below `least` is rejected naming its flag."""
-    if value is None:
-        return default
-    if not value >= least:
-        raise ConfigError(flag, f"must be >= {least}, got {value!r}")
-    return value
+def _merged(cfg: RunConfig, overrides: dict) -> dict:
+    # flags override config settings of the same name
+    for key, v in overrides.items():
+        s, flag = SETTINGS[key], _flag(key)
+        cfg.settings[key] = s.parse(s.text(v, flag) if s.text else v, flag)
+    return cfg.settings
 
 
-def _given(value, default):
-    return default if value is None else value
+def _setting(settings: dict, key: str, default, least):
+    """The setting, or `default` when it was not given; a value below
+    `least` is rejected naming its flag."""
+    return _at_least(lambda v, path: v, least)(settings.get(key, default),
+                                               _flag(key))
 
 
 def _run(args) -> tuple[dict, int]:
+    for key, v in vars(args).items():
+        if isinstance(v, list):  # argparse's value for "--flag=--"
+            raise ConfigError(_flag(key), "expected a value, got '--'")
     config_path = getattr(args, "config", None)
-    cfg = parse_config(config_path) if config_path else RunConfig(raw={})
-    chash = config_hash(cfg, _overrides(args))
-    cfg = _merged(cfg, args)
+    cfg = parse_config(config_path) if config_path else RunConfig()
+    overrides = _overrides(args)
+    chash = config_hash(cfg, overrides)
+    s = _merged(cfg, overrides)
     out_path = getattr(args, "out", None)
-    threads = _setting(getattr(args, "threads", None), 1, "--threads", 1)
-    tol = cfg.tol
-    if tol is not None and not tol > 0.0:
-        raise ConfigError("--tol", f"must be positive, got {tol!r}")
+    threads = _setting(vars(args), "threads", 1, 1)
     report = {"command": args.command, "config_hash": chash,
               "results": {}, "diagnostics": {}}
     code = EXIT_OK
     cmd = args.command
+    if cmd in ("group", "measure", "series", "bers"):
+        group = cfg.build_group()
 
     if cmd == "polylog":
-        z = cfg.z
+        z = s.get("z")
         if z is None:
             raise ConfigError("--z", "polylog needs an argument point")
-        if args.li is not None:
-            r = li(args.li, z, _given(tol, 1e-12))
-            report["results"] = {"kind": f"li{args.li}", "value": r.value,
+        if "li" in s or "ramakrishnan" in s:
+            if "li" in s:
+                kind, r = f"li{s['li']}", li(s["li"], z, s.get("tol", 1e-12))
+            else:
+                m = s["ramakrishnan"]
+                kind, r = f"ramakrishnan_d{m}", ramakrishnan_D(
+                    m, z, s.get("tol", 1e-10), s.get("odd_denominator", "2*m!"))
+            report["results"] = {"kind": kind, "value": r.value,
                                  "error_bound": r.error_bound,
                                  "terms_used": r.terms_used}
-        elif args.ramakrishnan is not None:
-            kw = {}
-            if cfg.odd_denominator or args.odd_denominator:
-                kw["odd_denominator"] = args.odd_denominator or cfg.odd_denominator
-            r = ramakrishnan_D(args.ramakrishnan, z, _given(tol, 1e-10),
-                               **kw)
-            report["results"] = {"kind": f"ramakrishnan_d{args.ramakrishnan}",
-                                 "value": r.value, "error_bound": r.error_bound,
-                                 "terms_used": r.terms_used}
         else:
-            v = bloch_wigner(z)
-            report["results"] = {"kind": "bloch_wigner", "value": v,
+            report["results"] = {"kind": "bloch_wigner", "value": bloch_wigner(z),
                                  "error_bound": 1e-14}
 
     elif cmd == "elliptic":
-        if cfg.q is None or cfg.x is None:
+        if "q" not in s or "x" not in s:
             raise ConfigError("--q/--x", "elliptic needs q and x")
-        r = elliptic_d2(cfg.q, cfg.x, _given(tol, 1e-10))
+        r = elliptic_d2(s["q"], s["x"], s.get("tol", 1e-10))
         report["results"] = {"value": r.value, "error_bound": r.error_bound,
                              "terms_used": r.terms_used}
 
     elif cmd == "group":
-        group = cfg.build_group()
         if args.action == "validate":
             report["results"] = {"ok": group.validation.ok,
                                  "rank": group.rank,
-                                 "violations": list(group.validation.violations)}
-            report["results"]["group"] = _group_spec_dict(group)
+                                 "violations": list(group.validation.violations),
+                                 "group": _group_spec_dict(group)}
         elif args.action == "limitset":
-            depth = _setting(cfg.depth, 6, "--depth", 1)
+            depth = _setting(s, "depth", 6, 1)
             if args.format == "ppm":
-                window = _given(cfg.window, 4.0)
-                if not window > 0.0:
-                    raise ConfigError("--window", f"must be positive, got {window!r}")
-                data = render_limit_set_ppm(group, depth, window,
-                                            _setting(cfg.width, 512, "--width", 1),
-                                            _setting(cfg.height, 512, "--height", 1))
+                data = render_limit_set_ppm(group, depth, s.get("window", 4.0),
+                                            s.get("width", 512),
+                                            s.get("height", 512))
                 _write_bytes(data, out_path)
                 return None, EXIT_OK
             sample = limit_set(group, depth)
             pts = [_jsonable(p) for p in sample.points]
             report["results"] = {"depth": depth, "count": len(pts), "points": pts}
         elif args.action == "delta":
-            est = estimate_delta(group, _given(cfg.resolution, 0.01),
-                                 _setting(cfg.depth, 10, "--depth", 2),
-                                 threads=threads)
+            est = estimate_delta(group, s.get("resolution", 0.01),
+                                 _setting(s, "depth", 10, 2), threads=threads)
             report["results"] = {"delta": est.delta, "bracket": list(est.bracket),
                                  "shell_ratios": list(est.shell_ratios),
                                  "max_depth": est.max_depth}
         elif args.action == "nielsen":
-            if cfg.move is None:
+            move = s.get("move")
+            if move is None:
                 raise ConfigError("--move", "nielsen needs a move")
-            moved = nielsen(group, cfg.move)
-            report["results"] = {"move": list(cfg.move),
+            moved = nielsen(group, move)
+            report["results"] = {"move": list(move),
                                  "ok": moved.validation.ok,
                                  "violations": list(moved.validation.violations),
                                  "group": _group_spec_dict(moved)}
             report["diagnostics"]["classical_preserved"] = moved.validation.ok
 
     elif cmd == "measure":
-        group = cfg.build_group()
-        if cfg.measure_csv:
-            measure = read_measure_csv(cfg.measure_csv)
+        if "measure_csv" in s:
+            try:
+                measure = read_measure_csv(s["measure_csv"])
+            except (OSError, ValueError) as e:  # MeasureError included
+                raise ConfigError("measure_csv", str(e)) from None
         else:
-            measure = _measure(group, cfg, threads)
+            measure = _measure(group, s, threads)
         if args.action == "build":
             if out_path and out_path.endswith(".csv"):
-                write_measure_csv(measure, out_path)
+                with _writing(out_path):
+                    write_measure_csv(measure, out_path)
                 return None, EXIT_OK
             report["results"] = {
                 "delta": measure.delta, "depth": measure.depth,
@@ -611,19 +598,18 @@ def _run(args) -> tuple[dict, int]:
                                  "depth": measure.depth}
 
     elif cmd == "series":
-        group = cfg.build_group()
-        max_len = cfg.max_len if cfg.max_len is not None else 10
-        weight = cfg.weight or "holomorphic"
-        stol = _given(tol, 1e-8)
+        max_len = s.get("max_len", 10)
+        weight = s.get("weight", "holomorphic")
+        stol = s.get("tol", 1e-8)
         if args.action == "eval":
-            z = cfg.z
+            z = s.get("z")
             if z is None:
                 raise ConfigError("--z", "series eval needs a point")
             ev = evaluate(group, None, z, weight, max_len, stol, threads)
             report["results"] = {
                 "value": ev.value, "tail_estimate": ev.tail_estimate,
                 "verdict": ev.verdict, "weight_mode": ev.weight_mode,
-                "shells": [_jsonable(s) for s in ev.shells],
+                "shells": [_jsonable(v) for v in ev.shells],
                 "weight_shells": list(ev.weight_shells),
                 "comparability": ev.comparability,
             }
@@ -631,10 +617,9 @@ def _run(args) -> tuple[dict, int]:
                 report["diagnostics"]["verdict"] = ev.verdict
                 code = EXIT_NUMERIC
         elif args.action == "automorphy":
-            n = _setting(cfg.samples, 8, "--samples", 1)
-            samples = fundamental_domain_samples(
-                group, n, _setting(cfg.seed, 0, "--seed", 0))
-            elements = [cfg.element] if cfg.element is not None else \
+            n = _setting(s, "samples", 8, 1)
+            samples = fundamental_domain_samples(group, n, s.get("seed", 0))
+            elements = [s["element"]] if "element" in s else \
                 [l for l in group.letters if l > 0]
             per = {}
             for el in elements:
@@ -643,8 +628,8 @@ def _run(args) -> tuple[dict, int]:
             report["results"] = {"residuals": per, "max_len": max_len,
                                  "weight_mode": weight, "n_samples": n}
         else:
-            rep = convergence_report(group, cfg.z, max_len,
-                                     _given(cfg.resolution, 1e-3), threads)
+            rep = convergence_report(group, s.get("z"), max_len,
+                                     s.get("resolution", 1e-3), threads)
             report["results"] = {
                 "exponents": list(rep.exponents),
                 "shell_sums": [list(r) for r in rep.shell_sums],
@@ -653,11 +638,10 @@ def _run(args) -> tuple[dict, int]:
             }
 
     elif cmd == "bers":
-        group = cfg.build_group()
-        n_samples = _setting(cfg.samples, 10000, "--samples", 1000)
-        density = NayataniDensity(_measure(group, cfg, threads))
-        r = bers_integral(group, density, None, n_samples,
-                          _setting(cfg.seed, 0, "--seed", 0), threads)
+        n_samples = _setting(s, "samples", 10000, 1000)
+        density = NayataniDensity(_measure(group, s, threads))
+        r = bers_integral(group, density, None, n_samples, s.get("seed", 0),
+                          threads)
         report["results"] = {
             "estimate": r.estimate, "stderr": r.stderr,
             "n_samples": r.n_samples, "n_singular": r.n_singular,
@@ -673,14 +657,14 @@ def _run(args) -> tuple[dict, int]:
     return report, code
 
 
-def _measure(group: SchottkyGroup, cfg: RunConfig, threads: int):
+def _measure(group: SchottkyGroup, s: dict, threads: int):
     """build_ps at --depth (default 8) with --delta, or with delta estimated
     to --resolution at that depth (default 10)."""
-    depth = _setting(cfg.depth, 8, "--depth", 2)
-    delta = cfg.delta
+    depth = _setting(s, "depth", 8, 2)
+    delta = s.get("delta")
     if delta is None:
-        delta = estimate_delta(group, _given(cfg.resolution, 0.01),
-                               _given(cfg.depth, 10), threads=threads).delta
+        delta = estimate_delta(group, s.get("resolution", 0.01),
+                               s.get("depth", 10), threads=threads).delta
     return build_ps(group, delta, depth)
 
 
@@ -701,28 +685,19 @@ def _group_spec_dict(group: SchottkyGroup) -> dict:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        out = _run(args)
+        report, code = _run(args)
+        if report is not None:
+            emit_report(report, getattr(args, "out", None))
+        return code
     except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")
-        return EXIT_CONFIG
-    except (ValidationFailure, SingularArgumentError, ConvergenceRegimeError) as e:
-        sys.stderr.write(f"validation error: {e}\n")
         return EXIT_CONFIG
     except (EstimationError, DomainError, MeasureError, IntegrandBoundError) as e:
         sys.stderr.write(f"numeric error: {e}\n")
         return EXIT_NUMERIC
-    except SchottkyError as e:
+    except (SchottkyError, SingularArgumentError, ConvergenceRegimeError) as e:
         sys.stderr.write(f"validation error: {e}\n")
         return EXIT_CONFIG
-    except ValueError as e:
-        sys.stderr.write(f"config error: {e}\n")
-        return EXIT_CONFIG
-    if out is None:
-        return EXIT_OK
-    report, code = out
-    if report is not None:
-        emit_report(report, getattr(args, "out", None))
-    return code
 
 
 if __name__ == "__main__":

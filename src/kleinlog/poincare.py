@@ -131,9 +131,16 @@ def evaluate(group: SchottkyGroup, integrand: SeriesIntegrand = None, z=0j,
         raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
+    group.check_cache(max_len)
     p = as_sphere_point(z)
-    if weight_mode == "holomorphic" and p.is_infinity:
-        raise DomainError("holomorphic weights need a finite evaluation point")
+    if weight_mode == "holomorphic":
+        if p.is_infinity:
+            raise DomainError("holomorphic weights need a finite evaluation point")
+        try:
+            base_n = 1.0 + abs(p.value) ** 2
+        except OverflowError:
+            raise DomainError(
+                f"holomorphic weights overflow at z = {p.value!r}") from None
     if group.rank > 0 and group.circles is not None:
         try:
             reduce_to_fundamental_domain(group, p)
@@ -142,8 +149,6 @@ def evaluate(group: SchottkyGroup, integrand: SeriesIntegrand = None, z=0j,
     shells = [complex(integrand.eval_point(p))]
     weight_shells = [1.0]
     comparability = 1.0
-    if p.is_finite:
-        base_n = 1.0 + abs(p.value) ** 2
     for n in range(1, max_len + 1):
         try:
             pts, infm, wts = group.shell_terms(n, p, weight_mode)
@@ -361,6 +366,7 @@ def convergence_report(group: SchottkyGroup, z=None, max_len: int = 10,
     """Side-by-side shell behavior at s = delta, (1+delta)/2, and 1."""
     from .schottky import estimate_delta, shell_sums
 
+    group.check_cache(max_len)
     est = estimate_delta(group, resolution, max_depth=min(max_len, 10),
                          threads=threads)
     p = group.default_basepoint() if z is None else as_sphere_point(z)

@@ -575,30 +575,39 @@ def write_measure_csv(measure: PSMeasure, path) -> None:
 
 
 def read_measure_csv(path) -> PSMeasure:
-    with open(path, "r", encoding="ascii") as f:
-        first = f.readline()
-        if not first.startswith("# "):
-            raise MeasureError("missing JSON header line")
-        header = json.loads(first[2:])
-        cols = f.readline().strip()
-        if cols != "re,im,weight":
-            raise MeasureError(f"unexpected column line {cols!r}")
-        pts, msk, wts = [], [], []
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            re_s, im_s, w_s = line.split(",")
-            re_v, im_v = float(re_s), float(im_s)
-            if math.isinf(re_v) or math.isinf(im_v):
-                pts.append(0j)
-                msk.append(True)
-            else:
-                pts.append(complex(re_v, im_v))
-                msk.append(False)
-            wts.append(float(w_s))
-    bp = header["basepoint"]
-    basepoint = INF if bp == "inf" else SpherePoint(complex(bp[0], bp[1]))
+    """Inverse of write_measure_csv.  Malformed content raises MeasureError
+    naming the line; a file that cannot be opened raises OSError."""
+    with open(path, "rb") as f:  # float() and json take ASCII bytes
+        lineno = 1
+        try:
+            first = f.readline()
+            if not first.startswith(b"# "):
+                raise MeasureError("missing JSON header line")
+            header = json.loads(first[2:])
+            bp = header["basepoint"]
+            basepoint = INF if bp == "inf" else SpherePoint(complex(bp[0], bp[1]))
+            delta, depth = float(header["delta"]), int(header["depth"])
+            lineno = 2
+            cols = f.readline().strip()
+            if cols != b"re,im,weight":
+                raise MeasureError(f"unexpected column line {cols!r}")
+            pts, msk, wts = [], [], []
+            for lineno, line in enumerate(f, start=3):
+                line = line.strip()
+                if not line:
+                    continue
+                re_s, im_s, w_s = line.split(b",")
+                re_v, im_v = float(re_s), float(im_s)
+                if math.isinf(re_v) or math.isinf(im_v):
+                    pts.append(0j)
+                    msk.append(True)
+                else:
+                    pts.append(complex(re_v, im_v))
+                    msk.append(False)
+                wts.append(float(w_s))
+        except KeyError as e:
+            raise MeasureError(f"line 1: header lacks {e}") from None
+        except (TypeError, ValueError, IndexError) as e:
+            raise MeasureError(f"line {lineno}: {e}") from None
     return PSMeasure(np.array(pts, dtype=complex), np.array(msk, dtype=bool),
-                     np.array(wts, dtype=float), float(header["delta"]),
-                     int(header["depth"]), basepoint)
+                     np.array(wts, dtype=float), delta, depth, basepoint)

@@ -368,7 +368,18 @@ class SchottkyGroup:
             mats[idx] = ((m.a, m.b), (m.c, m.d))
         return mats
 
+    def check_cache(self, depth: int) -> None:
+        """Refuse, before any work, shells through `depth` that would not
+        fit the shell cache of MAX_CACHED_WORDS words."""
+        # past 64 shells only rank 1, at two words a shell, can still fit
+        words = 1 + 2 * depth if self.rank == 1 else sum(
+            self.shell_size(n) for n in range(min(depth, 64) + 1))
+        if words > MAX_CACHED_WORDS:
+            raise SchottkyError(f"shell cache to depth {depth} would exceed "
+                                f"{MAX_CACHED_WORDS} words")
+
     def _ensure_shells(self, depth: int):
+        self.check_cache(depth)
         if self._shell_mats is None:
             ident = np.eye(2, dtype=complex)[None, :, :]
             self._shell_mats = [ident]
@@ -389,11 +400,6 @@ class SchottkyGroup:
             pos[l + self.rank] = idx
         while len(self._shell_mats) <= depth:
             n = len(self._shell_mats)
-            total = sum(m.shape[0] for m in self._shell_mats) + self.shell_size(n)
-            if total > MAX_CACHED_WORDS:
-                raise SchottkyError(
-                    f"shell cache to depth {n} would exceed {MAX_CACHED_WORDS} words"
-                )
             prev = self._shell_mats[-1]
             last_prev = self._shell_last[-1]
             first_prev = self._shell_first[-1]
@@ -441,10 +447,12 @@ class SchottkyGroup:
         if mode == "holomorphic":
             if p.is_infinity:
                 raise SchottkyError("holomorphic weights require a finite basepoint")
-            w = c * p.value + d
-            if np.any(w == 0):
-                raise SchottkyError("holomorphic weight undefined at an orbit pole")
-            weights = 1.0 / (w * w)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                w = c * p.value + d
+                weights = 1.0 / (w * w)
+            if not np.all(np.isfinite(weights)):  # MoebiusMap.derivative's PoleError
+                raise SchottkyError("holomorphic weight at an orbit pole or overflowing "
+                                    f"at z = {p.value!r}")
         elif mode == "absolute":
             weights = stretch(zz, ww, num, den)
         else:

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import STD_CENTERS, STD_RADIUS, make_standard_group
 
@@ -224,6 +229,13 @@ def test_series_needs_group(tmp_path):
     (("series", "eval", "--z", "0,1", "--tol", "0"), "--tol"),
     (("group", "delta", "--depth", "0"), "--depth"),
     (("group", "delta", "--depth", "6", "--threads", "0"), "--threads"),
+    (("series", "automorphy", "--element", "abc"), "--element"),
+    (("group", "nielsen", "--move", "multiply:1"), "--move"),
+    (("elliptic", "--q", "inf", "--x", "0.3,0"), "--q"),
+    (("series", "eval", "--z", "1e309,0"), "--z"),
+    (("polylog", "--z", "0.5", "--li", "0"), "--li"),
+    (("polylog", "--z", "0.5", "--ramakrishnan", "0"), "--ramakrishnan"),
+    (("series", "eval", "--z", "0,1", "--max-len", "-1"), "--max-len"),
 ])
 def test_zero_and_small_flags_rejected(std_config, capsys, args, flag):
     from kleinlog.cli import main
@@ -269,3 +281,189 @@ def test_fast_mode_rejected_strict_is_a_no_op(std_config, tmp_path, capsys):
     assert err.startswith("config error: mode:"), err
     pinned = json.loads((DATA / "series_eval_len10_holomorphic.json").read_text())
     assert json.loads(out)["results"] == pinned["results"]
+
+
+def main_io(*argv):
+    """In-process main: (exit code, stdout, stderr); argparse's own
+    rejections count with their exit code."""
+    from kleinlog.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("odd_denominator", 5), ("delta", True), ("tol", 10**400), ("n", 3),
+    ("m", 3), ("z", [1, 2, 3]), ("move", {"kind": "swap", "i": 1}),
+    ("element", [1, "2"]), ("measure_csv", 7), ("seed", -1), ("width", 0),
+    ("resolution", 2.0), ("weight", ["absolute"]), ("mode", "fast"),
+])
+def test_bad_config_value_names_its_key(tmp_path, key, value):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**std_spec(), key: value}))
+    code, _, err = main_io("--config", str(cfg), "group", "validate")
+    assert code == 2
+    assert err.startswith(f"config error: {key}:"), err
+
+
+def test_removed_csv_format_rejected(std_config):
+    code, out, err = main_io("--config", std_config, "group", "limitset",
+                             "--depth", "2", "--format", "csv")
+    assert code == 2 and out == ""
+    assert "--format" in err
+
+
+@pytest.mark.parametrize("name, content, cause", [
+    ("missing.csv", None, "No such file"),
+    ("nobase.csv", '# {"delta": 0.3, "depth": 2}\nre,im,weight\n1.0,2.0,1.0\n',
+     "line 1: header lacks 'basepoint'"),
+    ("short.csv", '# {"basepoint": "inf", "delta": 0.3, "depth": 2}\n'
+     're,im,weight\n1.0,2.0\n', "line 3:"),
+])
+def test_bad_measure_csv_rejected_naming_it(tmp_path, name, content, cause):
+    csv = tmp_path / name
+    if content is not None:
+        csv.write_text(content)
+    cfg = tmp_path / "withcsv.json"
+    cfg.write_text(json.dumps({**std_spec(), "measure_csv": str(csv)}))
+    code, _, err = main_io("--config", str(cfg), "measure", "residual")
+    assert code == 2
+    assert err.startswith("config error: measure_csv:") and cause in err, err
+
+
+@pytest.mark.parametrize("weight", ["holomorphic", "absolute"])
+@pytest.mark.parametrize("z, shown", [("1e300,1e299", "1e+300"),
+                                      ("1e150,1e150", "1e+150")])
+def test_huge_point_exits_cleanly(std_config, weight, z, shown):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = main_io("--config", std_config, "series", "eval",
+                                 "--z", z, "--max-len", "10", "--weight", weight)
+    if code == 0:
+        assert all(math.isfinite(v)
+                   for v in json.loads(out)["results"]["value"]), out
+    else:
+        assert code == 3 and shown in err, err
+
+
+def test_polylog_order_flags_enter_config_hash():
+    hashes = set()
+    for flags in (("--li", "2"), ("--li", "5"), ("--ramakrishnan", "3"),
+                  ("--ramakrishnan", "3", "--odd-denominator", "(2m)!"),
+                  ("--bloch-wigner",)):
+        code, out, _ = main_io("polylog", "--z", "0.5,0.1", *flags)
+        assert code == 0
+        hashes.add(json.loads(out)["config_hash"])
+    assert len(hashes) == 5
+
+
+@pytest.mark.parametrize("args", [
+    ("series", "eval", "--z", "0.3,0.7", "--max-len", "14"),
+    ("group", "delta", "--depth", "14"),
+])
+def test_shell_cache_limit_rejected_before_work(std_config, args):
+    code, out, err = main_io("--config", std_config, *args)
+    assert code == 2 and out == ""
+    assert "4000000 words" in err, err
+
+
+# random input never escapes main: every run ends in exit 0, 2 or 3 ----------
+
+BASE = {"depth": 4, "max_len": 3, "samples": 2, "z": [0.3, 0.7],
+        "q": [0.1, 0.2], "x": [0.7, 0.0],
+        "move": {"kind": "swap", "i": 1, "j": 2}}
+COMMANDS = [("polylog", "--z=0.3,0.2", "--li=2"),
+            ("polylog", "--z=0.3,0.2", "--ramakrishnan=3"),
+            ("elliptic",), ("group", "validate"), ("group", "limitset"),
+            ("group", "delta"), ("group", "nielsen"), ("measure", "build"),
+            ("measure", "residual"), ("series", "eval"),
+            ("series", "automorphy"), ("series", "report"),
+            ("bers", "--samples=1000")]
+CONFIG_KEYS = ["group", "delta", "depth", "max_len", "tol", "seed", "weight",
+               "samples", "mode", "window", "width", "height", "z", "q", "x",
+               "resolution", "move", "element", "odd_denominator",
+               "measure_csv"]
+# (command, flag, bound on an integer value, so that runs stay small)
+FLAGS = [(("series", "eval"), "--tol", None), (("elliptic",), "--tol", None),
+         (("series", "eval"), "--max-len", 4),
+         (("series", "report"), "--max-len", 4),
+         (("group", "delta"), "--depth", 5),
+         (("group", "limitset"), "--depth", 5), (("bers",), "--depth", 5),
+         (("series", "automorphy"), "--seed", None),
+         (("series", "eval"), "--weight", None),
+         (("group", "delta"), "--threads", 4),
+         (("group", "validate"), "--config", None),
+         (("polylog",), "--z", None), (("series", "eval"), "--z", None),
+         (("polylog", "--z=0.3,0.2"), "--li", 8),
+         (("polylog", "--z=0.3,0.2"), "--ramakrishnan", 8),
+         (("polylog", "--z=0.3,0.2", "--ramakrishnan=3"), "--odd-denominator",
+          None),
+         (("elliptic", "--x=0.7,0"), "--q", None),
+         (("elliptic", "--q=0.1,0.2"), "--x", None),
+         (("group", "delta"), "--resolution", None),
+         (("group", "nielsen"), "--move", None),
+         (("group", "limitset", "--format=ppm"), "--window", None),
+         (("group", "limitset"), "--width", 64),
+         (("group", "limitset"), "--height", 64),
+         (("group", "limitset"), "--format", None),
+         (("measure", "build"), "--delta", None),
+         (("series", "automorphy"), "--element", None),
+         (("series", "automorphy"), "--samples", 4),
+         (("bers",), "--samples", None), (("bers",), "--delta", None)]
+
+config_values = st.one_of(
+    st.integers(-2, 4), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 5e-324]),
+    st.booleans(), st.text(max_size=6), st.none(),
+    st.lists(st.one_of(st.integers(-2, 4), st.floats()), max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "i", "j", "x"]),
+                    st.one_of(st.integers(-2, 3), st.text(max_size=8)),
+                    max_size=3))
+
+
+def _small(text: str, bound) -> bool:
+    try:
+        value = int(text)
+    except ValueError:
+        return True
+    return bound is None or value <= bound
+
+
+@pytest.fixture(scope="module")
+def base_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "base.json"
+    path.write_text(json.dumps({**std_spec(), **BASE}))
+    return path
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cmd=st.sampled_from(COMMANDS),
+       values=st.dictionaries(st.sampled_from(CONFIG_KEYS), config_values,
+                              min_size=1, max_size=3))
+def test_random_config_values_exit_0_2_or_3(base_config, cmd, values):
+    cfg = base_config.with_name("random.json")
+    data = {**json.loads(base_config.read_text()), **values}
+    cfg.write_text(json.dumps(data))
+    out = f"--out={base_config.with_name('out')}"
+    code, _, err = main_io("--config", str(cfg), "--threads", "1", out, *cmd)
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_random_flag_text_exits_0_2_or_3(base_config, data):
+    cmd, flag, bound = data.draw(st.sampled_from(FLAGS))
+    text = data.draw(st.text(max_size=10).filter(lambda t: _small(t, bound)))
+    out = f"--out={base_config.with_name('out')}"
+    code, _, err = main_io("--config", str(base_config), out, *cmd,
+                           f"{flag}={text}")
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err

@@ -208,13 +208,15 @@ def uniform_sphere_points(rng: np.random.Generator, n: int):
 
 
 def parallel_chunks(work, n: int, threads: int, chunk: int) -> None:
-    """Call work(lo, hi) over range(n): once on all of it when threads <= 1,
-    else on the pieces [lo, hi), each `chunk` long but the last, on at most
-    `threads` threads and never more threads than pieces."""
+    """Call work(lo, hi) on the pieces [lo, hi) of range(n), each `chunk`
+    long but the last: in order on this thread when threads <= 1, else on
+    at most `threads` threads and never more threads than pieces.  work
+    sees the same pieces at every thread count."""
     spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     workers = min(threads, len(spans))
     if workers <= 1:
-        work(0, n)
+        for span in spans:
+            work(*span)
         return
     with ThreadPoolExecutor(max_workers=workers) as ex:
         list(ex.map(lambda span: work(*span), spans))

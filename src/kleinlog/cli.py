@@ -163,9 +163,9 @@ def _element_field(v, path):
     return _integer(v, path)
 
 
-def _group_field(spec, path) -> dict:
-    _group_from_spec(spec)  # validate now so errors surface as exit 2
-    return spec
+def _group_field(spec, path) -> SchottkyGroup:
+    # built and validated once, here, so that errors surface as exit 2
+    return _group_from_spec(spec)
 
 
 # flag text in the form the config parsers take ----------------------------------
@@ -248,14 +248,12 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
     settings: dict = field(default_factory=dict)
 
-    @property
-    def group_spec(self) -> dict:
-        return self.settings.get("group")
-
     def build_group(self) -> SchottkyGroup:
-        if self.group_spec is None:
+        """The config's group, which parsing has built and validated."""
+        group = self.settings.get("group")
+        if group is None:
             raise ConfigError("group", "missing group spec")
-        return _group_from_spec(self.group_spec)
+        return group
 
 
 def _group_from_spec(spec: dict) -> SchottkyGroup:
@@ -557,10 +555,10 @@ def _run(args) -> tuple[dict, int]:
             pts = [_jsonable(p) for p in sample.points]
             report["results"] = {"depth": depth, "count": len(pts), "points": pts}
         elif args.action == "delta":
-            est = estimate_delta(group, s.get("resolution", 0.01),
-                                 _setting(s, "depth", 10, 2), threads=threads)
-            report["results"] = {"delta": est.delta, "bracket": list(est.bracket),
-                                 "shell_ratios": list(est.shell_ratios),
+            depth = _setting(s, "depth", None, 4) if "depth" in s else None
+            est = estimate_delta(group, s.get("resolution", 0.01), depth)
+            report["results"] = {"delta": est.delta, "bracket": est.bracket,
+                                 "orders": est.orders,
                                  "max_depth": est.max_depth}
         elif args.action == "nielsen":
             move = s.get("move")
@@ -580,7 +578,7 @@ def _run(args) -> tuple[dict, int]:
             except (OSError, ValueError) as e:  # MeasureError included
                 raise ConfigError("measure_csv", str(e)) from None
         else:
-            measure = _measure(group, s, threads)
+            measure = _measure(group, s)
         if args.action == "build":
             if out_path and out_path.endswith(".csv"):
                 with _writing(out_path):
@@ -639,7 +637,7 @@ def _run(args) -> tuple[dict, int]:
 
     elif cmd == "bers":
         n_samples = _setting(s, "samples", 10000, 1000)
-        density = NayataniDensity(_measure(group, s, threads))
+        density = NayataniDensity(_measure(group, s))
         r = bers_integral(group, density, None, n_samples, s.get("seed", 0),
                           threads)
         report["results"] = {
@@ -657,14 +655,15 @@ def _run(args) -> tuple[dict, int]:
     return report, code
 
 
-def _measure(group: SchottkyGroup, s: dict, threads: int):
+def _measure(group: SchottkyGroup, s: dict):
     """build_ps at --depth (default 8) with --delta, or with delta estimated
-    to --resolution at that depth (default 10)."""
+    to --resolution (default 0.01) at estimate_delta's default order cap;
+    --depth is the depth of the measure only."""
     depth = _setting(s, "depth", 8, 2)
+    group.check_cache(depth)
     delta = s.get("delta")
     if delta is None:
-        delta = estimate_delta(group, s.get("resolution", 0.01),
-                               s.get("depth", 10), threads=threads).delta
+        delta = estimate_delta(group, s.get("resolution", 0.01)).delta
     return build_ps(group, delta, depth)
 
 

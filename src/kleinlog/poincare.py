@@ -56,12 +56,13 @@ class SeriesIntegrand:
         pts = np.where(inf_mask, 0.0, points)
         if self.evaluator_many is None:
             vals = np.array([float(self.evaluator(p)) for p in pts], dtype=float)
-        elif threads > 1 and pts.size > 2 * EVAL_CHUNK:
+        elif pts.size > 2 * EVAL_CHUNK:
             # bloch_wigner_many's last bits depend on how its input is
             # split: numpy reuses temporaries of 256 KiB and more, which
             # swaps the operands of a complex product, and its FMA product
             # does not round both orders alike.  So up to 2 * EVAL_CHUNK
-            # points stay whole; beyond that threads may move last bits.
+            # points stay whole, and beyond that every thread count splits
+            # them into the same EVAL_CHUNK pieces.
             vals = np.empty(pts.size)
 
             def work(lo, hi):
@@ -117,9 +118,9 @@ def evaluate(group: SchottkyGroup, integrand: SeriesIntegrand = None, z=0j,
              tol: float = 1e-8, threads: int = 1) -> SeriesEvaluation:
     """Sum the series over all words of length <= max_len, shell by shell.
 
-    Every shell sum and the total are correctly rounded (fsum), so they do
-    not depend on chunking or threads; the integrand values of a shell above
-    2 * EVAL_CHUNK points can (see SeriesIntegrand.eval_many).
+    Every shell sum and the total are correctly rounded (fsum), and the
+    integrand sees the same pieces of a shell at every thread count (see
+    SeriesIntegrand.eval_many), so the result does not depend on threads.
 
     tail_estimate extrapolates the last weight-shell ratio geometrically with
     a 2x safety factor: 2 * bound * S_N * r/(1-r).  verdict is converged only
@@ -363,12 +364,13 @@ class ConvergenceReport:
 def convergence_report(group: SchottkyGroup, z=None, max_len: int = 10,
                        resolution: float = 1e-3,
                        threads: int = 1) -> ConvergenceReport:
-    """Side-by-side shell behavior at s = delta, (1+delta)/2, and 1."""
+    """Side-by-side shell behavior at s = delta, (1+delta)/2, and 1, with
+    delta estimated to `resolution` at estimate_delta's default order cap,
+    whatever max_len is."""
     from .schottky import estimate_delta, shell_sums
 
     group.check_cache(max_len)
-    est = estimate_delta(group, resolution, max_depth=min(max_len, 10),
-                         threads=threads)
+    est = estimate_delta(group, resolution)
     p = group.default_basepoint() if z is None else as_sphere_point(z)
     if group.rank > 0 and group.circles is not None:
         try:

@@ -1,5 +1,6 @@
 """Schottky groups: validation, word and orbit enumeration, limit-set sampling,
-fundamental-domain reduction, Nielsen moves, and critical-exponent estimation.
+fundamental-domain reduction, Nielsen moves, and the critical exponent from
+the dynamical determinant.
 
 Generator i pairs the circles stored at indices 2(i-1) and 2(i-1)+1: it maps
 the exterior of the first onto the interior of the second.  Letters are the
@@ -30,6 +31,8 @@ from .moebius import (
 MAX_CACHED_WORDS = 4_000_000
 EXP_CHUNK = 8192
 PAIRING_RESIDUAL_TOL = 1e-9
+DELTA_MAX_ORDER = 10      # estimate_delta's default order cap
+DELTA_GRID = 16           # cells of [0, 2] scanned for the largest root
 
 
 class SchottkyError(ValueError):
@@ -45,11 +48,7 @@ class ValidationFailure(SchottkyError):
 
 
 class EstimationError(SchottkyError):
-    """Critical-exponent estimation failed; carries the shell-ratio table."""
-
-    def __init__(self, message: str, ratios):
-        super().__init__(f"{message}; shell ratios: {ratios}")
-        self.ratios = tuple(ratios)
+    """Critical-exponent estimation failed; the message names the orders."""
 
 
 @dataclass(frozen=True)
@@ -117,13 +116,15 @@ class Word:
 
 @dataclass(frozen=True)
 class DeltaEstimate:
-    """Bisection estimate of the critical exponent from deep-shell ratios."""
+    """The critical exponent as delta_N, the root of the order-N dynamical
+    determinant.  bracket is delta_N +- max(|delta_N - delta_{N-2}|, 1 ulp),
+    cut off at 0: an estimate of the error, not a proven bound.  orders
+    holds (N, delta_N) for every even order computed."""
 
     delta: float
     bracket: tuple[float, float]
-    shell_ratios: tuple[float, ...]
+    orders: tuple[tuple[int, float], ...]
     max_depth: int
-    ratio_tol: float
 
 
 @dataclass(frozen=True)
@@ -368,13 +369,18 @@ class SchottkyGroup:
             mats[idx] = ((m.a, m.b), (m.c, m.d))
         return mats
 
-    def check_cache(self, depth: int) -> None:
-        """Refuse, before any work, shells through `depth` that would not
-        fit the shell cache of MAX_CACHED_WORDS words."""
+    def fits_cache(self, depth: int) -> bool:
+        """Whether the shells through `depth` fit the shell cache of
+        MAX_CACHED_WORDS words."""
         # past 64 shells only rank 1, at two words a shell, can still fit
         words = 1 + 2 * depth if self.rank == 1 else sum(
             self.shell_size(n) for n in range(min(depth, 64) + 1))
-        if words > MAX_CACHED_WORDS:
+        return words <= MAX_CACHED_WORDS
+
+    def check_cache(self, depth: int) -> None:
+        """Refuse, before any work, shells through `depth` that would not
+        fit the shell cache."""
+        if not self.fits_cache(depth):
             raise SchottkyError(f"shell cache to depth {depth} would exceed "
                                 f"{MAX_CACHED_WORDS} words")
 
@@ -449,7 +455,12 @@ class SchottkyGroup:
                 raise SchottkyError("holomorphic weights require a finite basepoint")
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 w = c * p.value + d
-                weights = 1.0 / (w * w)
+                sq = w * w
+                weights = 1.0 / sq
+                # w * w overflows at |z| above about 1e150 where (1/w)**2
+                # stays finite; it rounds differently, so only there
+                big = ~np.isfinite(sq)
+                weights[big] = (1.0 / w[big]) ** 2
             if not np.all(np.isfinite(weights)):  # MoebiusMap.derivative's PoleError
                 raise SchottkyError("holomorphic weight at an orbit pole or overflowing "
                                     f"at z = {p.value!r}")
@@ -498,42 +509,127 @@ def shell_sums(group: SchottkyGroup, s: float, max_depth: int, basepoint=None,
     return [_exp_sum(ld, s, threads) for ld in logs]
 
 
+def _multipliers(group: SchottkyGroup, n: int):
+    """log|k_w| and 1/|1 - k_w|^2 over the cyclically reduced words w of
+    length n, the shell-n words whose last letter does not cancel the
+    first; k_w = lambda_w^-2 is w's multiplier at its attracting fixed
+    point, lambda_w the larger root of lambda^2 - T lambda + 1, T = tr w."""
+    mats = group.shell_matrices(n)
+    keep = group._shell_last[n] != -group._shell_first[n]
+    # 1/lambda_w = u / (1 + sqrt(1 - u^2)) with u = 2/T: the principal root
+    # has a nonnegative real part, so 1 + sqrt does not cancel, and a large
+    # trace does not overflow
+    u = 2.0 / (mats[keep, 0, 0] + mats[keep, 1, 1])
+    mu = u / (1.0 + np.sqrt(1.0 - u * u))
+    return 2.0 * np.log(np.abs(mu)), 1.0 / np.abs(1.0 - mu * mu) ** 2
+
+
+def _determinant(terms, s: float, total=fsum) -> float:
+    """sum_{n<=N} c_n(s), N = len(terms), where n c_n = -sum_{k<=n} a_k
+    c_{n-k} and the trace a_n(s) = sum_w |k_w|^s / |1 - k_w|^2 is summed
+    by `total` over terms[n-1] = _multipliers(group, n)."""
+    a = [total(np.exp(s * logk) * w) for logk, w in terms]
+    c = [1.0]
+    for n in range(1, len(a) + 1):
+        c.append(-fsum([a[k - 1] * c[n - k] for k in range(1, n + 1)]) / n)
+    return fsum(c)
+
+
+def _root(f, lo: float, hi: float, flo: float, fhi: float) -> float:
+    """The root of f between lo and hi, where f changes sign (flo = f(lo),
+    fhi = f(hi)), by the Illinois variant of regula falsi.  It stops when
+    the next point rounds to an end of the bracket, and returns that end."""
+    side = 0
+    while True:
+        x = lo + (hi - lo) * (flo / (flo - fhi))
+        if not lo < x < hi:
+            return min(max(x, lo), hi)
+        fx = f(x)
+        # an end kept twice in a row has its value halved
+        if (fx > 0.0) == (flo > 0.0):
+            lo, flo = x, fx
+            if side < 0:
+                fhi *= 0.5
+            side = -1
+        else:
+            hi, fhi = x, fx
+            if side > 0:
+                flo *= 0.5
+            side = 1
+
+
+def _largest_root(f, scan):
+    """The largest root of f on [0, 2], or None if it keeps its sign on the
+    grid of DELTA_GRID cells.  `scan`, a cheaper f, is evaluated down from 2
+    to the first cell where it changes sign, and _root refines the root
+    there with f."""
+    hi, fhi = 2.0, scan(2.0)
+    for k in range(DELTA_GRID - 1, -1, -1):
+        lo = 2.0 * k / DELTA_GRID
+        flo = scan(lo)
+        if (flo > 0.0) != (fhi > 0.0):
+            return _root(f, lo, hi, flo, fhi)
+        hi, fhi = lo, flo
+    return None
+
+
 def estimate_delta(group: SchottkyGroup, resolution: float = 0.01,
-                   max_depth: int = 10, basepoint=None,
-                   ratio_tol: float = 0.25, threads: int = 1) -> DeltaEstimate:
-    """Bisection for the exponent where the deep-shell ratio P_n/P_{n-1} crosses 1."""
+                   max_depth: int | None = None) -> DeltaEstimate:
+    """The critical exponent delta from the dynamical determinant of the
+    transfer operator (Jenkinson and Pollicott, Amer. J. Math. 124, 2002).
+
+    delta_N is the largest root on [0, 2] of the order-N determinant (see
+    _determinant), which converges to delta super-exponentially in N.  The
+    full determinant is positive above delta; low orders can have spurious
+    roots below it, so each order's root is searched for afresh rather
+    than tracked from the one before.  Only even orders N <= max_depth are
+    used, since odd ones can lack a sign change, and an order without a
+    root is skipped.  By default max_depth is the largest order up to
+    DELTA_MAX_ORDER whose shells fit the shell cache.  The first N whose
+    root is within resolution / 2 of the previous order's gives the
+    result; EstimationError if none does.  A rank-1 group with a
+    loxodromic generator has delta = 0 exactly.
+    """
     if group.rank == 0:
         raise SchottkyError("the trivial group has no critical exponent")
     if not (0.0 < resolution <= 1.0):
         raise SchottkyError(f"resolution must be in (0, 1], got {resolution!r}")
-    if max_depth < 2:
-        raise SchottkyError("estimate_delta needs max_depth >= 2")
-    logs = group.shell_log_derivatives(max_depth, basepoint)
-    deep, deeper = logs[-2], logs[-1]
-
-    def ratio(s: float) -> float:
-        return _exp_sum(deeper, s, threads) / _exp_sum(deep, s, threads)
-
-    lo, hi = 0.0, 2.0
-    if ratio(hi) >= 1.0:
-        table = [_exp_sum(logs[i + 1], hi, threads) / _exp_sum(logs[i], hi, threads)
-                 for i in range(len(logs) - 1)]
-        raise EstimationError("shell sums do not contract even at s = 2", table)
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if ratio(mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    delta = 0.5 * (lo + hi)
-    sums = [_exp_sum(ld, delta, threads) for ld in logs]
-    table = tuple(sums[i + 1] / sums[i] for i in range(len(sums) - 1))
-    recent = table[-3:] if len(table) >= 3 else table
-    if any(abs(r - 1.0) > ratio_tol for r in recent):
-        raise EstimationError(
-            f"deep-shell ratios at s = {delta:.4f} are not within {ratio_tol} of 1 "
-            "(non-geometric shell behavior)", table)
-    return DeltaEstimate(delta, (lo, hi), table, max_depth, ratio_tol)
+    if max_depth is None:
+        max_depth = next((n for n in range(DELTA_MAX_ORDER, 4, -1)
+                          if group.fits_cache(n)), 4)
+    if max_depth < 4:
+        raise SchottkyError(f"estimate_delta needs max_depth >= 4, got {max_depth}")
+    group.check_cache(max_depth)
+    for i, g in enumerate(group.generators, start=1):
+        kind = g.classify()
+        if kind != "loxodromic":
+            raise EstimationError(f"generator {i} is {kind}, not loxodromic")
+    if group.rank == 1:
+        return DeltaEstimate(0.0, (0.0, math.ulp(0.0)), (), max_depth)
+    terms, orders = [], []
+    for n in range(1, max_depth + 1):
+        terms.append(_multipliers(group, n))
+        if n % 2:
+            continue
+        # numpy's sums locate the root and the correctly rounded ones refine it
+        root = _largest_root(lambda s: _determinant(terms, s),
+                             lambda s: _determinant(terms, s, np.sum))
+        if root is None:
+            continue
+        orders.append((n, root))
+        if len(orders) > 1:
+            change = abs(root - orders[-2][1])
+            if 2.0 * change <= resolution:
+                err = max(change, math.ulp(root))
+                return DeltaEstimate(root, (max(0.0, root - err), root + err),
+                                     tuple(orders), max_depth)
+    if not orders:
+        raise EstimationError(f"no determinant up to order {max_depth} has a "
+                              "root in [0, 2]")
+    raise EstimationError(
+        f"delta did not settle to resolution {resolution!r} by order "
+        f"{orders[-1][0]}: " + ", ".join(f"delta_{n} = {d!r}"
+                                          for n, d in orders[-2:]))
 
 
 def limit_set(group: SchottkyGroup, depth: int) -> LimitSetSample:

@@ -123,6 +123,49 @@ def test_group_validate_and_delta(std_config):
     assert 0.25 < d < 0.35
 
 
+def test_group_delta_reports_orders(std_config):
+    outs = {main_io("--config", std_config, "--threads", t, "group", "delta",
+                    "--depth", "12", "--resolution", "1e-5") for t in ("1", "4")}
+    assert len(outs) == 1
+    ((code, out, err),) = outs
+    assert code == 0, err
+    res = json.loads(out)["results"]
+    assert set(res) == {"delta", "bracket", "orders", "max_depth"}
+    lo, hi = res["bracket"]
+    assert lo < res["delta"] < hi and hi - lo <= 1e-5
+    assert abs(res["delta"] - 0.29840310166) <= 1e-10
+    assert [n for n, _ in res["orders"]] == [2, 4, 6, 8]
+    assert res["orders"][-1][1] == res["delta"]
+
+
+@pytest.mark.parametrize("args, code, cause", [
+    (("--depth", "3"), 2, "config error: --depth: must be >= 4, got 3"),
+    (("--depth", "6", "--resolution", "1e-9"), 3,
+     "numeric error: delta did not settle to resolution 1e-09 by order 6"),
+])
+def test_group_delta_rejections_name_their_cause(std_config, args, code, cause):
+    got, out, err = main_io("--config", std_config, "group", "delta", *args)
+    assert got == code and out == ""
+    assert err.startswith(cause), err
+
+
+def test_group_built_and_validated_once(std_config, monkeypatch):
+    from kleinlog.schottky import SchottkyGroup
+
+    calls = []
+    validate = SchottkyGroup.validate
+
+    def counting(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(SchottkyGroup, "validate", counting)
+    code, _, err = main_io("--config", std_config, "group", "delta",
+                           "--depth", "6")
+    assert code == 0, err
+    assert len(calls) == 1
+
+
 def test_limit_set_ppm(std_config, tmp_path):
     out = tmp_path / "ls.ppm"
     r = run_cli("--config", std_config, "group", "limitset", "--depth", "5",
@@ -195,6 +238,16 @@ def test_strict_runs_byte_identical(std_config, tmp_path):
         assert r.returncode == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_long_series_byte_identical_across_threads(std_config):
+    # shell 11 has 236,196 points, more than 2 * EVAL_CHUNK
+    outs = {main_io("--config", std_config, "--threads", t, "series", "eval",
+                    "--max-len", "11", "--weight", "absolute", "--z", "0.3,0.7")
+            for t in ("1", "2", "4")}
+    assert len(outs) == 1
+    ((code, _, err),) = outs
+    assert code == 0, err
 
 
 def test_report_written_to_out_path(std_config, tmp_path):
@@ -349,6 +402,16 @@ def test_huge_point_exits_cleanly(std_config, weight, z, shown):
                    for v in json.loads(out)["results"]["value"]), out
     else:
         assert code == 3 and shown in err, err
+
+
+def test_huge_point_holomorphic_weights_do_not_overflow(std_config):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = main_io("--config", std_config, "series", "eval",
+                                 "--z", "1e150,1e150", "--max-len", "10",
+                                 "--weight", "holomorphic")
+    assert code == 0, err
+    assert json.loads(out)["results"]["verdict"] == "converged"
 
 
 def test_polylog_order_flags_enter_config_hash():

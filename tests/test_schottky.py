@@ -164,8 +164,8 @@ def test_delta_estimate_standard(std_group):
     assert lo <= est.delta <= hi
     assert 0.0 < est.delta < 1.0
     assert abs(est.delta - STD_DELTA_REF) < 0.01
-    for r in est.shell_ratios[-3:]:
-        assert abs(r - 1.0) <= est.ratio_tol
+    (_, before), (_, last) = est.orders[-2:]
+    assert 2.0 * abs(last - before) <= 0.01
 
 
 def test_delta_sharpens_consistently(std_group, sharp_delta):
@@ -194,6 +194,77 @@ def test_estimate_rejects_noncontracting():
         estimate_delta(g, 0.01, 8)
     with pytest.raises(SchottkyError):
         estimate_delta(SchottkyGroup([]), 0.01, 6)
+
+
+def test_delta_orders_agree_to_nine_digits(std_group):
+    # 2 |delta_8 - delta_6| is about 1e-7, so this resolution reaches order 10
+    est = estimate_delta(std_group, resolution=1e-8, max_depth=10)
+    assert [n for n, _ in est.orders] == [2, 4, 6, 8, 10]
+    (_, d8), (_, d10) = est.orders[-2:]
+    assert est.delta == d10
+    assert abs(d10 - d8) <= 1e-9 * d10
+    lo, hi = est.bracket
+    assert lo < est.delta < hi and hi - lo <= 1e-8
+
+
+def test_delta_invariant_under_nielsen_moves(std_group):
+    ref = estimate_delta(std_group, resolution=1e-8, max_depth=10).delta
+    for move in (("invert", 1), ("invert", 2), ("swap", 1, 2), ("cyclic",)):
+        moved = estimate_delta(nielsen(std_group, move), resolution=1e-8,
+                               max_depth=10).delta
+        assert abs(moved - ref) <= 1e-9, move
+
+
+@pytest.mark.parametrize("radius", [0.25, 0.7, 0.9])
+def test_delta_settles_by_order_12(radius):
+    est = estimate_delta(make_standard_group(radius), resolution=1e-6,
+                         max_depth=12)
+    lo, hi = est.bracket
+    assert est.orders[-1][0] <= 12
+    assert lo < est.delta < hi and hi - lo <= 1e-6
+    assert 0.0 < est.delta < 1.0
+
+
+def test_delta_is_each_orders_largest_root():
+    # order 2's only root, about 0.07, is spurious; from order 4 on the
+    # roots sit where the shell sums turn from growing to shrinking
+    c = [Circle(complex(x, y), r) for x, y, r in (
+        (2.54, -0.44, 0.14), (1.46, -2.03, 0.98), (-0.99, 1.1, 0.42),
+        (-2.37, 3.7, 0.47), (-1.55, -1.95, 0.15), (-2.44, -2.9, 0.52))]
+    g = SchottkyGroup([pairing_map(c[i], c[i + 1]) for i in (0, 2, 4)], c)
+    est = estimate_delta(g, resolution=1e-4)
+    assert est.orders[0][1] < 0.1 < est.delta
+    for s, grows in ((est.delta - 0.01, True), (est.delta + 0.01, False)):
+        sums = shell_sums(g, s, 8)
+        assert (sums[-1] / sums[-2] > 1.0) == grows
+
+
+def test_delta_of_rank_one_group_is_zero():
+    c = [Circle(-2.0, 0.5), Circle(2.0, 0.5)]
+    for g in (SchottkyGroup([pairing_map(c[0], c[1])], c),
+              SchottkyGroup([MoebiusMap.scaling(4.0)], cyclic_diagnostic=True)):
+        est = estimate_delta(g, resolution=1e-9, max_depth=12)
+        assert est.delta == 0.0
+        assert est.bracket[0] == 0.0 < est.bracket[1]
+
+
+def test_delta_default_order_cap_fits_the_shell_cache(std_group):
+    assert estimate_delta(std_group).max_depth == 10
+    # rank 3: shells through 10 hold 14.6M words, through 9 2.9M
+    c = [Circle(3.0 * cmath.exp(1j * math.pi * k / 3), 0.4)
+         for k in (0, 3, 1, 4, 2, 5)]
+    g = SchottkyGroup([pairing_map(c[i], c[i + 1]) for i in (0, 2, 4)], c)
+    est = estimate_delta(g)
+    assert est.max_depth == 9
+    assert 0.0 < est.delta < 1.0
+
+
+def test_delta_rejects_low_order_and_unreachable_resolution(std_group):
+    with pytest.raises(SchottkyError, match="max_depth >= 4"):
+        estimate_delta(std_group, 0.01, 3)
+    # |delta_6 - delta_4| is about 1.3e-4
+    with pytest.raises(EstimationError, match="by order 6: delta_4 = .*, delta_6"):
+        estimate_delta(std_group, 1e-6, 7)
 
 
 def test_shell_sums_monotone_in_s(std_group):

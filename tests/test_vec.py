@@ -265,3 +265,12 @@ def test_thread_count_bounded_by_chunks(monkeypatch):
     parallel_chunks(lambda lo, hi: spans.append((lo, hi)), 3, 10**6, 4)
     assert spans[-1] == (0, 3)
     assert RecordingExecutor.seen == [4, 3]
+
+
+def test_one_thread_works_through_the_same_pieces(monkeypatch):
+    monkeypatch.setattr(_vec, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "seen", [])
+    spans = []
+    parallel_chunks(lambda lo, hi: spans.append((lo, hi)), 10, 1, 4)
+    assert spans == [(0, 4), (4, 8), (8, 10)]
+    assert RecordingExecutor.seen == []

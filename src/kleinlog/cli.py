@@ -619,10 +619,10 @@ def _run(args) -> tuple[dict, int]:
             samples = fundamental_domain_samples(group, n, s.get("seed", 0))
             elements = [s["element"]] if "element" in s else \
                 [l for l in group.letters if l > 0]
-            per = {}
-            for el in elements:
-                per[str(el)] = automorphy_residual(group, None, samples, el,
-                                                   max_len, weight, stol, threads)
+            res = automorphy_residual(group, None, samples, max_len=max_len,
+                                      weight_mode=weight, tol=stol,
+                                      threads=threads, elements=elements)
+            per = {str(el): r for el, r in zip(elements, res)}
             report["results"] = {"residuals": per, "max_len": max_len,
                                  "weight_mode": weight, "n_samples": n}
         else:

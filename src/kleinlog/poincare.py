@@ -204,25 +204,34 @@ def _as_element(group: SchottkyGroup, element) -> MoebiusMap:
 def automorphy_residual(group: SchottkyGroup, integrand: SeriesIntegrand = None,
                         samples=(), element=1, max_len: int = 10,
                         weight_mode: str = "holomorphic", tol: float = 1e-8,
-                        threads: int = 1) -> float:
+                        threads: int = 1, *,
+                        elements=None) -> float | list[float]:
     """max over samples of |w_g(z) * S(gz) - S(z)| / (|S(z)| + tol) with both
-    series truncated at max_len; w_g is the mode's derivative weight."""
+    series truncated at max_len; w_g is the mode's derivative weight.
+
+    Given a sequence `elements`, returns the list of their residuals in
+    order, and `element` is ignored.  Every element is resolved before any
+    series is evaluated.  The cost is samples * (1 + number of elements)
+    evaluations: S(z) once per sample, S(gz) once per sample and element.
+    """
     if integrand is None:
         integrand = BLOCH_WIGNER_INTEGRAND
-    g = _as_element(group, element)
-    worst = 0.0
+    gs = [_as_element(group, e)
+          for e in (elements if elements is not None else (element,))]
+    worst = [0.0] * len(gs)
     for z in samples:
         p = as_sphere_point(z)
         here = evaluate(group, integrand, p, weight_mode, max_len, tol, threads)
-        there = evaluate(group, integrand, g.apply(p), weight_mode, max_len,
-                         tol, threads)
-        if weight_mode == "holomorphic":
-            w = g.derivative(p)
-        else:
-            w = g.spherical_derivative(p)
-        num = abs(w * there.value - here.value)
-        worst = max(worst, num / (abs(here.value) + tol))
-    return worst
+        for i, g in enumerate(gs):
+            there = evaluate(group, integrand, g.apply(p), weight_mode,
+                             max_len, tol, threads)
+            if weight_mode == "holomorphic":
+                w = g.derivative(p)
+            else:
+                w = g.spherical_derivative(p)
+            num = abs(w * there.value - here.value)
+            worst[i] = max(worst[i], num / (abs(here.value) + tol))
+    return worst if elements is not None else worst[0]
 
 
 def fundamental_domain_samples(group: SchottkyGroup, n: int, seed: int = 0,

@@ -233,9 +233,12 @@ _BAND_COEFFS = np.array(
 
 def _d_small_vec(u: np.ndarray) -> np.ndarray:
     # D on |u| <= 1/2, u off the real axis
+    # Horner in place: the same products and sums as acc = acc * u + c,
+    # without two fresh arrays per step
     acc = np.zeros(u.shape, dtype=complex)
     for c in _INV_K2:
-        acc = acc * u + c
+        np.multiply(acc, u, out=acc)
+        acc += c
     s = u * acc
     return s.imag + np.angle(1.0 - u) * np.log(np.abs(u))
 
@@ -245,7 +248,8 @@ def _d_band_vec(u: np.ndarray) -> np.ndarray:
     mu = np.log(u)
     acc = np.zeros(u.shape, dtype=complex)
     for c in _BAND_COEFFS:
-        acc = acc * mu + c
+        np.multiply(acc, mu, out=acc)
+        acc += c
     li2 = zeta_int(2) + mu * (1.0 - np.log(-mu)) + mu * mu * acc
     return li2.imag + np.angle(1.0 - u) * np.log(np.abs(u))
 

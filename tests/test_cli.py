@@ -318,6 +318,40 @@ def test_series_eval_report_pinned(std_config, weight):
     assert r.stdout == (DATA / f"series_eval_len10_{weight}.json").read_bytes()
 
 
+@pytest.mark.parametrize("weight", ["holomorphic", "absolute"])
+def test_series_automorphy_report_pinned(std_config, weight):
+    """The exact bytes of a len-10 automorphy report over 4 samples in each
+    weight mode, recorded like the pinned series eval reports."""
+    r = run_cli("--config", std_config, "series", "automorphy", "--max-len",
+                "10", "--samples", "4", "--weight", weight)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (DATA / f"series_automorphy_len10_{weight}.json").read_bytes()
+
+
+@pytest.mark.parametrize("extra, calls, code", [
+    ((), 12, 0), (("--element", "1"), 8, 0), (("--element", "3"), 0, 2),
+])
+def test_series_automorphy_evaluates_each_point_once(std_config, monkeypatch,
+                                                     extra, calls, code):
+    """S(z) once per sample and S(gz) once per sample and element; a bad
+    element is refused before any series is evaluated."""
+    from kleinlog import poincare
+
+    seen = []
+    evaluate = poincare.evaluate
+
+    def counting(*a, **k):
+        seen.append(a)
+        return evaluate(*a, **k)
+
+    monkeypatch.setattr(poincare, "evaluate", counting)
+    got, _, err = main_io("--config", std_config, "series", "automorphy",
+                          "--samples", "4", "--max-len", "3", *extra)
+    assert (got, len(seen)) == (code, calls), err
+    if code:
+        assert err == "validation error: letter 3 out of range for rank 2\n"
+
+
 def test_fast_mode_rejected_strict_is_a_no_op(std_config, tmp_path, capsys):
     from kleinlog.cli import main
 

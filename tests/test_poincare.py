@@ -17,7 +17,7 @@ from kleinlog.poincare import (
 )
 from kleinlog.polylog import D_GLOBAL_BOUND, bloch_wigner, bloch_wigner_many
 from kleinlog.psmeasure import MeasureError, NayataniDensity, PSMeasure
-from kleinlog.schottky import SchottkyGroup
+from kleinlog.schottky import SchottkyError, SchottkyGroup
 
 from tests.test_psmeasure import single_atom
 
@@ -105,6 +105,21 @@ def test_automorphy_for_word_elements(std_group):
     samples = fundamental_domain_samples(std_group, 3, seed=5)
     r = automorphy_residual(std_group, samples=samples, element=(1, 2), max_len=8)
     assert r < 1e-4
+
+
+def test_automorphy_many_elements_equal_single_calls(std_group):
+    samples = fundamental_domain_samples(std_group, 3, seed=7)
+    for mode in ("holomorphic", "absolute"):
+        both = automorphy_residual(std_group, samples=samples, max_len=5,
+                                   weight_mode=mode, elements=[2, (1, 2)])
+        one = [automorphy_residual(std_group, samples=samples, element=el,
+                                   max_len=5, weight_mode=mode)
+               for el in (2, (1, 2))]
+        assert np.array(both).view(np.int64).tolist() == \
+            np.array(one).view(np.int64).tolist()
+    assert automorphy_residual(std_group, samples=samples, elements=[]) == []
+    with pytest.raises(SchottkyError, match="not reduced"):
+        automorphy_residual(std_group, samples=samples, elements=[1, (1, -1)])
 
 
 def test_domain_errors(std_group):

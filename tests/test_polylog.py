@@ -7,8 +7,12 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 
 from kleinlog.polylog import (
+    _BAND_COEFFS,
+    _INV_K2,
     D_GLOBAL_BOUND,
     SingularArgumentError,
+    _d_band_vec,
+    _d_small_vec,
     bernoulli_number,
     bloch_wigner,
     bloch_wigner_many,
@@ -153,6 +157,54 @@ def test_bloch_wigner_many_matches_scalar():
     many = bloch_wigner_many(z)
     for zi, vi in zip(z, many):
         assert abs(vi - bloch_wigner(complex(zi))) < 1e-13
+
+
+def _d_small_fresh(u):
+    # _d_small_vec with a fresh array at every Horner step
+    acc = np.zeros(u.shape, dtype=complex)
+    for c in _INV_K2:
+        acc = acc * u + c
+    s = u * acc
+    return s.imag + np.angle(1.0 - u) * np.log(np.abs(u))
+
+
+def _d_band_fresh(u):
+    mu = np.log(u)
+    acc = np.zeros(u.shape, dtype=complex)
+    for c in _BAND_COEFFS:
+        acc = acc * mu + c
+    li2 = zeta_int(2) + mu * (1.0 - np.log(-mu)) + mu * mu * acc
+    return li2.imag + np.angle(1.0 - u) * np.log(np.abs(u))
+
+
+def _upper(rng, n, r_lo, r_hi):
+    return rng.uniform(r_lo, r_hi, n) * np.exp(1j * rng.uniform(0.01, 3.13, n))
+
+
+def _band_points(rng, n):
+    w = np.empty(0, dtype=complex)
+    while w.size < n:
+        c = _upper(rng, 2 * n, 0.51, 1.99)
+        w = np.concatenate([w, c[np.abs(1.0 - c) > 0.5]])
+    return w[:n]
+
+
+@pytest.mark.parametrize("n", [1, 16383, 16384, 65536, 131073])
+def test_d_kernels_in_place_horner_bitwise(n):
+    """The in-place Horner loops give the bits of the allocating form in
+    every region bloch_wigner_many sends to them, at sizes across numpy's
+    temporary-reuse threshold."""
+    rng = np.random.default_rng(n)
+    cases = [
+        # small |w| <= 1/2, large |w| >= 2 through 1/w, near 1 through 1 - w
+        (_d_small_vec, _d_small_fresh, _upper(rng, n, 0.01, 0.5)),
+        (_d_small_vec, _d_small_fresh, 1.0 / _upper(rng, n, 2.0, 50.0)),
+        (_d_small_vec, _d_small_fresh, 1.0 - (1.0 + _upper(rng, n, 0.01, 0.5))),
+        (_d_band_vec, _d_band_fresh, _band_points(rng, n)),
+    ]
+    for kernel, fresh, u in cases:
+        assert kernel(u).view(np.int64).tolist() == \
+            fresh(u).view(np.int64).tolist()
 
 
 def test_bloch_wigner_many_rejects_nonfinite():

@@ -58,6 +58,7 @@ from .schottky import (
     LimitSetSample,
     SchottkyError,
     SchottkyGroup,
+    ShellOverflowError,
     ValidationFailure,
     ValidationReport,
     Word,

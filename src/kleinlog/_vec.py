@@ -129,9 +129,11 @@ def act(a, b, c, d, Z, W):
 
 def stretch(Z, W, num, den):
     """Spherical derivative of a det-1 map at (Z, W), given its image
-    (num, den) from act: (|Z|^2 + |W|^2) / (|num|^2 + |den|^2)."""
-    return (abs(Z) ** 2 + abs(W) ** 2) / (
-        num.real**2 + num.imag**2 + den.real**2 + den.imag**2)
+    (num, den) from act: (|Z|^2 + |W|^2) / (|num|^2 + |den|^2), 0 where
+    the denominator overflows."""
+    with np.errstate(over="ignore"):
+        return (abs(Z) ** 2 + abs(W) ** 2) / (
+            num.real**2 + num.imag**2 + den.real**2 + den.imag**2)
 
 
 def apply_many(m: MoebiusMap, points, inf_mask):

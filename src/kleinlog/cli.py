@@ -53,6 +53,7 @@ from .schottky import (
     EstimationError,
     SchottkyError,
     SchottkyGroup,
+    ShellOverflowError,
     estimate_delta,
     limit_set,
     nielsen,
@@ -627,7 +628,7 @@ def _run(args) -> tuple[dict, int]:
                                  "weight_mode": weight, "n_samples": n}
         else:
             rep = convergence_report(group, s.get("z"), max_len,
-                                     s.get("resolution", 1e-3), threads)
+                                     s.get("resolution", 1e-3))
             report["results"] = {
                 "exponents": list(rep.exponents),
                 "shell_sums": [list(r) for r in rep.shell_sums],
@@ -691,7 +692,8 @@ def main(argv=None) -> int:
     except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")
         return EXIT_CONFIG
-    except (EstimationError, DomainError, MeasureError, IntegrandBoundError) as e:
+    except (EstimationError, ShellOverflowError, DomainError, MeasureError,
+            IntegrandBoundError) as e:
         sys.stderr.write(f"numeric error: {e}\n")
         return EXIT_NUMERIC
     except (SchottkyError, SingularArgumentError, ConvergenceRegimeError) as e:

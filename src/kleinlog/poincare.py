@@ -107,10 +107,10 @@ class SeriesEvaluation:
     max_len: int
     tol: float
 
-    @property
-    def shell_ratios(self) -> tuple[float, ...]:
-        w = self.weight_shells
-        return tuple(w[i + 1] / w[i] for i in range(len(w) - 1) if w[i] > 0)
+
+def _ratios(sums) -> list[float]:
+    """Each shell sum over the one before, where that one is positive."""
+    return [sums[i + 1] / sums[i] for i in range(len(sums) - 1) if sums[i] > 0]
 
 
 def evaluate(group: SchottkyGroup, integrand: SeriesIntegrand = None, z=0j,
@@ -169,8 +169,7 @@ def evaluate(group: SchottkyGroup, integrand: SeriesIntegrand = None, z=0j,
                                     float(np.max(ratio[finite])),
                                     float(1.0 / np.min(ratio[finite])))
     value = fsum_c(shells)
-    ratios = [weight_shells[i + 1] / weight_shells[i]
-              for i in range(len(weight_shells) - 1) if weight_shells[i] > 0]
+    ratios = _ratios(weight_shells)
     if group.rank == 0 or not ratios:
         tail = 0.0
         verdict = "converged"
@@ -371,12 +370,11 @@ class ConvergenceReport:
 
 
 def convergence_report(group: SchottkyGroup, z=None, max_len: int = 10,
-                       resolution: float = 1e-3,
-                       threads: int = 1) -> ConvergenceReport:
+                       resolution: float = 1e-3) -> ConvergenceReport:
     """Side-by-side shell behavior at s = delta, (1+delta)/2, and 1, with
     delta estimated to `resolution` at estimate_delta's default order cap,
     whatever max_len is."""
-    from .schottky import estimate_delta, shell_sums
+    from .schottky import estimate_delta, power_sum
 
     group.check_cache(max_len)
     est = estimate_delta(group, resolution)
@@ -387,12 +385,8 @@ def convergence_report(group: SchottkyGroup, z=None, max_len: int = 10,
         except SchottkyError as e:
             raise DomainError(str(e)) from e
     exps = (est.delta, 0.5 * (1.0 + est.delta), 1.0)
-    sums = []
-    rats = []
-    for s in exps:
-        row = shell_sums(group, s, max_len, p, threads)
-        sums.append(tuple(row))
-        rats.append(tuple(row[i + 1] / row[i] for i in range(len(row) - 1)
-                          if row[i] > 0))
-    return ConvergenceReport(exps, tuple(sums), tuple(rats), est.delta,
-                             est.bracket, p, max_len)
+    logs = group.shell_log_derivatives(max_len, p)
+    sums = [[power_sum(ld, s) for ld in logs] for s in exps]
+    return ConvergenceReport(exps, tuple(map(tuple, sums)),
+                             tuple(tuple(_ratios(row)) for row in sums),
+                             est.delta, est.bracket, p, max_len)

@@ -109,13 +109,7 @@ def build_ps(group: SchottkyGroup, delta=None, depth: int = 8) -> PSMeasure:
     # rescale so the compensated total is exactly representable as 1
     wts = wts / fsum(wts)
     if group.circles is not None:
-        group._ensure_shells(depth)
-        first = group._shell_first[depth]
-        seen = set(int(f) for f in first)
-        missing = [l for l in group.letters if l not in seen]
-        if missing:
-            raise MeasureError(
-                f"depth {depth} leaves defining disks of letters {missing} empty")
+        first = group.shell(depth).first
         for l in group.letters:
             sel = first == l
             tgt = group.target_circle(int(l))

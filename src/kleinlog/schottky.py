@@ -14,10 +14,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ._vec import act, fsum, parallel_chunks, stretch
+from ._vec import act, fsum, stretch
 from .moebius import (
     INF,
     MoebiusMap,
@@ -29,7 +30,6 @@ from .moebius import (
 )
 
 MAX_CACHED_WORDS = 4_000_000
-EXP_CHUNK = 8192
 PAIRING_RESIDUAL_TOL = 1e-9
 DELTA_MAX_ORDER = 10      # estimate_delta's default order cap
 DELTA_GRID = 16           # cells of [0, 2] scanned for the largest root
@@ -49,6 +49,11 @@ class ValidationFailure(SchottkyError):
 
 class EstimationError(SchottkyError):
     """Critical-exponent estimation failed; the message names the orders."""
+
+
+class ShellOverflowError(SchottkyError):
+    """Word matrices left the floating-point range; the message names the
+    first word length where they did."""
 
 
 @dataclass(frozen=True)
@@ -98,12 +103,10 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class Word:
-    """A reduced word with its composed map and the spherical derivative
-    at the group's basepoint."""
+    """A reduced word with its composed map."""
 
     letters: tuple[int, ...]
     map: MoebiusMap
-    sph_derivative: float
 
     @property
     def length(self) -> int:
@@ -136,10 +139,14 @@ class LimitSetSample:
     provenance: tuple[tuple[int, SpherePoint], ...]
     first_letters: tuple[int, ...]
 
-    def finite_array(self) -> np.ndarray:
-        return np.array(
-            [p.value for p in self.points if p.is_finite], dtype=complex
-        )
+
+class Shell(NamedTuple):
+    """All length-n words in enumeration order: their matrices, shape
+    (count, 2, 2), and their first and last letters (0 for the empty word)."""
+
+    mats: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
 
 
 def _letter_order(rank: int) -> list[int]:
@@ -191,11 +198,9 @@ class SchottkyGroup:
         self.validation = self.validate()
         if require_classical and not self.cyclic_diagnostic and not self.validation.ok:
             raise ValidationFailure(self.validation)
-        # shell caches: index n holds the matrices/letters of all length-n words
-        self._shell_mats = None
-        self._shell_last = None
-        self._shell_first = None
-        self._logderiv_cache = {}
+        # the shell cache: index n holds the length-n words
+        empty = np.zeros(1, dtype=np.int64)
+        self._shells = [Shell(np.eye(2, dtype=complex)[None], empty, empty)]
 
     @classmethod
     def build(cls, gen_specs, circles=None, **kwargs) -> "SchottkyGroup":
@@ -327,16 +332,14 @@ class SchottkyGroup:
             self.letter_map(l)  # range check
         for l in letters:
             m = m.compose(self.letter_map(l))
-        return Word(letters, m, m.spherical_derivative(self.default_basepoint()))
+        return Word(letters, m)
 
     def enumerate_words(self, max_len: int):
         """All reduced words of length <= max_len, by shell, lexicographic
         within a shell in the letter order (1, -1, 2, -2, ...)."""
         if max_len < 0:
             raise SchottkyError("max_len must be >= 0")
-        bp = self.default_basepoint()
-        ident = MoebiusMap.identity()
-        shell = [Word((), ident, 1.0)]
+        shell = [Word((), MoebiusMap.identity())]
         yield shell[0]
         for _ in range(max_len):
             nxt = []
@@ -346,18 +349,14 @@ class SchottkyGroup:
                     if l == -last:
                         continue
                     m = w.map.compose(self.letter_map(l))
-                    nxt.append(Word(w.letters + (l,), m, m.spherical_derivative(bp)))
+                    nxt.append(Word(w.letters + (l,), m))
             for w in nxt:
                 yield w
             shell = nxt
-            if not shell:
-                break
 
     def shell_size(self, n: int) -> int:
         if n == 0:
             return 1
-        if self.rank == 0:
-            return 0
         return 2 * self.rank * (2 * self.rank - 1) ** (n - 1)
 
     # vectorized shell machinery ----------------------------------------------
@@ -384,60 +383,49 @@ class SchottkyGroup:
             raise SchottkyError(f"shell cache to depth {depth} would exceed "
                                 f"{MAX_CACHED_WORDS} words")
 
-    def _ensure_shells(self, depth: int):
-        self.check_cache(depth)
-        if self._shell_mats is None:
-            ident = np.eye(2, dtype=complex)[None, :, :]
-            self._shell_mats = [ident]
-            self._shell_last = [np.zeros(1, dtype=np.int64)]
-            self._shell_first = [np.zeros(1, dtype=np.int64)]
-        if self.rank == 0:
-            while len(self._shell_mats) <= depth:
-                self._shell_mats.append(np.empty((0, 2, 2), dtype=complex))
-                self._shell_last.append(np.empty(0, dtype=np.int64))
-                self._shell_first.append(np.empty(0, dtype=np.int64))
-            return
+    def shell(self, n: int) -> Shell:
+        """The length-n words, built with all shorter ones on first use and
+        cached.  ShellOverflowError if their matrices are not finite."""
+        self.check_cache(n)
+        shells = self._shells
+        for k in range(len(shells), n + 1):
+            sh = self._next_shell(shells[-1], k)
+            if not np.isfinite(sh.mats).all():
+                raise ShellOverflowError(f"word matrices overflow at length {k}")
+            shells.append(sh)
+        return shells[n]
+
+    def _next_shell(self, prev: Shell, n: int) -> Shell:
+        """Shell n from shell n - 1: each word followed by every letter but
+        the inverse of its last, in letter order."""
         letters = np.array(self.letters, dtype=np.int64)
-        nletters = 2 * self.rank
         lmats = self._letter_matrices()
+        if n == 1:
+            return Shell(lmats, letters, letters.copy())
         # position of each letter value in the canonical order, indexed by letter+g
         pos = np.zeros(2 * self.rank + 1, dtype=np.int64)
+        pos[letters + self.rank] = np.arange(letters.size)
+        width = letters.size - 1
+        count = prev.mats.shape[0] * width
+        mats = np.empty((count, 2, 2), dtype=complex)
+        last = np.empty(count, dtype=np.int64)
+        first = np.empty(count, dtype=np.int64)
+        forb_pos = pos[-prev.last + self.rank]
+        base = np.arange(prev.mats.shape[0], dtype=np.int64) * width
         for idx, l in enumerate(self.letters):
-            pos[l + self.rank] = idx
-        while len(self._shell_mats) <= depth:
-            n = len(self._shell_mats)
-            prev = self._shell_mats[-1]
-            last_prev = self._shell_last[-1]
-            first_prev = self._shell_first[-1]
-            if n == 1:
-                self._shell_mats.append(lmats.copy())
-                self._shell_last.append(letters.copy())
-                self._shell_first.append(letters.copy())
-                continue
-            width = nletters - 1
-            count = prev.shape[0] * width
-            mats = np.empty((count, 2, 2), dtype=complex)
-            last = np.empty(count, dtype=np.int64)
-            first = np.empty(count, dtype=np.int64)
-            forb_pos = pos[-last_prev + self.rank]
-            base = np.arange(prev.shape[0], dtype=np.int64) * width
-            for idx, l in enumerate(self.letters):
-                sel = np.nonzero(last_prev != -l)[0]
-                rank_here = idx - (forb_pos[sel] < idx)
-                dest = base[sel] + rank_here
-                mats[dest] = np.einsum("nij,jk->nik", prev[sel], lmats[idx])
-                last[dest] = l
-                first[dest] = first_prev[sel]
-            # letter matrices have det 1, so products keep det 1 to O(n*eps);
-            # recomputing ad-bc here would cancel catastrophically once the
-            # entries grow large, so no renormalization is done
-            self._shell_mats.append(mats)
-            self._shell_last.append(last)
-            self._shell_first.append(first)
+            sel = np.nonzero(prev.last != -l)[0]
+            rank_here = idx - (forb_pos[sel] < idx)
+            dest = base[sel] + rank_here
+            mats[dest] = np.einsum("nij,jk->nik", prev.mats[sel], lmats[idx])
+            last[dest] = l
+            first[dest] = prev.first[sel]
+        # letter matrices have det 1, so products keep det 1 to O(n*eps);
+        # recomputing ad-bc here would cancel catastrophically once the
+        # entries grow large, so no renormalization is done
+        return Shell(mats, first, last)
 
     def shell_matrices(self, n: int) -> np.ndarray:
-        self._ensure_shells(n)
-        return self._shell_mats[n]
+        return self.shell(n).mats
 
     def shell_terms(self, n: int, z, mode: str = "absolute"):
         """Orbit points and derivative weights of the length-n shell at z.
@@ -446,7 +434,7 @@ class SchottkyGroup:
         holomorphic mode and real spherical factors in absolute mode.
         """
         p = as_sphere_point(z)
-        mats = self.shell_matrices(n)
+        mats = self.shell(n).mats
         c, d = mats[:, 1, 0], mats[:, 1, 1]
         zz, ww = _homogeneous(p)
         points, inf_mask, num, den = act(mats[:, 0, 0], mats[:, 0, 1], c, d, zz, ww)
@@ -472,41 +460,29 @@ class SchottkyGroup:
 
     def shell_log_derivatives(self, max_depth: int, basepoint=None) -> list[np.ndarray]:
         """log of the spherical derivative of every shell word at the basepoint,
-        for shells 1..max_depth (cached)."""
+        for shells 1..max_depth; -inf where the derivative underflows."""
         bp = self.default_basepoint() if basepoint is None else as_sphere_point(basepoint)
-        key = (bp.is_infinity, bp.value)
-        cached = self._logderiv_cache.get(key, [])
-        if len(cached) < max_depth:
-            self._ensure_shells(max_depth)
-            for n in range(len(cached) + 1, max_depth + 1):
-                _, _, w = self.shell_terms(n, bp, "absolute")
-                cached.append(np.log(w))
-            self._logderiv_cache[key] = cached
-        return cached[:max_depth]
+        with np.errstate(divide="ignore"):
+            return [np.log(self.shell_terms(n, bp, "absolute")[2])
+                    for n in range(1, max_depth + 1)]
 
 
-def _exp_sum(logd: np.ndarray, s: float, threads: int = 1) -> float:
-    # np.exp works elementwise and fsum rounds exactly, so the bits do not
-    # depend on the split or on threads
-    out = np.empty(logd.size)
-
-    def work(lo, hi):
-        np.exp(s * logd[lo:hi], out=out[lo:hi])
-
-    parallel_chunks(work, logd.size, threads, EXP_CHUNK)
-    return fsum(out)
+def power_sum(logd: np.ndarray, s: float) -> float:
+    """The correctly rounded sum of exp(s * logd): at s = 0 the count of
+    terms, also where a log is infinite."""
+    return float(logd.size) if s == 0.0 else fsum(np.exp(s * logd))
 
 
-def shell_sums(group: SchottkyGroup, s: float, max_depth: int, basepoint=None,
-               threads: int = 1) -> list[float]:
+def shell_sums(group: SchottkyGroup, s: float, max_depth: int,
+               basepoint=None) -> list[float]:
     """P_n(s) = sum over length-n words of (spherical derivative at basepoint)^s,
     for n = 1..max_depth."""
     if not (s >= 0.0):
         raise SchottkyError(f"exponent s must be >= 0, got {s!r}")
     if max_depth < 1:
         raise SchottkyError("max_depth must be >= 1")
-    logs = group.shell_log_derivatives(max_depth, basepoint)
-    return [_exp_sum(ld, s, threads) for ld in logs]
+    return [power_sum(ld, s)
+            for ld in group.shell_log_derivatives(max_depth, basepoint)]
 
 
 def _multipliers(group: SchottkyGroup, n: int):
@@ -514,8 +490,8 @@ def _multipliers(group: SchottkyGroup, n: int):
     length n, the shell-n words whose last letter does not cancel the
     first; k_w = lambda_w^-2 is w's multiplier at its attracting fixed
     point, lambda_w the larger root of lambda^2 - T lambda + 1, T = tr w."""
-    mats = group.shell_matrices(n)
-    keep = group._shell_last[n] != -group._shell_first[n]
+    mats, first, last = group.shell(n)
+    keep = last != -first
     # 1/lambda_w = u / (1 + sqrt(1 - u^2)) with u = 2/T: the principal root
     # has a nonnegative real part, so 1 + sqrt does not cancel, and a large
     # trace does not overflow
@@ -648,18 +624,16 @@ def limit_set(group: SchottkyGroup, depth: int) -> LimitSetSample:
         fp = g.fixed_points_multiplier()
         seeds.append((i, fp.fix_attracting))
         seeds.append((-i, fp.fix_repelling))
-    group._ensure_shells(depth)
-    mats = group._shell_mats[depth]
+    mats, first, last = group.shell(depth)
     # one row per seed, one column per word; the kept entries, read
     # row-major, are seed-major and word-lexicographic within
-    keep = np.stack([group._shell_last[depth] != -direction
-                     for direction, _ in seeds])
+    keep = np.stack([last != -direction for direction, _ in seeds])
     Z, W = np.array([_homogeneous(seed) for _, seed in seeds]).T[:, :, None]
     pts, inf_mask, _, _ = act(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0],
                               mats[:, 1, 1], Z, W)
     points = [INF if m else SpherePoint(q)
               for q, m in zip(pts[keep].tolist(), inf_mask[keep].tolist())]
-    firsts = np.broadcast_to(group._shell_first[depth], keep.shape)[keep].tolist()
+    firsts = np.broadcast_to(first, keep.shape)[keep].tolist()
     return LimitSetSample(tuple(points), depth, tuple(seeds), tuple(firsts))
 
 
@@ -671,7 +645,7 @@ def reduce_to_fundamental_domain(group: SchottkyGroup, z, max_steps: int = 200):
     """
     p = as_sphere_point(z)
     if group.rank == 0:
-        return p, Word((), MoebiusMap.identity(), 1.0)
+        return p, Word((), MoebiusMap.identity())
     if group.circles is None:
         raise SchottkyError("fundamental-domain reduction requires defining circles")
     letters = []

@@ -328,6 +328,51 @@ def test_series_automorphy_report_pinned(std_config, weight):
     assert r.stdout == (DATA / f"series_automorphy_len10_{weight}.json").read_bytes()
 
 
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_series_report_pinned(std_config, threads):
+    """The exact bytes of a len-10 convergence report, recorded like the
+    pinned series eval reports; --threads does not change them."""
+    r = run_cli("--config", std_config, "series", "report", "--max-len", "10",
+                "--threads", threads)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (DATA / "series_report_len10.json").read_bytes()
+
+
+def test_deep_rank1_shells_refused_or_finite(tmp_path):
+    """Generator 1 of the standard group alone: its word matrices overflow
+    at length 339, and its spherical weights underflow from length 170 on.
+    An overflowing shell exits 3 naming the length; below it every report
+    is finite, and no numpy warning escapes."""
+    spec = std_spec()["group"]
+    cfg = tmp_path / "rank1.json"
+    cfg.write_text(json.dumps({"group": {"generators": spec["generators"][:1],
+                                         "circles": spec["circles"][:2]}}))
+    overflow = "numeric error: word matrices overflow at length 339\n"
+
+    def no_nan(token):
+        raise AssertionError(f"{token} in the report")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in (("series", "eval", "--z", "0.3,0.7", "--max-len", "400",
+                      "--weight", "absolute"),
+                     ("group", "limitset", "--depth", "400")):
+            assert main_io("--config", str(cfg), *args) == (3, "", overflow)
+        code, out, err = main_io("--config", str(cfg), "series", "eval",
+                                 "--z", "0.3,0.7", "--max-len", "300",
+                                 "--weight", "absolute")
+        assert (code, err) == (0, "")
+        json.loads(out, parse_constant=no_nan)
+        code, out, err = main_io("--config", str(cfg), "series", "report",
+                                 "--max-len", "300")
+    assert (code, err) == (0, "")
+    res = json.loads(out, parse_constant=no_nan)["results"]
+    # delta = 0: each shell sum is the count of its two words
+    assert res["exponents"][0] == 0.0
+    assert res["shell_sums"][0] == [2.0] * 300
+    assert res["ratios"][0] == [1.0] * 299
+
+
 @pytest.mark.parametrize("extra, calls, code", [
     ((), 12, 0), (("--element", "1"), 8, 0), (("--element", "3"), 0, 2),
 ])

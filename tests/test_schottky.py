@@ -1,6 +1,8 @@
+import ast
 import cmath
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from kleinlog.schottky import (
     EstimationError,
     SchottkyError,
     SchottkyGroup,
+    ShellOverflowError,
     ValidationFailure,
     estimate_delta,
     limit_set,
@@ -127,6 +130,41 @@ def test_word_from_letters_rejects_unreduced(std_group):
         std_group.word_from_letters([1, -1])
     with pytest.raises(SchottkyError):
         std_group.word_from_letters([3])
+
+
+def test_shell_letters_match_enumeration(std_group):
+    words = list(std_group.enumerate_words(4))
+    for n in range(5):
+        sh = std_group.shell(n)
+        letters = [w.letters for w in words if w.length == n]
+        assert sh.first.tolist() == [w[0] if w else 0 for w in letters]
+        assert sh.last.tolist() == [w[-1] if w else 0 for w in letters]
+        assert sh.mats is std_group.shell_matrices(n)
+    trivial = SchottkyGroup([])
+    assert [trivial.shell(n).mats.shape for n in range(3)] == \
+        [(1, 2, 2), (0, 2, 2), (0, 2, 2)]
+
+
+def test_overflowing_shell_refused_and_finite_ones_kept():
+    std = make_standard_group()
+    g = SchottkyGroup(std.generators[:1], std.circles[:2])
+    with pytest.raises(ShellOverflowError, match="length 339"):
+        g.shell(400)
+    assert np.isfinite(g.shell(338).mats).all()
+    with pytest.raises(ShellOverflowError, match="length 339"):
+        g.shell(339)
+
+
+def test_only_schottky_reads_shell_storage():
+    import kleinlog
+
+    for path in sorted(Path(kleinlog.__file__).parent.glob("*.py")):
+        if path.name == "schottky.py":
+            continue
+        readers = [node.attr for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Attribute)
+                   and node.attr.startswith("_shell")]
+        assert not readers, f"{path.name} reads {readers}"
 
 
 def test_shell_matrices_unit_determinant(std_group):

@@ -18,13 +18,7 @@ from kleinlog._vec import (
     to_sphere,
 )
 from kleinlog.moebius import INF, MoebiusMap, PoleError, SpherePoint, chordal
-from kleinlog.schottky import (
-    EXP_CHUNK,
-    SchottkyError,
-    _exp_sum,
-    limit_set,
-    shell_sums,
-)
+from kleinlog.schottky import SchottkyError, limit_set
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # |x| <= 1e300 keeps short lists out of the overflow fallback, so they reach
@@ -120,13 +114,6 @@ def test_complex_form_bitwise(seed, n):
     ref = complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
     assert (got.real.hex(), got.imag.hex()) == (ref.real.hex(), ref.imag.hex())
     assert fsum_c(z.real) == complex(math.fsum(z.real.tolist()), 0.0)
-
-
-def test_shell_sums_bitwise_across_threads(std_group):
-    # shells 8 and 9 exceed the threaded path's threshold of 8192 words
-    runs = [shell_sums(std_group, 0.7, 9, threads=t) for t in (1, 2, 4)]
-    assert [v.hex() for v in runs[0]] == [v.hex() for v in runs[1]] \
-        == [v.hex() for v in runs[2]]
 
 
 # the vector kernels against the scalar references --------------------------------
@@ -257,14 +244,12 @@ class RecordingExecutor:
 def test_thread_count_bounded_by_chunks(monkeypatch):
     monkeypatch.setattr(_vec, "ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(RecordingExecutor, "seen", [])
-    logd = np.linspace(-3.0, 0.0, 3 * EXP_CHUNK + 1)
-    assert _exp_sum(logd, 0.7, threads=10**6) == _exp_sum(logd, 0.7)
     spans = []
     parallel_chunks(lambda lo, hi: spans.append((lo, hi)), 10, 10**6, 4)
     assert spans == [(0, 4), (4, 8), (8, 10)]
     parallel_chunks(lambda lo, hi: spans.append((lo, hi)), 3, 10**6, 4)
     assert spans[-1] == (0, 3)
-    assert RecordingExecutor.seen == [4, 3]
+    assert RecordingExecutor.seen == [3]
 
 
 def test_one_thread_works_through_the_same_pieces(monkeypatch):

@@ -164,9 +164,57 @@ def _element_field(v, path):
     return _integer(v, path)
 
 
-def _group_field(spec, path) -> SchottkyGroup:
-    # built and validated once, here, so that errors surface as exit 2
-    return _group_from_spec(spec)
+def _group_from_spec(spec: dict, key: str) -> SchottkyGroup:
+    """The group of a config's `key`, built and validated once, at parse
+    time, so that its errors surface as exit 2."""
+    _object(spec, key, {"generators", "circles", "cyclic_diagnostic"})
+    gens = []
+    for i, g in enumerate(_want(spec.get("generators", []), f"{key}.generators", list)):
+        path = f"{key}.generators[{i}]"
+        _object(g, path, {"matrix", "fixed_points", "multiplier"})
+        if "matrix" in g:
+            m = _want(g["matrix"], path + ".matrix", list)
+            if len(m) != 4:
+                raise ConfigError(path + ".matrix",
+                                  "matrix is four [re, im] entries a, b, c, d")
+            a, b, c, d = (_complex_field(e, f"{path}.matrix[{k}]")
+                          for k, e in enumerate(m))
+            try:
+                gens.append(MoebiusMap(a, b, c, d))
+            except ValueError as e:
+                raise ConfigError(path + ".matrix", str(e))
+        elif "fixed_points" in g or "multiplier" in g:
+            fp = _want(g.get("fixed_points"), path + ".fixed_points", list)
+            if len(fp) != 2:
+                raise ConfigError(path + ".fixed_points",
+                                  "need [attracting, repelling]")
+            lam = _complex_field(g.get("multiplier"), path + ".multiplier")
+            p_att = _point_field(fp[0], path + ".fixed_points[0]")
+            p_rep = _point_field(fp[1], path + ".fixed_points[1]")
+            try:
+                gens.append(from_fixed_points_multiplier(p_rep, p_att, lam))
+            except ValueError as e:
+                raise ConfigError(path, str(e))
+        else:
+            raise ConfigError(path, "need either matrix or fixed_points/multiplier")
+    circles = None
+    if "circles" in spec:
+        circles = []
+        for i, c in enumerate(_want(spec["circles"], f"{key}.circles", list)):
+            path = f"{key}.circles[{i}]"
+            _object(c, path, {"center", "radius"})
+            center = _complex_field(c.get("center"), path + ".center")
+            radius = _number(c.get("radius", 0.0), path + ".radius")
+            try:
+                circles.append(Circle(center, radius))
+            except ValueError as e:
+                raise ConfigError(path, str(e))
+    cyclic = spec.get("cyclic_diagnostic", False)
+    try:
+        return SchottkyGroup(gens, circles, cyclic_diagnostic=_want(
+            cyclic, f"{key}.cyclic_diagnostic", bool))
+    except ValueError as e:  # ValidationFailure lists every violation
+        raise ConfigError(key, str(e))
 
 
 # flag text in the form the config parsers take ----------------------------------
@@ -211,7 +259,7 @@ class Setting(NamedTuple):
 # every setting of a run, keyed by its config key; its flag is --key with
 # dashes for underscores (mode's flag is --strict)
 SETTINGS = {
-    "group": Setting(_group_field),
+    "group": Setting(_group_from_spec),
     "delta": Setting(_at_least(_number, 0.0)),
     "depth": Setting(_integer),
     "max_len": Setting(_at_least(_integer, 0)),
@@ -255,57 +303,6 @@ class RunConfig:
         if group is None:
             raise ConfigError("group", "missing group spec")
         return group
-
-
-def _group_from_spec(spec: dict) -> SchottkyGroup:
-    _object(spec, "group", {"generators", "circles", "cyclic_diagnostic"})
-    gens = []
-    for i, g in enumerate(_want(spec.get("generators", []), "group.generators", list)):
-        path = f"group.generators[{i}]"
-        _object(g, path, {"matrix", "fixed_points", "multiplier"})
-        if "matrix" in g:
-            m = _want(g["matrix"], path + ".matrix", list)
-            if len(m) != 4:
-                raise ConfigError(path + ".matrix",
-                                  "matrix is four [re, im] entries a, b, c, d")
-            a, b, c, d = (_complex_field(e, f"{path}.matrix[{k}]")
-                          for k, e in enumerate(m))
-            try:
-                gens.append(MoebiusMap(a, b, c, d))
-            except ValueError as e:
-                raise ConfigError(path + ".matrix", str(e))
-        elif "fixed_points" in g or "multiplier" in g:
-            fp = _want(g.get("fixed_points"), path + ".fixed_points", list)
-            if len(fp) != 2:
-                raise ConfigError(path + ".fixed_points",
-                                  "need [attracting, repelling]")
-            lam = _complex_field(g.get("multiplier"), path + ".multiplier")
-            p_att = _point_field(fp[0], path + ".fixed_points[0]")
-            p_rep = _point_field(fp[1], path + ".fixed_points[1]")
-            try:
-                gens.append(from_fixed_points_multiplier(p_rep, p_att, lam))
-            except ValueError as e:
-                raise ConfigError(path, str(e))
-        else:
-            raise ConfigError(path, "need either matrix or fixed_points/multiplier")
-    circles = None
-    if "circles" in spec:
-        circles = []
-        for i, c in enumerate(_want(spec["circles"], "group.circles", list)):
-            path = f"group.circles[{i}]"
-            _object(c, path, {"center", "radius"})
-            center = _complex_field(c.get("center"), path + ".center")
-            radius = _number(c.get("radius", 0.0), path + ".radius")
-            try:
-                circles.append(Circle(center, radius))
-            except ValueError as e:
-                raise ConfigError(path, str(e))
-    cyclic = spec.get("cyclic_diagnostic", False)
-    try:
-        return SchottkyGroup(gens, circles, cyclic_diagnostic=_want(
-            cyclic, "group.cyclic_diagnostic", bool))
-    except ValueError as e:  # ValidationFailure lists every violation
-        raise ConfigError("group", str(e))
 
 
 def parse_config(path) -> RunConfig:
@@ -524,9 +521,7 @@ def _run(args) -> tuple[dict, int]:
                 m = s["ramakrishnan"]
                 kind, r = f"ramakrishnan_d{m}", ramakrishnan_D(
                     m, z, s.get("tol", 1e-10), s.get("odd_denominator", "2*m!"))
-            report["results"] = {"kind": kind, "value": r.value,
-                                 "error_bound": r.error_bound,
-                                 "terms_used": r.terms_used}
+            report["results"] = {"kind": kind, **_jsonable(r)}
         else:
             report["results"] = {"kind": "bloch_wigner", "value": bloch_wigner(z),
                                  "error_bound": 1e-14}
@@ -534,15 +529,13 @@ def _run(args) -> tuple[dict, int]:
     elif cmd == "elliptic":
         if "q" not in s or "x" not in s:
             raise ConfigError("--q/--x", "elliptic needs q and x")
-        r = elliptic_d2(s["q"], s["x"], s.get("tol", 1e-10))
-        report["results"] = {"value": r.value, "error_bound": r.error_bound,
-                             "terms_used": r.terms_used}
+        report["results"] = elliptic_d2(s["q"], s["x"], s.get("tol", 1e-10))
 
     elif cmd == "group":
         if args.action == "validate":
             report["results"] = {"ok": group.validation.ok,
                                  "rank": group.rank,
-                                 "violations": list(group.validation.violations),
+                                 "violations": group.validation.violations,
                                  "group": _group_spec_dict(group)}
         elif args.action == "limitset":
             depth = _setting(s, "depth", 6, 1)
@@ -552,23 +545,20 @@ def _run(args) -> tuple[dict, int]:
                                             s.get("height", 512))
                 _write_bytes(data, out_path)
                 return None, EXIT_OK
-            sample = limit_set(group, depth)
-            pts = [_jsonable(p) for p in sample.points]
+            pts = limit_set(group, depth).points
             report["results"] = {"depth": depth, "count": len(pts), "points": pts}
         elif args.action == "delta":
             depth = _setting(s, "depth", None, 4) if "depth" in s else None
-            est = estimate_delta(group, s.get("resolution", 0.01), depth)
-            report["results"] = {"delta": est.delta, "bracket": est.bracket,
-                                 "orders": est.orders,
-                                 "max_depth": est.max_depth}
+            report["results"] = estimate_delta(group, s.get("resolution", 0.01),
+                                               depth)
         elif args.action == "nielsen":
             move = s.get("move")
             if move is None:
                 raise ConfigError("--move", "nielsen needs a move")
             moved = nielsen(group, move)
-            report["results"] = {"move": list(move),
+            report["results"] = {"move": move,
                                  "ok": moved.validation.ok,
-                                 "violations": list(moved.validation.violations),
+                                 "violations": moved.validation.violations,
                                  "group": _group_spec_dict(moved)}
             report["diagnostics"]["classical_preserved"] = moved.validation.ok
 
@@ -588,7 +578,7 @@ def _run(args) -> tuple[dict, int]:
             report["results"] = {
                 "delta": measure.delta, "depth": measure.depth,
                 "n_atoms": len(measure),
-                "basepoint": _jsonable(measure.basepoint),
+                "basepoint": measure.basepoint,
                 "mass": fsum(measure.weights),
             }
         else:
@@ -608,8 +598,7 @@ def _run(args) -> tuple[dict, int]:
             report["results"] = {
                 "value": ev.value, "tail_estimate": ev.tail_estimate,
                 "verdict": ev.verdict, "weight_mode": ev.weight_mode,
-                "shells": [_jsonable(v) for v in ev.shells],
-                "weight_shells": list(ev.weight_shells),
+                "shells": ev.shells, "weight_shells": ev.weight_shells,
                 "comparability": ev.comparability,
             }
             if ev.verdict != "converged":
@@ -620,9 +609,8 @@ def _run(args) -> tuple[dict, int]:
             samples = fundamental_domain_samples(group, n, s.get("seed", 0))
             elements = [s["element"]] if "element" in s else \
                 [l for l in group.letters if l > 0]
-            res = automorphy_residual(group, None, samples, max_len=max_len,
-                                      weight_mode=weight, tol=stol,
-                                      threads=threads, elements=elements)
+            res = automorphy_residual(group, None, samples, elements, max_len,
+                                      weight, stol, threads)
             per = {str(el): r for el, r in zip(elements, res)}
             report["results"] = {"residuals": per, "max_len": max_len,
                                  "weight_mode": weight, "n_samples": n}
@@ -630,10 +618,9 @@ def _run(args) -> tuple[dict, int]:
             rep = convergence_report(group, s.get("z"), max_len,
                                      s.get("resolution", 1e-3))
             report["results"] = {
-                "exponents": list(rep.exponents),
-                "shell_sums": [list(r) for r in rep.shell_sums],
-                "ratios": [list(r) for r in rep.ratios],
-                "delta": rep.delta, "delta_bracket": list(rep.delta_bracket),
+                "exponents": rep.exponents, "shell_sums": rep.shell_sums,
+                "ratios": rep.ratios, "delta": rep.delta,
+                "delta_bracket": rep.delta_bracket,
             }
 
     elif cmd == "bers":
@@ -644,7 +631,7 @@ def _run(args) -> tuple[dict, int]:
         report["results"] = {
             "estimate": r.estimate, "stderr": r.stderr,
             "n_samples": r.n_samples, "n_singular": r.n_singular,
-            "decile_shares": list(r.decile_shares), "heavy_tail": r.heavy_tail,
+            "decile_shares": r.decile_shares, "heavy_tail": r.heavy_tail,
             "density_rel_err": r.density_rel_err,
             "estimate_rel_err": r.estimate_rel_err,
         }
@@ -669,14 +656,10 @@ def _measure(group: SchottkyGroup, s: dict):
 
 
 def _group_spec_dict(group: SchottkyGroup) -> dict:
-    gens = []
-    for g in group.generators:
-        gens.append({"matrix": [[g.a.real, g.a.imag], [g.b.real, g.b.imag],
-                                [g.c.real, g.c.imag], [g.d.real, g.d.imag]]})
-    spec = {"generators": gens}
+    spec = {"generators": [{"matrix": [g.a, g.b, g.c, g.d]}
+                           for g in group.generators]}
     if group.circles is not None:
-        spec["circles"] = [{"center": [c.center.real, c.center.imag],
-                            "radius": c.radius} for c in group.circles]
+        spec["circles"] = group.circles
     if group.cyclic_diagnostic:
         spec["cyclic_diagnostic"] = True
     return spec

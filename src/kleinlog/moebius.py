@@ -180,10 +180,6 @@ class MoebiusMap:
         return cls(1, t, 0, 1)
 
     @property
-    def matrix(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-        return ((self.a, self.b), (self.c, self.d))
-
-    @property
     def trace_squared(self) -> complex:
         t = self.a + self.d
         return t * t
@@ -227,18 +223,6 @@ class MoebiusMap:
     def conjugate_by(self, h: "MoebiusMap") -> "MoebiusMap":
         """h o self o h^-1."""
         return h.compose(self).compose(h.inverse())
-
-    def approx_equal(self, other: "MoebiusMap", tol: float = 1e-10) -> bool:
-        """Entrywise agreement up to the global sign of the matrix."""
-        for sign in (1, -1):
-            if (
-                abs(self.a - sign * other.a) <= tol
-                and abs(self.b - sign * other.b) <= tol
-                and abs(self.c - sign * other.c) <= tol
-                and abs(self.d - sign * other.d) <= tol
-            ):
-                return True
-        return False
 
     def is_identity(self, tol: float = CLASSIFY_TOL) -> bool:
         return (

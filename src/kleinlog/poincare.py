@@ -19,7 +19,13 @@ from ._vec import fsum, fsum_c, parallel_chunks, uniform_sphere_points
 from .moebius import INF, MoebiusMap, SpherePoint, as_sphere_point
 from .polylog import D_GLOBAL_BOUND, bloch_wigner, bloch_wigner_many
 from .psmeasure import MeasureError, NayataniDensity
-from .schottky import SchottkyGroup, SchottkyError, reduce_to_fundamental_domain
+from .schottky import (
+    SchottkyError,
+    SchottkyGroup,
+    estimate_delta,
+    power_sum,
+    reduce_to_fundamental_domain,
+)
 
 TAIL_SAFETY = 2.0
 EVAL_CHUNK = 65536
@@ -38,12 +44,12 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class SeriesIntegrand:
-    """A bounded continuous function on the sphere, with an optional
-    vectorized form over arrays of finite points."""
+    """A bounded continuous function on the sphere: `evaluator` at one
+    finite point, `evaluator_many` over a 1-d array of finite points."""
 
     evaluator: object
+    evaluator_many: object
     bound: float = D_GLOBAL_BOUND
-    evaluator_many: object = None
     name: str = "custom"
 
     def __post_init__(self):
@@ -54,9 +60,7 @@ class SeriesIntegrand:
                   threads: int = 1) -> np.ndarray:
         """Values at a 1-d array of sphere points, 0 at infinity."""
         pts = np.where(inf_mask, 0.0, points)
-        if self.evaluator_many is None:
-            vals = np.array([float(self.evaluator(p)) for p in pts], dtype=float)
-        elif pts.size > 2 * EVAL_CHUNK:
+        if pts.size > 2 * EVAL_CHUNK:
             # bloch_wigner_many's last bits depend on how its input is
             # split: numpy reuses temporaries of 256 KiB and more, which
             # swaps the operands of a complex product, and its FMA product
@@ -88,8 +92,8 @@ class SeriesIntegrand:
                 f"bound {self.bound!r}")
 
 
-BLOCH_WIGNER_INTEGRAND = SeriesIntegrand(bloch_wigner, D_GLOBAL_BOUND,
-                                         bloch_wigner_many, "bloch-wigner")
+BLOCH_WIGNER_INTEGRAND = SeriesIntegrand(bloch_wigner, bloch_wigner_many,
+                                         D_GLOBAL_BOUND, "bloch-wigner")
 
 
 @dataclass(frozen=True)
@@ -111,6 +115,15 @@ class SeriesEvaluation:
 def _ratios(sums) -> list[float]:
     """Each shell sum over the one before, where that one is positive."""
     return [sums[i + 1] / sums[i] for i in range(len(sums) - 1) if sums[i] > 0]
+
+
+def _check_admissible(group: SchottkyGroup, p: SpherePoint) -> None:
+    """DomainError when p lies numerically on the limit set."""
+    if group.rank > 0 and group.circles is not None:
+        try:
+            reduce_to_fundamental_domain(group, p)
+        except SchottkyError as e:
+            raise DomainError(str(e)) from e
 
 
 def evaluate(group: SchottkyGroup, integrand: SeriesIntegrand = None, z=0j,
@@ -142,11 +155,7 @@ def evaluate(group: SchottkyGroup, integrand: SeriesIntegrand = None, z=0j,
         except OverflowError:
             raise DomainError(
                 f"holomorphic weights overflow at z = {p.value!r}") from None
-    if group.rank > 0 and group.circles is not None:
-        try:
-            reduce_to_fundamental_domain(group, p)
-        except SchottkyError as e:
-            raise DomainError(str(e)) from e
+    _check_admissible(group, p)
     shells = [complex(integrand.eval_point(p))]
     weight_shells = [1.0]
     comparability = 1.0
@@ -201,22 +210,21 @@ def _as_element(group: SchottkyGroup, element) -> MoebiusMap:
 
 
 def automorphy_residual(group: SchottkyGroup, integrand: SeriesIntegrand = None,
-                        samples=(), element=1, max_len: int = 10,
+                        samples=(), elements=(1,), max_len: int = 10,
                         weight_mode: str = "holomorphic", tol: float = 1e-8,
-                        threads: int = 1, *,
-                        elements=None) -> float | list[float]:
-    """max over samples of |w_g(z) * S(gz) - S(z)| / (|S(z)| + tol) with both
-    series truncated at max_len; w_g is the mode's derivative weight.
+                        threads: int = 1) -> list[float]:
+    """For each of `elements` (a letter, a sequence of letters or a
+    MoebiusMap), max over samples of |w_g(z) * S(gz) - S(z)| / (|S(z)| + tol)
+    with both series truncated at max_len; w_g is the mode's derivative
+    weight.  Returns the residuals in the order of `elements`.
 
-    Given a sequence `elements`, returns the list of their residuals in
-    order, and `element` is ignored.  Every element is resolved before any
-    series is evaluated.  The cost is samples * (1 + number of elements)
-    evaluations: S(z) once per sample, S(gz) once per sample and element.
+    Every element is resolved before any series is evaluated.  The cost is
+    samples * (1 + number of elements) evaluations: S(z) once per sample,
+    S(gz) once per sample and element.
     """
     if integrand is None:
         integrand = BLOCH_WIGNER_INTEGRAND
-    gs = [_as_element(group, e)
-          for e in (elements if elements is not None else (element,))]
+    gs = [_as_element(group, e) for e in elements]
     worst = [0.0] * len(gs)
     for z in samples:
         p = as_sphere_point(z)
@@ -230,13 +238,14 @@ def automorphy_residual(group: SchottkyGroup, integrand: SeriesIntegrand = None,
                 w = g.spherical_derivative(p)
             num = abs(w * there.value - here.value)
             worst[i] = max(worst[i], num / (abs(here.value) + tol))
-    return worst if elements is not None else worst[0]
+    return worst
 
 
 def fundamental_domain_samples(group: SchottkyGroup, n: int, seed: int = 0,
                                margin: float = 0.05):
     """Deterministic sphere-uniform points in the common exterior of the
-    defining disks, at least `margin` (chordal) away from each disk."""
+    defining disks, at least `margin` outside each disk in the Euclidean
+    sense: |z - center| >= radius + margin."""
     rng = np.random.default_rng(seed)
     out = []
     tries = 0
@@ -374,16 +383,10 @@ def convergence_report(group: SchottkyGroup, z=None, max_len: int = 10,
     """Side-by-side shell behavior at s = delta, (1+delta)/2, and 1, with
     delta estimated to `resolution` at estimate_delta's default order cap,
     whatever max_len is."""
-    from .schottky import estimate_delta, power_sum
-
     group.check_cache(max_len)
     est = estimate_delta(group, resolution)
     p = group.default_basepoint() if z is None else as_sphere_point(z)
-    if group.rank > 0 and group.circles is not None:
-        try:
-            reduce_to_fundamental_domain(group, p)
-        except SchottkyError as e:
-            raise DomainError(str(e)) from e
+    _check_admissible(group, p)
     exps = (est.delta, 0.5 * (1.0 + est.delta), 1.0)
     logs = group.shell_log_derivatives(max_len, p)
     sums = [[power_sum(ld, s) for ld in logs] for s in exps]

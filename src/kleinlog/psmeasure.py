@@ -74,13 +74,6 @@ class PSMeasure:
         object.__setattr__(self, "weights", wts)
         object.__setattr__(self, "basepoint", as_sphere_point(self.basepoint))
 
-    @property
-    def atoms(self):
-        return tuple(
-            (INF if m else SpherePoint(p), float(w))
-            for p, m, w in zip(self.points, self.inf_mask, self.weights)
-        )
-
     def __len__(self):
         return self.weights.size
 

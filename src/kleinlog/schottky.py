@@ -26,7 +26,6 @@ from .moebius import (
     _homogeneous,
     as_sphere_point,
     chordal,
-    from_fixed_points_multiplier,
 )
 
 MAX_CACHED_WORDS = 4_000_000
@@ -149,6 +148,16 @@ class Shell(NamedTuple):
     last: np.ndarray
 
 
+def _isometric_pair(g: MoebiusMap):
+    """The isometric circles of g and of its inverse, or None when g nearly
+    fixes infinity (|c| < 1e-9; g's inverse has the same |c|)."""
+    if abs(g.c) < 1e-9:
+        return None
+    gi = g.inverse()
+    return (Circle(-g.d / g.c, 1.0 / abs(g.c)),
+            Circle(-gi.d / gi.c, 1.0 / abs(gi.c)))
+
+
 def _letter_order(rank: int) -> list[int]:
     out = []
     for i in range(1, rank + 1):
@@ -202,26 +211,6 @@ class SchottkyGroup:
         empty = np.zeros(1, dtype=np.int64)
         self._shells = [Shell(np.eye(2, dtype=complex)[None], empty, empty)]
 
-    @classmethod
-    def build(cls, gen_specs, circles=None, **kwargs) -> "SchottkyGroup":
-        """Build from MoebiusMap / matrix rows / (fix_attracting, fix_repelling,
-        multiplier) triples, with optional explicit circles."""
-        gens = []
-        for spec in gen_specs:
-            if isinstance(spec, MoebiusMap):
-                gens.append(spec)
-            elif len(spec) == 3:
-                fix_plus, fix_minus, lam = spec
-                gens.append(from_fixed_points_multiplier(fix_minus, fix_plus, lam))
-            elif len(spec) == 4:
-                gens.append(MoebiusMap(*spec))
-            elif len(spec) == 2:
-                (a, b), (c, d) = spec
-                gens.append(MoebiusMap(a, b, c, d))
-            else:
-                raise SchottkyError(f"cannot interpret generator spec {spec!r}")
-        return cls(gens, circles, **kwargs)
-
     # structure ---------------------------------------------------------------
 
     def letter_map(self, letter: int) -> MoebiusMap:
@@ -243,15 +232,13 @@ class SchottkyGroup:
     def _isometric_circles(self):
         out = []
         for i, g in enumerate(self.generators, start=1):
-            for m, which in ((g, f"generator {i}"), (g.inverse(), f"generator {i} inverse")):
-                if abs(m.c) < 1e-9:
-                    raise ValidationFailure(ValidationReport((
-                        f"{which} fixes infinity (c ~ 0): isometric circle undefined, "
-                        "infinity would lie inside a defining disk",
-                    )))
-            out.append(Circle(-g.d / g.c, 1.0 / abs(g.c)))
-            gi = g.inverse()
-            out.append(Circle(-gi.d / gi.c, 1.0 / abs(gi.c)))
+            pair = _isometric_pair(g)
+            if pair is None:
+                raise ValidationFailure(ValidationReport((
+                    f"generator {i} fixes infinity (c ~ 0): isometric circle undefined, "
+                    "infinity would lie inside a defining disk",
+                )))
+            out.extend(pair)
         return tuple(out)
 
     def validate(self) -> ValidationReport:
@@ -460,11 +447,24 @@ class SchottkyGroup:
 
     def shell_log_derivatives(self, max_depth: int, basepoint=None) -> list[np.ndarray]:
         """log of the spherical derivative of every shell word at the basepoint,
-        for shells 1..max_depth; -inf where the derivative underflows."""
+        for shells 1..max_depth.  Where the derivative's denominator
+        |num|^2 + |den|^2 overflows (word entries past about 1e154), the log
+        is taken of the word's matrix scaled by its largest entry."""
         bp = self.default_basepoint() if basepoint is None else as_sphere_point(basepoint)
-        with np.errstate(divide="ignore"):
-            return [np.log(self.shell_terms(n, bp, "absolute")[2])
-                    for n in range(1, max_depth + 1)]
+        zz, ww = _homogeneous(bp)
+        out = []
+        for n in range(1, max_depth + 1):
+            with np.errstate(divide="ignore"):
+                logd = np.log(self.shell_terms(n, bp, "absolute")[2])
+            big = ~np.isfinite(logd)
+            m = self.shell(n).mats[big]
+            top = np.abs(m).max(axis=(1, 2), initial=0.0)
+            m = m / top[:, None, None]
+            num, den = act(m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1], zz, ww)[2:]
+            logd[big] = np.log(abs(zz) ** 2 + abs(ww) ** 2) - (
+                2.0 * np.log(top) + np.log(abs(num) ** 2 + abs(den) ** 2))
+            out.append(logd)
+        return out
 
 
 def power_sum(logd: np.ndarray, s: float) -> float:
@@ -703,13 +703,11 @@ def nielsen(group: SchottkyGroup, move) -> SchottkyGroup:
             raise SchottkyError("multiply needs two distinct generators")
         gens[i] = gens[i].compose(gens[j])
         if circ is not None:
-            gi = gens[i]
-            if abs(gi.c) < 1e-9:
+            pair = _isometric_pair(gens[i])
+            if pair is None:
                 circ = None
             else:
-                inv = gi.inverse()
-                circ[2 * i] = Circle(-gi.d / gi.c, 1.0 / abs(gi.c))
-                circ[2 * i + 1] = Circle(-inv.d / inv.c, 1.0 / abs(inv.c))
+                circ[2 * i], circ[2 * i + 1] = pair
     elif kind == "cyclic":
         gens = gens[1:] + gens[:1]
         if circ is not None:

@@ -217,8 +217,8 @@ def test_criterion_7_series_convergence(capfd, std_group):
     gen_resid = {}
     decreasing = True
     for el in (1, 2):
-        seq = [automorphy_residual(std_group, samples=samples, element=el,
-                                   max_len=n) for n in (6, 8, 10)]
+        seq = [automorphy_residual(std_group, samples=samples, elements=[el],
+                                   max_len=n)[0] for n in (6, 8, 10)]
         decreasing = decreasing and seq[0] > seq[1] > seq[2]
         gen_resid[el] = seq[-1]
     dt = time.perf_counter() - t0

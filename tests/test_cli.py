@@ -340,9 +340,10 @@ def test_series_report_pinned(std_config, threads):
 
 def test_deep_rank1_shells_refused_or_finite(tmp_path):
     """Generator 1 of the standard group alone: its word matrices overflow
-    at length 339, and its spherical weights underflow from length 170 on.
-    An overflowing shell exits 3 naming the length; below it every report
-    is finite, and no numpy warning escapes."""
+    at length 339, and the denominator |num|^2 + |den|^2 of its spherical
+    weights overflows from length 170 on.  An overflowing shell exits 3
+    naming the length; below it every report is finite, and no numpy
+    warning escapes."""
     spec = std_spec()["group"]
     cfg = tmp_path / "rank1.json"
     cfg.write_text(json.dumps({"group": {"generators": spec["generators"][:1],
@@ -371,6 +372,9 @@ def test_deep_rank1_shells_refused_or_finite(tmp_path):
     assert res["exponents"][0] == 0.0
     assert res["shell_sums"][0] == [2.0] * 300
     assert res["ratios"][0] == [1.0] * 299
+    # the s = 1/2 sums stay positive past that overflow, down to about 4e-273
+    assert all(v > 0.0 for v in res["shell_sums"][1])
+    assert len(res["ratios"][1]) == 299
 
 
 @pytest.mark.parametrize("extra, calls, code", [

@@ -29,7 +29,7 @@ def test_trivial_group_reduces_to_bloch_wigner():
         assert ev.value == bloch_wigner(z)
         assert ev.verdict == "converged"
         assert ev.tail_estimate == 0.0
-    assert automorphy_residual(g, samples=(1j,), element=()) == 0.0
+    assert automorphy_residual(g, samples=(1j,), elements=[()])[0] == 0.0
 
 
 def test_shell_bookkeeping_identity(std_group):
@@ -94,7 +94,7 @@ def test_short_truncation_is_inconclusive(std_group):
 def test_automorphy_residual_decreases(std_group):
     samples = fundamental_domain_samples(std_group, 4, seed=3)
     res = [
-        automorphy_residual(std_group, samples=samples, element=1, max_len=n)
+        automorphy_residual(std_group, samples=samples, elements=[1], max_len=n)[0]
         for n in (4, 6, 8)
     ]
     assert res[0] > res[1] > res[2]
@@ -103,7 +103,8 @@ def test_automorphy_residual_decreases(std_group):
 
 def test_automorphy_for_word_elements(std_group):
     samples = fundamental_domain_samples(std_group, 3, seed=5)
-    r = automorphy_residual(std_group, samples=samples, element=(1, 2), max_len=8)
+    r = automorphy_residual(std_group, samples=samples, elements=[(1, 2)],
+                            max_len=8)[0]
     assert r < 1e-4
 
 
@@ -112,8 +113,8 @@ def test_automorphy_many_elements_equal_single_calls(std_group):
     for mode in ("holomorphic", "absolute"):
         both = automorphy_residual(std_group, samples=samples, max_len=5,
                                    weight_mode=mode, elements=[2, (1, 2)])
-        one = [automorphy_residual(std_group, samples=samples, element=el,
-                                   max_len=5, weight_mode=mode)
+        one = [automorphy_residual(std_group, samples=samples, elements=[el],
+                                   max_len=5, weight_mode=mode)[0]
                for el in (2, (1, 2))]
         assert np.array(both).view(np.int64).tolist() == \
             np.array(one).view(np.int64).tolist()
@@ -139,6 +140,8 @@ def test_integrand_bound_enforced(std_group):
                             evaluator_many=bloch_wigner_many, name="lying")
     with pytest.raises(IntegrandBoundError):
         evaluate(std_group, lying, z=1j, max_len=3)
+    with pytest.raises(TypeError):  # the vector form is required
+        SeriesIntegrand(bloch_wigner)
 
 
 def test_fundamental_domain_samples(std_group):

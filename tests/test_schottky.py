@@ -7,7 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kleinlog.moebius import INF, MoebiusMap, SpherePoint, chordal
+from kleinlog.moebius import (
+    INF,
+    MoebiusMap,
+    SpherePoint,
+    chordal,
+    from_fixed_points_multiplier,
+)
 from kleinlog.schottky import (
     Circle,
     EstimationError,
@@ -57,10 +63,11 @@ def test_isometric_circles_match_explicit(std_group):
 
 def test_build_from_triples():
     # fixed points at the circle centers' axis, multiplier away from 1
-    g = SchottkyGroup.build(
-        [(SpherePoint(1.8 + 0j), SpherePoint(-1.8 + 0j), 40.0),
-         (SpherePoint(1.8j), SpherePoint(-1.8j), 40.0)]
-    )
+    g = SchottkyGroup([
+        from_fixed_points_multiplier(SpherePoint(-1.8 + 0j),
+                                     SpherePoint(1.8 + 0j), 40.0),
+        from_fixed_points_multiplier(SpherePoint(-1.8j), SpherePoint(1.8j), 40.0),
+    ])
     assert g.validation.ok
     assert g.rank == 2
 
@@ -165,6 +172,36 @@ def test_only_schottky_reads_shell_storage():
                    if isinstance(node, ast.Attribute)
                    and node.attr.startswith("_shell")]
         assert not readers, f"{path.name} reads {readers}"
+
+
+def test_every_definition_in_src_is_named_somewhere():
+    """A function, method, property or class of kleinlog that no code in
+    src/, tests/ or perfbench/ names (as a name, an attribute or an import)
+    is dead; dunders are called by Python itself.  Names in strings do not
+    count."""
+    import kleinlog
+
+    src = Path(kleinlog.__file__).parent
+    root = Path(__file__).resolve().parents[1]
+    trees = {path: ast.parse(path.read_text())
+             for d in (src, root / "tests", root / "perfbench")
+             for path in sorted(d.rglob("*.py"))}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.update(node.name.split("."))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    dead = sorted(f"{path.name}:{node.name}"
+                  for path, tree in trees.items() if path.is_relative_to(src)
+                  for node in ast.walk(tree)
+                  if isinstance(node, defs) and node.name not in named
+                  and not (node.name.startswith("__") and node.name.endswith("__")))
+    assert not dead, f"defined but never named: {dead}"
 
 
 def test_shell_matrices_unit_determinant(std_group):

@@ -209,10 +209,10 @@ def _group_from_spec(spec: dict, key: str) -> SchottkyGroup:
                 circles.append(Circle(center, radius))
             except ValueError as e:
                 raise ConfigError(path, str(e))
-    cyclic = spec.get("cyclic_diagnostic", False)
+    cyclic = _want(spec.get("cyclic_diagnostic", False),
+                   f"{key}.cyclic_diagnostic", bool)
     try:
-        return SchottkyGroup(gens, circles, cyclic_diagnostic=_want(
-            cyclic, f"{key}.cyclic_diagnostic", bool))
+        return SchottkyGroup(gens, circles, cyclic_diagnostic=cyclic)
     except ValueError as e:  # ValidationFailure lists every violation
         raise ConfigError(key, str(e))
 
@@ -648,7 +648,7 @@ def _measure(group: SchottkyGroup, s: dict):
     to --resolution (default 0.01) at estimate_delta's default order cap;
     --depth is the depth of the measure only."""
     depth = _setting(s, "depth", 8, 2)
-    group.check_cache(depth)
+    group.check_depth(depth)
     delta = s.get("delta")
     if delta is None:
         delta = estimate_delta(group, s.get("resolution", 0.01)).delta

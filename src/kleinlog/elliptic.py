@@ -96,15 +96,7 @@ def elliptic_d2(q, x=None, tol: float = 1e-10) -> PolylogResult:
         params = EllipticParams(q, x, tol)
     q, x, tol = params.q, params.x, params.tol
 
-    def term(w: complex) -> tuple[float, float]:
-        if w.imag == 0.0:
-            return 0.0, 0.0
-        if w.imag < 0.0:
-            v, e = _bloch_wigner_bounded(w.conjugate(), 1e-14)
-            return -v, e
-        return _bloch_wigner_bounded(w, 1e-14)
-
-    v0, e0 = term(x)
+    v0, e0 = _bloch_wigner_bounded(x, 1e-14)
     values = [v0]
     eval_err = e0
     w_plus = x
@@ -124,8 +116,8 @@ def elliptic_d2(q, x=None, tol: float = 1e-10) -> PolylogResult:
         if not (math.isfinite(w_minus.real) and math.isfinite(w_minus.imag)):
             # |q^-k x| overflowed; its D value is far below any sensible tol
             w_minus = 0j
-        vp, ep = term(w_plus)
-        vm, em = term(w_minus)
+        vp, ep = _bloch_wigner_bounded(w_plus, 1e-14)
+        vm, em = _bloch_wigner_bounded(w_minus, 1e-14)
         values.append(vp)
         values.append(vm)
         eval_err += ep + em

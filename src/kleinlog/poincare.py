@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -60,21 +61,18 @@ class SeriesIntegrand:
                   threads: int = 1) -> np.ndarray:
         """Values at a 1-d array of sphere points, 0 at infinity."""
         pts = np.where(inf_mask, 0.0, points)
-        if pts.size > 2 * EVAL_CHUNK:
-            # bloch_wigner_many's last bits depend on how its input is
-            # split: numpy reuses temporaries of 256 KiB and more, which
-            # swaps the operands of a complex product, and its FMA product
-            # does not round both orders alike.  So up to 2 * EVAL_CHUNK
-            # points stay whole, and beyond that every thread count splits
-            # them into the same EVAL_CHUNK pieces.
-            vals = np.empty(pts.size)
+        vals = np.empty(pts.size)
 
-            def work(lo, hi):
-                vals[lo:hi] = self.evaluator_many(pts[lo:hi])
+        def work(lo, hi):
+            vals[lo:hi] = self.evaluator_many(pts[lo:hi])
 
-            parallel_chunks(work, pts.size, threads, EVAL_CHUNK)
-        else:
-            vals = np.asarray(self.evaluator_many(pts), dtype=float)
+        # bloch_wigner_many's last bits depend on how its input is split: numpy
+        # reuses temporaries of 256 KiB and more, which swaps the operands of a
+        # complex product, and its FMA product does not round both orders alike.
+        # So up to 2 * EVAL_CHUNK points stay whole, and beyond that every
+        # thread count splits them into the same EVAL_CHUNK pieces.
+        piece = max(1, pts.size) if pts.size <= 2 * EVAL_CHUNK else EVAL_CHUNK
+        parallel_chunks(work, pts.size, threads, piece)
         vals = np.where(inf_mask, 0.0, vals)
         self._check(float(np.max(np.abs(vals))) if vals.size else 0.0)
         return vals
@@ -139,66 +137,74 @@ def evaluate(group: SchottkyGroup, integrand: SeriesIntegrand = None, z=0j,
     a 2x safety factor: 2 * bound * S_N * r/(1-r).  verdict is converged only
     when that tail is <= tol and the last three ratios are below 1.
     """
+    return _evaluate_at(group, integrand, [z], weight_mode, max_len, tol, threads)[0]
+
+
+def _evaluate_at(group: SchottkyGroup, integrand, zs, weight_mode: str,
+                 max_len: int, tol: float, threads: int) -> list[SeriesEvaluation]:
+    """evaluate at each of zs in one pass over the shells.  Every point is
+    checked first, in order; then each shell is summed at every point."""
     if integrand is None:
         integrand = BLOCH_WIGNER_INTEGRAND
     if weight_mode not in WEIGHT_MODES:
         raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    group.check_cache(max_len)
-    p = as_sphere_point(z)
-    if weight_mode == "holomorphic":
-        if p.is_infinity:
-            raise DomainError("holomorphic weights need a finite evaluation point")
-        try:
-            base_n = 1.0 + abs(p.value) ** 2
-        except OverflowError:
-            raise DomainError(
-                f"holomorphic weights overflow at z = {p.value!r}") from None
-    _check_admissible(group, p)
-    shells = [complex(integrand.eval_point(p))]
-    weight_shells = [1.0]
-    comparability = 1.0
-    for n in range(1, max_len + 1):
-        try:
-            pts, infm, wts = group.shell_terms(n, p, weight_mode)
-        except SchottkyError as e:
-            raise DomainError(str(e)) from e
-        if wts.size == 0:
-            break
-        vals = integrand.eval_many(pts, infm, threads)
-        shells.append(fsum_c(wts * vals))
-        weight_shells.append(fsum(np.abs(wts)))
+    group.check_depth(max_len)
+    ps, base_n = [], []
+    for z in zs:
+        p = as_sphere_point(z)
         if weight_mode == "holomorphic":
-            img_n = np.where(infm, np.inf, 1.0 + np.abs(pts) ** 2)
-            ratio = img_n / base_n
-            finite = np.isfinite(ratio)
-            if np.any(finite):
-                comparability = max(comparability,
-                                    float(np.max(ratio[finite])),
-                                    float(1.0 / np.min(ratio[finite])))
-    value = fsum_c(shells)
-    ratios = _ratios(weight_shells)
-    if group.rank == 0 or not ratios:
-        tail = 0.0
-        verdict = "converged"
-    else:
-        r_hat = ratios[-1]
-        if r_hat < 1.0:
-            tail = TAIL_SAFETY * integrand.bound * weight_shells[-1] * r_hat / (1.0 - r_hat)
+            if p.is_infinity:
+                raise DomainError("holomorphic weights need a finite evaluation point")
+            try:
+                base_n.append(1.0 + abs(p.value) ** 2)
+            except OverflowError:
+                raise DomainError(
+                    f"holomorphic weights overflow at z = {p.value!r}") from None
+        _check_admissible(group, p)
+        ps.append(p)
+    sums = [[complex(integrand.eval_point(p))] for p in ps]
+    wsums = [[1.0] for _ in ps]
+    comp = [[1.0] for _ in ps]  # comparability: the largest of these
+    try:
+        # the trivial group has no words beyond the empty one
+        for shell in islice(group.shells(max_len if group.rank else 0), 1, None):
+            for i, p in enumerate(ps):
+                pts, infm, wts = group.shell_terms(shell, p, weight_mode)
+                vals = integrand.eval_many(pts, infm, threads)
+                sums[i].append(fsum_c(wts * vals))
+                wsums[i].append(fsum(np.abs(wts)))
+                if weight_mode == "holomorphic":
+                    ratio = np.where(infm, np.inf, 1.0 + np.abs(pts) ** 2) / base_n[i]
+                    ratio = ratio[np.isfinite(ratio)]
+                    if ratio.size:
+                        comp[i] += [float(np.max(ratio)), float(1.0 / np.min(ratio))]
+    except SchottkyError as e:
+        raise DomainError(str(e)) from e
+    out = []
+    for p, shells, weight_shells, c in zip(ps, sums, wsums, comp):
+        ratios = _ratios(weight_shells)
+        if group.rank == 0 or not ratios:
+            tail, verdict = 0.0, "converged"
         else:
-            tail = math.inf
-        recent = ratios[-3:]
-        if tail <= tol and all(r < 1.0 for r in recent):
-            verdict = "converged"
-        elif all(r >= 1.0 for r in recent):
-            verdict = "diverging"
-        else:
-            verdict = "inconclusive"
-    if weight_mode == "absolute":
-        value = complex(value.real, 0.0)
-    return SeriesEvaluation(value, tuple(shells), tuple(weight_shells), tail,
-                            weight_mode, verdict, comparability, p, max_len, tol)
+            r_hat = ratios[-1]
+            tail = (TAIL_SAFETY * integrand.bound * weight_shells[-1] * r_hat
+                    / (1.0 - r_hat) if r_hat < 1.0 else math.inf)
+            recent = ratios[-3:]
+            if tail <= tol and all(r < 1.0 for r in recent):
+                verdict = "converged"
+            elif all(r >= 1.0 for r in recent):
+                verdict = "diverging"
+            else:
+                verdict = "inconclusive"
+        value = fsum_c(shells)
+        if weight_mode == "absolute":
+            value = complex(value.real, 0.0)
+        out.append(SeriesEvaluation(value, tuple(shells), tuple(weight_shells),
+                                    tail, weight_mode, verdict, max(c), p,
+                                    max_len, tol))
+    return out
 
 
 def _as_element(group: SchottkyGroup, element) -> MoebiusMap:
@@ -218,24 +224,25 @@ def automorphy_residual(group: SchottkyGroup, integrand: SeriesIntegrand = None,
     with both series truncated at max_len; w_g is the mode's derivative
     weight.  Returns the residuals in the order of `elements`.
 
-    Every element is resolved before any series is evaluated.  The cost is
-    samples * (1 + number of elements) evaluations: S(z) once per sample,
-    S(gz) once per sample and element.
+    Every element is resolved before any series is evaluated.  S is
+    evaluated at samples * (1 + number of elements) points, S(z) once per
+    sample and S(gz) once per sample and element, all in one pass over the
+    shells.
     """
-    if integrand is None:
-        integrand = BLOCH_WIGNER_INTEGRAND
     gs = [_as_element(group, e) for e in elements]
     worst = [0.0] * len(gs)
-    for z in samples:
-        p = as_sphere_point(z)
-        here = evaluate(group, integrand, p, weight_mode, max_len, tol, threads)
+    ps = [as_sphere_point(z) for z in samples]
+    if not ps:
+        return worst
+    evs = iter(_evaluate_at(group, integrand,
+                            [q for p in ps for q in (p, *(g.apply(p) for g in gs))],
+                            weight_mode, max_len, tol, threads))
+    for p in ps:
+        here = next(evs)
         for i, g in enumerate(gs):
-            there = evaluate(group, integrand, g.apply(p), weight_mode,
-                             max_len, tol, threads)
-            if weight_mode == "holomorphic":
-                w = g.derivative(p)
-            else:
-                w = g.spherical_derivative(p)
+            there = next(evs)
+            w = (g.derivative if weight_mode == "holomorphic"
+                 else g.spherical_derivative)(p)
             num = abs(w * there.value - here.value)
             worst[i] = max(worst[i], num / (abs(here.value) + tol))
     return worst
@@ -383,7 +390,7 @@ def convergence_report(group: SchottkyGroup, z=None, max_len: int = 10,
     """Side-by-side shell behavior at s = delta, (1+delta)/2, and 1, with
     delta estimated to `resolution` at estimate_delta's default order cap,
     whatever max_len is."""
-    group.check_cache(max_len)
+    group.check_depth(max_len)
     est = estimate_delta(group, resolution)
     p = group.default_basepoint() if z is None else as_sphere_point(z)
     _check_admissible(group, p)

@@ -193,7 +193,13 @@ def li(n: int, z, tol: float = 1e-12) -> PolylogResult:
 
 
 def _bloch_wigner_bounded(z: complex, tol: float) -> tuple[float, float]:
-    # assumes z finite with z.imag > 0; returns (value, error bound)
+    """D(z) and an error bound at a finite z: 0 on the real axis, and
+    -D(conj z) below it."""
+    if z.imag == 0.0:
+        return 0.0, 0.0
+    if z.imag < 0.0:
+        value, err = _bloch_wigner_bounded(z.conjugate(), tol)
+        return -value, err
     res = li(2, z, tol)
     logabs = math.log(abs(z))
     corr = cmath.phase(_clean_neg(z - 1.0)) * logabs
@@ -209,14 +215,7 @@ def bloch_wigner(z, tol: float = 1e-14) -> float:
     under conjugation by construction.
     """
     p = as_sphere_point(z)
-    if p.is_infinity:
-        return 0.0
-    zz = p.value
-    if zz.imag == 0.0:
-        return 0.0
-    if zz.imag < 0.0:
-        return -_bloch_wigner_bounded(zz.conjugate(), tol)[0]
-    return _bloch_wigner_bounded(zz, tol)[0]
+    return 0.0 if p.is_infinity else _bloch_wigner_bounded(p.value, tol)[0]
 
 
 # vectorized evaluation -------------------------------------------------------

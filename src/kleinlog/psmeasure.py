@@ -93,7 +93,8 @@ def build_ps(group: SchottkyGroup, delta=None, depth: int = 8) -> PSMeasure:
     if not (delta >= 0.0 and math.isfinite(delta)):
         raise MeasureError(f"delta must be a finite nonnegative real, got {delta!r}")
     bp = group.default_basepoint()
-    pts, msk, sph = group.shell_terms(depth, bp, "absolute")
+    shell = group.shell(depth)
+    pts, msk, sph = group.shell_terms(shell, bp, "absolute")
     raw = sph**delta
     total = fsum(raw)
     if not (total > 0.0 and math.isfinite(total)):
@@ -102,9 +103,8 @@ def build_ps(group: SchottkyGroup, delta=None, depth: int = 8) -> PSMeasure:
     # rescale so the compensated total is exactly representable as 1
     wts = wts / fsum(wts)
     if group.circles is not None:
-        first = group.shell(depth).first
         for l in group.letters:
-            sel = first == l
+            sel = shell.first == l
             tgt = group.target_circle(int(l))
             inside = np.abs(pts[sel] - tgt.center) <= tgt.radius + 1e-9
             if np.any(msk[sel]) or not np.all(inside):

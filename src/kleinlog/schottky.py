@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +29,7 @@ from .moebius import (
     chordal,
 )
 
-MAX_CACHED_WORDS = 4_000_000
+MAX_WORDS = 4_000_000
 PAIRING_RESIDUAL_TOL = 1e-9
 DELTA_MAX_ORDER = 10      # estimate_delta's default order cap
 DELTA_GRID = 16           # cells of [0, 2] scanned for the largest root
@@ -207,9 +208,6 @@ class SchottkyGroup:
         self.validation = self.validate()
         if require_classical and not self.cyclic_diagnostic and not self.validation.ok:
             raise ValidationFailure(self.validation)
-        # the shell cache: index n holds the length-n words
-        empty = np.zeros(1, dtype=np.int64)
-        self._shells = [Shell(np.eye(2, dtype=complex)[None], empty, empty)]
 
     # structure ---------------------------------------------------------------
 
@@ -348,45 +346,45 @@ class SchottkyGroup:
 
     # vectorized shell machinery ----------------------------------------------
 
-    def _letter_matrices(self) -> np.ndarray:
-        mats = np.empty((2 * self.rank, 2, 2), dtype=complex)
-        for idx, l in enumerate(self.letters):
-            m = self.letter_map(l)
-            mats[idx] = ((m.a, m.b), (m.c, m.d))
-        return mats
-
-    def fits_cache(self, depth: int) -> bool:
-        """Whether the shells through `depth` fit the shell cache of
-        MAX_CACHED_WORDS words."""
+    def fits_depth(self, depth: int) -> bool:
+        """Whether the shells through `depth` hold at most MAX_WORDS words."""
         # past 64 shells only rank 1, at two words a shell, can still fit
         words = 1 + 2 * depth if self.rank == 1 else sum(
             self.shell_size(n) for n in range(min(depth, 64) + 1))
-        return words <= MAX_CACHED_WORDS
+        return words <= MAX_WORDS
 
-    def check_cache(self, depth: int) -> None:
-        """Refuse, before any work, shells through `depth` that would not
-        fit the shell cache."""
-        if not self.fits_cache(depth):
-            raise SchottkyError(f"shell cache to depth {depth} would exceed "
-                                f"{MAX_CACHED_WORDS} words")
+    def check_depth(self, depth: int) -> None:
+        """Refuse, before any work, shells through `depth` that would hold
+        more than MAX_WORDS words."""
+        if not self.fits_depth(depth):
+            raise SchottkyError(f"shells through length {depth} would exceed "
+                                f"{MAX_WORDS} words")
+
+    def shells(self, depth: int):
+        """Yield the shells 0..depth in order, each built from the one
+        before and none kept.  ShellOverflowError at the first shell whose
+        matrices are not finite."""
+        self.check_depth(depth)
+        empty = np.zeros(1, dtype=np.int64)
+        sh = Shell(np.eye(2, dtype=complex)[None], empty, empty)
+        yield sh
+        for n in range(1, depth + 1):
+            sh = self._next_shell(sh, n)
+            if not np.isfinite(sh.mats).all():
+                raise ShellOverflowError(f"word matrices overflow at length {n}")
+            yield sh
 
     def shell(self, n: int) -> Shell:
-        """The length-n words, built with all shorter ones on first use and
-        cached.  ShellOverflowError if their matrices are not finite."""
-        self.check_cache(n)
-        shells = self._shells
-        for k in range(len(shells), n + 1):
-            sh = self._next_shell(shells[-1], k)
-            if not np.isfinite(sh.mats).all():
-                raise ShellOverflowError(f"word matrices overflow at length {k}")
-            shells.append(sh)
-        return shells[n]
+        """The length-n words, the last of shells(n)."""
+        return next(islice(self.shells(n), n, None))
 
     def _next_shell(self, prev: Shell, n: int) -> Shell:
         """Shell n from shell n - 1: each word followed by every letter but
         the inverse of its last, in letter order."""
         letters = np.array(self.letters, dtype=np.int64)
-        lmats = self._letter_matrices()
+        maps = [self.letter_map(l) for l in self.letters]
+        lmats = np.array([((m.a, m.b), (m.c, m.d)) for m in maps],
+                         dtype=complex).reshape(-1, 2, 2)
         if n == 1:
             return Shell(lmats, letters, letters.copy())
         # position of each letter value in the canonical order, indexed by letter+g
@@ -414,14 +412,14 @@ class SchottkyGroup:
     def shell_matrices(self, n: int) -> np.ndarray:
         return self.shell(n).mats
 
-    def shell_terms(self, n: int, z, mode: str = "absolute"):
-        """Orbit points and derivative weights of the length-n shell at z.
+    def shell_terms(self, shell: Shell, z, mode: str = "absolute"):
+        """Orbit points and derivative weights of `shell`'s words at z.
 
         Returns (points, inf_mask, weights); weights are complex gamma'(z) in
         holomorphic mode and real spherical factors in absolute mode.
         """
         p = as_sphere_point(z)
-        mats = self.shell(n).mats
+        mats = shell.mats
         c, d = mats[:, 1, 0], mats[:, 1, 1]
         zz, ww = _homogeneous(p)
         points, inf_mask, num, den = act(mats[:, 0, 0], mats[:, 0, 1], c, d, zz, ww)
@@ -453,11 +451,11 @@ class SchottkyGroup:
         bp = self.default_basepoint() if basepoint is None else as_sphere_point(basepoint)
         zz, ww = _homogeneous(bp)
         out = []
-        for n in range(1, max_depth + 1):
+        for sh in islice(self.shells(max_depth), 1, None):
             with np.errstate(divide="ignore"):
-                logd = np.log(self.shell_terms(n, bp, "absolute")[2])
+                logd = np.log(self.shell_terms(sh, bp, "absolute")[2])
             big = ~np.isfinite(logd)
-            m = self.shell(n).mats[big]
+            m = sh.mats[big]
             top = np.abs(m).max(axis=(1, 2), initial=0.0)
             m = m / top[:, None, None]
             num, den = act(m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1], zz, ww)[2:]
@@ -485,12 +483,12 @@ def shell_sums(group: SchottkyGroup, s: float, max_depth: int,
             for ld in group.shell_log_derivatives(max_depth, basepoint)]
 
 
-def _multipliers(group: SchottkyGroup, n: int):
+def _multipliers(shell: Shell):
     """log|k_w| and 1/|1 - k_w|^2 over the cyclically reduced words w of
-    length n, the shell-n words whose last letter does not cancel the
-    first; k_w = lambda_w^-2 is w's multiplier at its attracting fixed
-    point, lambda_w the larger root of lambda^2 - T lambda + 1, T = tr w."""
-    mats, first, last = group.shell(n)
+    `shell`, those whose last letter does not cancel the first; k_w =
+    lambda_w^-2 is w's multiplier at its attracting fixed point, lambda_w
+    the larger root of lambda^2 - T lambda + 1, T = tr w."""
+    mats, first, last = shell
     keep = last != -first
     # 1/lambda_w = u / (1 + sqrt(1 - u^2)) with u = 2/T: the principal root
     # has a nonnegative real part, so 1 + sqrt does not cancel, and a large
@@ -503,7 +501,7 @@ def _multipliers(group: SchottkyGroup, n: int):
 def _determinant(terms, s: float, total=fsum) -> float:
     """sum_{n<=N} c_n(s), N = len(terms), where n c_n = -sum_{k<=n} a_k
     c_{n-k} and the trace a_n(s) = sum_w |k_w|^s / |1 - k_w|^2 is summed
-    by `total` over terms[n-1] = _multipliers(group, n)."""
+    by `total` over terms[n-1], _multipliers of shell n."""
     a = [total(np.exp(s * logk) * w) for logk, w in terms]
     c = [1.0]
     for n in range(1, len(a) + 1):
@@ -561,9 +559,9 @@ def estimate_delta(group: SchottkyGroup, resolution: float = 0.01,
     than tracked from the one before.  Only even orders N <= max_depth are
     used, since odd ones can lack a sign change, and an order without a
     root is skipped.  By default max_depth is the largest order up to
-    DELTA_MAX_ORDER whose shells fit the shell cache.  The first N whose
-    root is within resolution / 2 of the previous order's gives the
-    result; EstimationError if none does.  A rank-1 group with a
+    DELTA_MAX_ORDER whose shells hold at most MAX_WORDS words.  The first
+    N whose root is within resolution / 2 of the previous order's gives
+    the result; EstimationError if none does.  A rank-1 group with a
     loxodromic generator has delta = 0 exactly.
     """
     if group.rank == 0:
@@ -572,10 +570,10 @@ def estimate_delta(group: SchottkyGroup, resolution: float = 0.01,
         raise SchottkyError(f"resolution must be in (0, 1], got {resolution!r}")
     if max_depth is None:
         max_depth = next((n for n in range(DELTA_MAX_ORDER, 4, -1)
-                          if group.fits_cache(n)), 4)
+                          if group.fits_depth(n)), 4)
     if max_depth < 4:
         raise SchottkyError(f"estimate_delta needs max_depth >= 4, got {max_depth}")
-    group.check_cache(max_depth)
+    group.check_depth(max_depth)
     for i, g in enumerate(group.generators, start=1):
         kind = g.classify()
         if kind != "loxodromic":
@@ -583,8 +581,8 @@ def estimate_delta(group: SchottkyGroup, resolution: float = 0.01,
     if group.rank == 1:
         return DeltaEstimate(0.0, (0.0, math.ulp(0.0)), (), max_depth)
     terms, orders = [], []
-    for n in range(1, max_depth + 1):
-        terms.append(_multipliers(group, n))
+    for n, shell in enumerate(islice(group.shells(max_depth), 1, None), 1):
+        terms.append(_multipliers(shell))
         if n % 2:
             continue
         # numpy's sums locate the root and the correctly rounded ones refine it

@@ -382,23 +382,38 @@ def test_deep_rank1_shells_refused_or_finite(tmp_path):
 ])
 def test_series_automorphy_evaluates_each_point_once(std_config, monkeypatch,
                                                      extra, calls, code):
-    """S(z) once per sample and S(gz) once per sample and element; a bad
-    element is refused before any series is evaluated."""
-    from kleinlog import poincare
+    """S(z) once per sample and S(gz) once per sample and element: `calls`
+    points, each summed over shells 1..3, which are built once for all of
+    them.  A bad element is refused before any shell is built."""
+    from kleinlog.schottky import SchottkyGroup
 
-    seen = []
-    evaluate = poincare.evaluate
+    seen = {"shell_terms": 0, "_next_shell": 0}
 
-    def counting(*a, **k):
-        seen.append(a)
-        return evaluate(*a, **k)
+    def count(name):
+        method = getattr(SchottkyGroup, name)
 
-    monkeypatch.setattr(poincare, "evaluate", counting)
+        def counting(*a, **k):
+            seen[name] += 1
+            return method(*a, **k)
+
+        monkeypatch.setattr(SchottkyGroup, name, counting)
+
+    count("shell_terms")
+    count("_next_shell")
     got, _, err = main_io("--config", std_config, "series", "automorphy",
                           "--samples", "4", "--max-len", "3", *extra)
-    assert (got, len(seen)) == (code, calls), err
+    assert (got, seen["shell_terms"], seen["_next_shell"]) == \
+        (code, 3 * calls, 0 if code else 3), err
     if code:
         assert err == "validation error: letter 3 out of range for rank 2\n"
+
+
+def test_cyclic_diagnostic_type_error_named_once(tmp_path):
+    cfg = tmp_path / "cyclic.json"
+    cfg.write_text(json.dumps({"group": {"generators": [],
+                                         "cyclic_diagnostic": 1}}))
+    assert main_io("--config", str(cfg), "group", "validate") == (
+        2, "", "config error: group.cyclic_diagnostic: expected bool, got int\n")
 
 
 def test_fast_mode_rejected_strict_is_a_no_op(std_config, tmp_path, capsys):

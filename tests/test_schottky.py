@@ -1,6 +1,7 @@
 import ast
 import cmath
 import math
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -146,7 +147,7 @@ def test_shell_letters_match_enumeration(std_group):
         letters = [w.letters for w in words if w.length == n]
         assert sh.first.tolist() == [w[0] if w else 0 for w in letters]
         assert sh.last.tolist() == [w[-1] if w else 0 for w in letters]
-        assert sh.mats is std_group.shell_matrices(n)
+        assert np.array_equal(sh.mats, std_group.shell_matrices(n))
     trivial = SchottkyGroup([])
     assert [trivial.shell(n).mats.shape for n in range(3)] == \
         [(1, 2, 2), (0, 2, 2), (0, 2, 2)]
@@ -160,6 +161,13 @@ def test_overflowing_shell_refused_and_finite_ones_kept():
     assert np.isfinite(g.shell(338).mats).all()
     with pytest.raises(ShellOverflowError, match="length 339"):
         g.shell(339)
+
+
+def test_group_keeps_no_shells(std_group):
+    sh = std_group.shell(5)
+    mats = weakref.ref(sh.mats)
+    del sh
+    assert mats() is None
 
 
 def test_only_schottky_reads_shell_storage():
@@ -214,7 +222,8 @@ def test_shell_matrices_unit_determinant(std_group):
 def test_shell_terms_match_word_maps(std_group):
     z = SpherePoint(0.3 + 0.2j)
     words = [w for w in std_group.enumerate_words(3) if w.length == 3]
-    pts, inf_mask, weights = std_group.shell_terms(3, z, mode="absolute")
+    pts, inf_mask, weights = std_group.shell_terms(std_group.shell(3), z,
+                                                     mode="absolute")
     assert len(pts) == len(words)
     for k, w in enumerate(words):
         img = w.map.apply(z)
@@ -226,7 +235,8 @@ def test_shell_terms_match_word_maps(std_group):
 def test_shell_terms_holomorphic_weights(std_group):
     z = SpherePoint(0.25 + 0.1j)
     words = [w for w in std_group.enumerate_words(2) if w.length == 2]
-    pts, inf_mask, weights = std_group.shell_terms(2, z, mode="holomorphic")
+    pts, inf_mask, weights = std_group.shell_terms(std_group.shell(2), z,
+                                                     mode="holomorphic")
     for k, w in enumerate(words):
         assert abs(weights[k] - w.map.derivative(complex(z))) < 1e-12
     assert not inf_mask.any()

@@ -20,7 +20,6 @@ import numpy as np
 from .moebius import (
     CHORDAL_AFFINE_MAX,
     INF,
-    MoebiusMap,
     SpherePoint,
     as_sphere_point,
     chordal,
@@ -134,17 +133,6 @@ def stretch(Z, W, num, den):
     with np.errstate(over="ignore"):
         return (abs(Z) ** 2 + abs(W) ** 2) / (
             num.real**2 + num.imag**2 + den.real**2 + den.imag**2)
-
-
-def apply_many(m: MoebiusMap, points, inf_mask):
-    """Apply a Moebius map to an array of sphere points."""
-    return act(m.a, m.b, m.c, m.d, *hom_many(points, inf_mask))[:2]
-
-
-def spherical_derivative_many(m: MoebiusMap, points, inf_mask) -> np.ndarray:
-    Z, W = hom_many(points, inf_mask)
-    _, _, num, den = act(m.a, m.b, m.c, m.d, Z, W)
-    return stretch(Z, W, num, den)
 
 
 def chordal_many(p, points, inf_mask) -> np.ndarray:

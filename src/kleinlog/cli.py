@@ -511,9 +511,7 @@ def _run(args) -> tuple[dict, int]:
         group = cfg.build_group()
 
     if cmd == "polylog":
-        z = s.get("z")
-        if z is None:
-            raise ConfigError("--z", "polylog needs an argument point")
+        z = s["z"]
         if "li" in s or "ramakrishnan" in s:
             if "li" in s:
                 kind, r = f"li{s['li']}", li(s["li"], z, s.get("tol", 1e-12))
@@ -626,8 +624,7 @@ def _run(args) -> tuple[dict, int]:
     elif cmd == "bers":
         n_samples = _setting(s, "samples", 10000, 1000)
         density = NayataniDensity(_measure(group, s))
-        r = bers_integral(group, density, None, n_samples, s.get("seed", 0),
-                          threads)
+        r = bers_integral(density, None, n_samples, s.get("seed", 0), threads)
         report["results"] = {
             "estimate": r.estimate, "stderr": r.stderr,
             "n_samples": r.n_samples, "n_singular": r.n_singular,

@@ -84,16 +84,13 @@ def elliptic_tail_bound(q, x, terms: int) -> float:
     return one_side(ax) + one_side(1.0 / ax)
 
 
-def elliptic_d2(q, x=None, tol: float = 1e-10) -> PolylogResult:
+def elliptic_d2(q, x, tol: float = 1e-10) -> PolylogResult:
     """sum_{k in Z} D(q^k x), summed symmetrically until the tail bound meets tol.
 
-    Accepts either an EllipticParams or (q, x, tol).  The reported error_bound
-    covers both the truncated tail and per-term evaluation error.
+    The reported error_bound covers both the truncated tail and per-term
+    evaluation error.
     """
-    if isinstance(q, EllipticParams):
-        params = q
-    else:
-        params = EllipticParams(q, x, tol)
+    params = EllipticParams(q, x, tol)
     q, x, tol = params.q, params.x, params.tol
 
     v0, e0 = _bloch_wigner_bounded(x, 1e-14)

@@ -30,7 +30,6 @@ from .schottky import (
 
 TAIL_SAFETY = 2.0
 EVAL_CHUNK = 65536
-DENSITY_CHUNK = 1024
 WEIGHT_MODES = ("holomorphic", "absolute")
 
 
@@ -294,9 +293,9 @@ class BersResult:
     estimate_rel_err: float
 
 
-def bers_integral(group: SchottkyGroup, density: NayataniDensity,
-                  integrand: SeriesIntegrand = None, n_samples: int = 10000,
-                  seed: int = 0, threads: int = 1) -> BersResult:
+def bers_integral(density: NayataniDensity, integrand: SeriesIntegrand = None,
+                  n_samples: int = 10000, seed: int = 0,
+                  threads: int = 1) -> BersResult:
     """Uniform-sphere Monte Carlo for integral of F^(2/delta) * |Phi| dA.
 
     Singular hits (sample inside an atom guard) are resampled from the same
@@ -313,7 +312,7 @@ def bers_integral(group: SchottkyGroup, density: NayataniDensity,
         raise MeasureError("Bers integrand needs delta > 0")
     rng = np.random.default_rng(seed)
     pts, msk = uniform_sphere_points(rng, n_samples)
-    fvals, singular, rel = _density_power_many(density, pts, msk, 2.0 / d, threads)
+    fvals, singular, rel = density.F_many(pts, msk, threads=threads)
     n_singular = 0
     limit = max(1, int(0.01 * n_samples))
     while np.any(singular):
@@ -326,13 +325,13 @@ def bers_integral(group: SchottkyGroup, density: NayataniDensity,
         np_, nm_ = uniform_sphere_points(rng, idx.size)
         pts[idx] = np_
         msk[idx] = nm_
-        f_new, s_new, r_new = _density_power_many(density, np_, nm_, 2.0 / d,
-                                                  threads)
+        f_new, s_new, r_new = density.F_many(np_, nm_, threads=threads)
         fvals[idx] = f_new
         singular[idx] = s_new
         rel[idx] = r_new
+    p = 2.0 / d
     phi_vals = np.abs(integrand.eval_many(pts, msk, threads))
-    vals = fvals * phi_vals
+    vals = fvals**p * phi_vals
     total = fsum(vals)
     mean = total / n_samples
     var = fsum((vals - mean) ** 2) / max(1, n_samples - 1)
@@ -350,25 +349,10 @@ def bers_integral(group: SchottkyGroup, density: NayataniDensity,
     # every sampled term is F^p |Phi| >= 0, so the worst relative error of
     # F^p over the samples bounds that of the mean
     eps = float(np.max(rel))
-    p = 2.0 / d
     est_rel = max(math.expm1(p * math.log1p(eps)),
                   -math.expm1(p * math.log1p(-eps)) if eps < 1.0 else math.inf)
     return BersResult(estimate, stderr, n_samples, n_singular, shares, heavy,
                       seed, eps, est_rel)
-
-
-def _density_power_many(density: NayataniDensity, pts, msk, power: float,
-                        threads: int = 1):
-    vals = np.empty(pts.size)
-    sing = np.empty(pts.size, dtype=bool)
-    rel = np.empty(pts.size)
-
-    def work(lo, hi):
-        vals[lo:hi], sing[lo:hi], rel[lo:hi] = density.F_many(pts[lo:hi],
-                                                              msk[lo:hi])
-
-    parallel_chunks(work, pts.size, threads, DENSITY_CHUNK)
-    return vals**power, sing, rel
 
 
 @dataclass(frozen=True)

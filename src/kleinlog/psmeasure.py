@@ -16,14 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._vec import (
-    apply_many,
+    act,
     chordal_many,
-    from_sphere,
+    from_sphere_many,
     fsum,
     hom_many,
+    parallel_chunks,
     sphere_coords_many,
     sphere_embed,
-    spherical_derivative_many,
+    stretch,
     to_sphere,
     uniform_sphere_points,
 )
@@ -138,12 +139,13 @@ def quasi_invariance_residual(measure: PSMeasure, group: SchottkyGroup,
     """max over generators g and test functions f of
     |sum w f(x) - sum w s_g(x)^delta f(gx)| / (sum w |f(x)| + eps)."""
     fns = DEFAULT_TEST_FUNCTIONS if test_functions is None else tuple(test_functions)
-    pts, msk, wts = measure.points, measure.inf_mask, measure.weights
-    cx = sphere_coords_many(pts, msk)
+    wts = measure.weights
+    Z, W = hom_many(measure.points, measure.inf_mask)
+    cx = sphere_embed(Z, W)[1]
     worst = 0.0
     for g in group.generators:
-        img, img_msk = apply_many(g, pts, msk)
-        jac = spherical_derivative_many(g, pts, msk) ** measure.delta
+        img, img_msk, num, den = act(g.a, g.b, g.c, g.d, Z, W)
+        jac = stretch(Z, W, num, den) ** measure.delta
         cy = sphere_coords_many(img, img_msk)
         for _, f in fns:
             fx = f(*cx)
@@ -287,6 +289,18 @@ def _build_tree(measure: PSMeasure):
     return tuple(levels), leaves
 
 
+def _point_arrays(points):
+    """(values, inf_mask) arrays of a sequence of SpherePoints."""
+    return (np.array([p.value for p in points], dtype=complex),
+            np.array([p.is_infinity for p in points], dtype=bool))
+
+
+def _check_regular(singular) -> None:
+    if np.any(singular):
+        raise SingularEvaluationError(
+            "evaluation point within the atom guard distance")
+
+
 @dataclass(frozen=True)
 class NayataniDensity:
     """Conformal density of a PSMeasure; evaluations are pure and share only
@@ -304,13 +318,8 @@ class NayataniDensity:
         return self.measure.delta
 
     def F(self, x) -> float:
-        p = as_sphere_point(x)
-        vals, singular, _ = self.F_many(
-            np.array([0j if p.is_infinity else p.value]),
-            np.array([p.is_infinity]))
-        if singular[0]:
-            raise SingularEvaluationError(
-                "evaluation point within the atom guard distance")
+        vals, singular, _ = self.F_many(*_point_arrays([as_sphere_point(x)]))
+        _check_regular(singular)
         return float(vals[0])
 
     def metric_factor(self, x) -> float:
@@ -319,13 +328,16 @@ class NayataniDensity:
             raise MeasureError("metric factor needs delta > 0")
         return self.F(x) ** (2.0 / d)
 
-    def F_many(self, points, inf_mask, rel_tol: float = REL_TOL):
+    def F_many(self, points, inf_mask, rel_tol: float = REL_TOL,
+               threads: int = 1):
         """F at each point, a singular mask (point within ATOM_GUARD of an
         atom; value inf) and a certified relative error bound of each value.
 
         rel_tol bounds the relative error each accepted tree node may add;
-        rel_tol=0 accepts none and sums every atom.  Each value depends on
-        its own point only, so splitting the points changes no bit.
+        rel_tol=0 accepts none and sums every atom.  The points are walked in
+        batches spread over at most `threads` threads.  Each value depends on
+        its own point only, so splitting the points or spreading them over
+        threads changes no bit.
 
         Known weakness: for a point and an atom on opposite sides of
         |z| = 1 at chordal distance r, the kernel rounds z * (1/y), so the
@@ -333,17 +345,19 @@ class NayataniDensity:
         group all have |z| >= 1.5 and never meet this.
         """
         pts = np.asarray(points, dtype=complex)
-        msk = np.asarray(inf_mask, dtype=bool)
-        Z, W = hom_many(pts.ravel(), msk.ravel())
+        inf = np.asarray(inf_mask, dtype=bool).ravel()
+        Z, W = hom_many(pts.ravel(), inf)
         vals = np.empty(Z.size)
         singular = np.empty(Z.size, dtype=bool)
         rel_err = np.empty(Z.size)
+
+        def work(lo, hi):
+            vals[lo:hi], singular[lo:hi], rel_err[lo:hi] = self._walk(
+                Z[lo:hi], W[lo:hi], inf[lo:hi], rel_tol)
+
         n_leaves = self._leaves.w.shape[0]
         batch = max(1, min(POINT_BATCH, PAIR_BUDGET // n_leaves))
-        for lo in range(0, Z.size, batch):
-            hi = min(lo + batch, Z.size)
-            vals[lo:hi], singular[lo:hi], rel_err[lo:hi] = self._walk(
-                Z[lo:hi], W[lo:hi], msk.ravel()[lo:hi], rel_tol)
+        parallel_chunks(work, Z.size, threads, batch)
         return (vals.reshape(pts.shape), singular.reshape(pts.shape),
                 rel_err.reshape(pts.shape))
 
@@ -487,15 +501,16 @@ def asymptotic_profile(density: NayataniDensity, y0, radii) -> AsymptoticProfile
     if np.linalg.norm(t) < 1e-9:
         t = np.cross([1.0, 0.0, 0.0], n0)
     t = t / np.linalg.norm(t)
-    values = []
+    vecs = []
     for r in radii:
         theta = 2.0 * math.asin(min(1.0, r / 2.0))
-        x = from_sphere(math.cos(theta) * n0 + math.sin(theta) * t)
-        values.append(density.F(x))
+        vecs.append(math.cos(theta) * n0 + math.sin(theta) * t)
+    values, singular, _ = density.F_many(*from_sphere_many(*np.array(vecs).T))
+    _check_regular(singular)
     logs_r = np.log(radii)
     logs_f = np.log(values)
     slope = float(np.polyfit(logs_r, logs_f, 1)[0])
-    return AsymptoticProfile(tuple(radii), tuple(values), slope, res)
+    return AsymptoticProfile(tuple(radii), tuple(values.tolist()), slope, res)
 
 
 @dataclass(frozen=True)
@@ -511,32 +526,26 @@ def conformality_report(density: NayataniDensity, group: SchottkyGroup,
     """Checks F(gx) * s_g(x)^delta = F(x) at sampled fundamental-domain points;
     reports the worst relative deviation and its ratio to the measure residual."""
     rng = np.random.default_rng(seed)
-    samples = []
+    samples = []  # (x, F(x)) in draw order
     guard = 0
     while len(samples) < n_points:
         pts, msk = uniform_sphere_points(rng, 4 * n_points)
-        for p, m in zip(pts, msk):
-            if len(samples) >= n_points:
-                break
-            sp = INF if m else SpherePoint(complex(p))
-            if group.circles is not None and any(
-                    c.contains(sp) for c in group.circles):
-                continue
-            try:
-                density.F(sp)
-            except SingularEvaluationError:
-                continue
-            samples.append(sp)
+        cands = [INF if m else SpherePoint(complex(p)) for p, m in zip(pts, msk)]
+        vals, singular, _ = density.F_many(*_point_arrays(cands))
+        kept = [(x, fx) for x, fx, bad in zip(cands, vals.tolist(), singular)
+                if not bad and not any(c.contains(x) for c in group.circles or ())]
+        samples += kept[:n_points - len(samples)]
         guard += 1
         if guard > 50:
             raise MeasureError("could not sample enough fundamental-domain points")
     worst = 0.0
     d = density.measure.delta
     for g in group.generators:
-        for x in samples:
-            fx = density.F(x)
-            gx = g.apply(x)
-            rel = abs(density.F(gx) * g.spherical_derivative(x) ** d - fx) / fx
+        gxs = [g.apply(x) for x, _ in samples]
+        fgx, singular, _ = density.F_many(*_point_arrays(gxs))
+        _check_regular(singular)
+        for (x, fx), f in zip(samples, fgx.tolist()):
+            rel = abs(f * g.spherical_derivative(x) ** d - fx) / fx
             worst = max(worst, rel)
     residual = quasi_invariance_residual(density.measure, group)
     constant = worst / max(residual, RESIDUAL_EPS)

@@ -23,6 +23,7 @@ from ._vec import act, fsum, stretch
 from .moebius import (
     INF,
     MoebiusMap,
+    NotLoxodromicError,
     SpherePoint,
     _homogeneous,
     as_sphere_point,
@@ -296,7 +297,7 @@ class SchottkyGroup:
             try:
                 fp = g.fixed_points_multiplier()
                 fixed.extend([fp.fix_attracting, fp.fix_repelling])
-            except Exception:
+            except NotLoxodromicError:
                 pass
         candidates = [1 + 0j, 1j, 0.6 + 0.35j, -0.8 + 0.55j, 2.1 - 1.3j, 0.2 - 1.7j]
         best, best_d = candidates[0], -1.0
@@ -313,8 +314,6 @@ class SchottkyGroup:
         if not Word.is_reduced(letters):
             raise SchottkyError(f"letters {letters} are not reduced")
         m = MoebiusMap.identity()
-        for l in letters:
-            self.letter_map(l)  # range check
         for l in letters:
             m = m.compose(self.letter_map(l))
         return Word(letters, m)

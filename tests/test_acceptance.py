@@ -249,8 +249,8 @@ def test_criterion_7_series_convergence(capfd, std_group):
 )
 def test_criterion_8a_bers_stability(capfd, std_group, sharp_delta):
     den = NayataniDensity(build_ps(std_group, sharp_delta, 8))
-    b1 = bers_integral(std_group, den, n_samples=10000, seed=1)
-    b2 = bers_integral(std_group, den, n_samples=20000, seed=2)
+    b1 = bers_integral(den, n_samples=10000, seed=1)
+    b2 = bers_integral(den, n_samples=20000, seed=2)
     drift = abs(b2.estimate - b1.estimate) / abs(b1.estimate)
     ok = math.isfinite(b1.estimate) and math.isfinite(b2.estimate) and drift <= 0.05
     announce(capfd, ok, "criterion 8a",
@@ -263,11 +263,11 @@ def test_criterion_8a_bers_stability(capfd, std_group, sharp_delta):
     assert drift <= 0.05
 
 
-def test_criterion_8b_heavy_tail_flag(capfd, std_group):
+def test_criterion_8b_heavy_tail_flag(capfd):
     den = NayataniDensity(single_atom(delta=1.0, at=0j))
     one = SeriesIntegrand(lambda z: 1.0, bound=1.0,
                           evaluator_many=lambda a: np.ones(len(a)), name="one")
-    r = bers_integral(std_group, den, one, n_samples=2000, seed=2)
+    r = bers_integral(den, one, n_samples=2000, seed=2)
     ok = r.heavy_tail and math.isfinite(r.estimate) and r.decile_shares[-1] > 0.5
     announce(capfd, ok, "criterion 8b",
              f"single-atom 1/phi^2 sampling flagged heavy-tailed, "
@@ -292,8 +292,8 @@ def test_criterion_9_determinism(capfd, tmp_path, std_group, sharp_delta):
     cli_ok = outs[0] == outs[1] == outs[2]
 
     den = NayataniDensity(build_ps(std_group, sharp_delta, 5))
-    b1 = bers_integral(std_group, den, n_samples=2000, seed=5)
-    b2 = bers_integral(std_group, den, n_samples=2000, seed=5)
+    b1 = bers_integral(den, n_samples=2000, seed=5)
+    b2 = bers_integral(den, n_samples=2000, seed=5)
     lib_ok = (b1.estimate == b2.estimate and b1.stderr == b2.stderr
               and b1.decile_shares == b2.decile_shares)
     ok = cli_ok and lib_ok

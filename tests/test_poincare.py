@@ -167,8 +167,8 @@ def test_bers_deterministic(std_group, sharp_delta):
     from kleinlog.psmeasure import build_ps
 
     den = NayataniDensity(build_ps(std_group, sharp_delta, 5))
-    a = bers_integral(std_group, den, n_samples=1500, seed=9)
-    b = bers_integral(std_group, den, n_samples=1500, seed=9)
+    a = bers_integral(den, n_samples=1500, seed=9)
+    b = bers_integral(den, n_samples=1500, seed=9)
     assert a == b
     assert a.n_samples == 1500
     assert math.isfinite(a.estimate)
@@ -180,19 +180,19 @@ def test_bers_zero_integrand(std_group, sharp_delta):
     den = NayataniDensity(build_ps(std_group, sharp_delta, 5))
     zero = SeriesIntegrand(lambda z: 0.0, bound=1.0,
                            evaluator_many=lambda a: np.zeros(len(a)), name="zero")
-    r = bers_integral(std_group, den, zero, n_samples=1000, seed=1)
+    r = bers_integral(den, zero, n_samples=1000, seed=1)
     assert r.estimate == 0.0
     assert r.stderr == 0.0
     assert not r.heavy_tail
 
 
-def test_bers_flags_single_atom_heavy_tail(std_group):
+def test_bers_flags_single_atom_heavy_tail():
     # phi^(-2) around a single atom is not integrable; the decile diagnostic
     # must flag the attempt regardless of the delta used
     den = NayataniDensity(single_atom(delta=1.0, at=0j))
     one = SeriesIntegrand(lambda z: 1.0, bound=1.0,
                           evaluator_many=lambda a: np.ones(len(a)), name="one")
-    r = bers_integral(std_group, den, one, n_samples=2000, seed=2)
+    r = bers_integral(den, one, n_samples=2000, seed=2)
     assert r.heavy_tail
     assert r.decile_shares[-1] > 0.5
 
@@ -202,4 +202,4 @@ def test_bers_input_validation(std_group, sharp_delta):
 
     den = NayataniDensity(build_ps(std_group, sharp_delta, 5))
     with pytest.raises(ValueError):
-        bers_integral(std_group, den, n_samples=10, seed=0)
+        bers_integral(den, n_samples=10, seed=0)

@@ -274,17 +274,39 @@ def test_f_many_independent_of_splits(std_group, sharp_delta):
     parts = [den.F_many(p, k) for p, k in zip(np.split(pts, cuts), np.split(msk, cuts))]
     for a, b in zip(whole, zip(*parts)):
         assert np.array_equal(a, np.concatenate(b))
+    for a, b in zip(whole, den.F_many(pts, msk, threads=3)):
+        assert np.array_equal(a, b)
 
 
 def test_bers_bitwise_across_threads(std_group, sharp_delta):
     from kleinlog.poincare import bers_integral
 
     den = NayataniDensity(build_ps(std_group, sharp_delta, 8))
-    one = bers_integral(std_group, den, n_samples=5000, seed=13, threads=1)
-    four = bers_integral(std_group, den, n_samples=5000, seed=13, threads=4)
+    one = bers_integral(den, n_samples=5000, seed=13, threads=1)
+    four = bers_integral(den, n_samples=5000, seed=13, threads=4)
     assert one == four
     assert 0.0 < one.density_rel_err <= 1e-12
     assert one.estimate_rel_err >= 2.0 / sharp_delta.delta * one.density_rel_err
+
+
+def test_density_evaluated_on_whole_arrays(monkeypatch, std_group, sharp_delta):
+    from kleinlog.poincare import bers_integral
+
+    den = NayataniDensity(build_ps(std_group, sharp_delta, 8))
+    f_many = NayataniDensity.F_many
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(len(args[0]))
+        return f_many(self, *args, **kwargs)
+
+    monkeypatch.setattr(NayataniDensity, "F_many", counted)
+    r = bers_integral(den, n_samples=5000, seed=13)
+    assert r.n_singular == 0
+    assert calls == [5000]
+    calls.clear()
+    conformality_report(den, std_group, n_points=50, seed=0)
+    assert 1 + std_group.rank <= len(calls) <= 1 + std_group.rank + 1
 
 
 def test_tree_matches_exact_path_on_other_layouts(tmp_path, std_group, sharp_delta):

@@ -91,6 +91,11 @@ def test_fixing_infinity_needs_diagnostic_flag():
     assert g.rank == 1
 
 
+def test_diagnostic_basepoint_skips_non_loxodromic_generators():
+    g = SchottkyGroup([MoebiusMap.translation(1.0)], cyclic_diagnostic=True)
+    assert g.default_basepoint().is_finite
+
+
 def test_shell_counts_exact(std_group):
     g = std_group.rank
     for n in range(1, 8):

@@ -9,12 +9,13 @@ from kleinlog import _vec
 from kleinlog._vec import (
     FSUM_BLOCK,
     FSUM_SHORT,
-    apply_many,
+    act,
     from_sphere,
     fsum,
     fsum_c,
+    hom_many,
     parallel_chunks,
-    spherical_derivative_many,
+    stretch,
     to_sphere,
 )
 from kleinlog.moebius import INF, MoebiusMap, PoleError, SpherePoint, chordal
@@ -163,10 +164,11 @@ def test_apply_and_stretch_many_match_scalar(std_group):
     vals, mask = np.append(vals, 1e10), np.append(mask, False)
     pts = as_points(vals, mask)
     huge = MoebiusMap.scaling(1e300)
+    Z, W = hom_many(vals, mask)
     for m in shell_maps(std_group, 1) + shell_maps(std_group, 3) + [huge]:
-        got, got_mask = apply_many(m, vals, mask)
+        got, got_mask, num, den = act(m.a, m.b, m.c, m.d, Z, W)
         assert_close_points(got, got_mask, [m.apply(p) for p in pts])
-        assert_close_values(spherical_derivative_many(m, vals, mask),
+        assert_close_values(stretch(Z, W, num, den),
                             [m.spherical_derivative(p) for p in pts])
 
 

@@ -25,7 +25,6 @@ from .poincare import (
     bers_integral,
     convergence_report,
     evaluate,
-    fundamental_domain_samples,
 )
 from .polylog import (
     D_GLOBAL_BOUND,
@@ -63,6 +62,7 @@ from .schottky import (
     ValidationReport,
     Word,
     estimate_delta,
+    fundamental_domain_samples,
     limit_set,
     nielsen,
     pairing_map,

@@ -183,11 +183,6 @@ def from_sphere_many(n1, n2, n3):
     return np.where(inf_mask, 0.0, pts), inf_mask
 
 
-def from_sphere(n) -> SpherePoint:
-    pts, inf_mask = from_sphere_many(*np.asarray(n, dtype=float)[:, None])
-    return INF if inf_mask[0] else SpherePoint(complex(pts[0]))
-
-
 def uniform_sphere_points(rng: np.random.Generator, n: int):
     """n uniform points on the sphere from two uniform variates each
     (area-preserving cylinder map), stereographed to the plane."""

@@ -31,12 +31,11 @@ from .poincare import (
     bers_integral,
     convergence_report,
     evaluate,
-    fundamental_domain_samples,
 )
 from .polylog import (
     ODD_DENOMINATORS,
     SingularArgumentError,
-    bloch_wigner,
+    _bloch_wigner_bounded,
     li,
     ramakrishnan_D,
 )
@@ -55,6 +54,7 @@ from .schottky import (
     SchottkyGroup,
     ShellOverflowError,
     estimate_delta,
+    fundamental_domain_samples,
     limit_set,
     nielsen,
 )
@@ -521,8 +521,10 @@ def _run(args) -> tuple[dict, int]:
                     m, z, s.get("tol", 1e-10), s.get("odd_denominator", "2*m!"))
             report["results"] = {"kind": kind, **_jsonable(r)}
         else:
-            report["results"] = {"kind": "bloch_wigner", "value": bloch_wigner(z),
-                                 "error_bound": 1e-14}
+            value, bound = ((0.0, 0.0) if z.is_infinity
+                            else _bloch_wigner_bounded(z.value, 1e-14))
+            report["results"] = {"kind": "bloch_wigner", "value": value,
+                                 "error_bound": bound}
 
     elif cmd == "elliptic":
         if "q" not in s or "x" not in s:
@@ -561,13 +563,7 @@ def _run(args) -> tuple[dict, int]:
             report["diagnostics"]["classical_preserved"] = moved.validation.ok
 
     elif cmd == "measure":
-        if "measure_csv" in s:
-            try:
-                measure = read_measure_csv(s["measure_csv"])
-            except (OSError, ValueError) as e:  # MeasureError included
-                raise ConfigError("measure_csv", str(e)) from None
-        else:
-            measure = _measure(group, s)
+        measure = _measure(group, s)
         if args.action == "build":
             if out_path and out_path.endswith(".csv"):
                 with _writing(out_path):
@@ -641,9 +637,15 @@ def _run(args) -> tuple[dict, int]:
 
 
 def _measure(group: SchottkyGroup, s: dict):
-    """build_ps at --depth (default 8) with --delta, or with delta estimated
-    to --resolution (default 0.01) at estimate_delta's default order cap;
-    --depth is the depth of the measure only."""
+    """The measure read from measure_csv if given.  Else build_ps at --depth
+    (default 8) with --delta, or with delta estimated to --resolution
+    (default 0.01) at estimate_delta's default order cap; --depth is the
+    depth of the measure only."""
+    if "measure_csv" in s:
+        try:
+            return read_measure_csv(s["measure_csv"])
+        except (OSError, ValueError) as e:  # MeasureError included
+            raise ConfigError("measure_csv", str(e)) from None
     depth = _setting(s, "depth", 8, 2)
     group.check_depth(depth)
     delta = s.get("delta")

@@ -11,8 +11,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-DET_TOL = 1e-12
-FIXED_POINT_TOL = 1e-10
 CLASSIFY_TOL = 1e-12
 
 

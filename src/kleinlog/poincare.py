@@ -17,7 +17,7 @@ from itertools import islice
 import numpy as np
 
 from ._vec import fsum, fsum_c, parallel_chunks, uniform_sphere_points
-from .moebius import INF, MoebiusMap, SpherePoint, as_sphere_point
+from .moebius import MoebiusMap, SpherePoint, as_sphere_point
 from .polylog import D_GLOBAL_BOUND, bloch_wigner, bloch_wigner_many
 from .psmeasure import MeasureError, NayataniDensity
 from .schottky import (
@@ -245,31 +245,6 @@ def automorphy_residual(group: SchottkyGroup, integrand: SeriesIntegrand = None,
             num = abs(w * there.value - here.value)
             worst[i] = max(worst[i], num / (abs(here.value) + tol))
     return worst
-
-
-def fundamental_domain_samples(group: SchottkyGroup, n: int, seed: int = 0,
-                               margin: float = 0.05):
-    """Deterministic sphere-uniform points in the common exterior of the
-    defining disks, at least `margin` outside each disk in the Euclidean
-    sense: |z - center| >= radius + margin."""
-    rng = np.random.default_rng(seed)
-    out = []
-    tries = 0
-    while len(out) < n:
-        pts, msk = uniform_sphere_points(rng, 8 * n)
-        for p, m in zip(pts, msk):
-            if len(out) >= n:
-                break
-            sp = INF if m else SpherePoint(complex(p))
-            if group.circles is not None:
-                if any(sp.is_finite and abs(sp.value - c.center) < c.radius + margin
-                       for c in group.circles):
-                    continue
-            out.append(sp)
-        tries += 1
-        if tries > 64:
-            raise SchottkyError("could not sample enough fundamental-domain points")
-    return out
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,9 @@ from ._vec import (
     sphere_embed,
     stretch,
     to_sphere,
-    uniform_sphere_points,
 )
 from .moebius import INF, SpherePoint, as_sphere_point
-from .schottky import DeltaEstimate, SchottkyGroup, estimate_delta
+from .schottky import DeltaEstimate, SchottkyGroup, fundamental_domain_samples
 
 MASS_TOL = 1e-12
 ATOM_GUARD = 1e-12
@@ -79,16 +78,15 @@ class PSMeasure:
         return self.weights.size
 
 
-def build_ps(group: SchottkyGroup, delta=None, depth: int = 8) -> PSMeasure:
+def build_ps(group: SchottkyGroup, delta, depth: int = 8) -> PSMeasure:
     """Deepest-shell orbit measure: atoms w(basepoint) over |w| = depth,
-    weights proportional to (spherical derivative of w at basepoint)^delta."""
+    weights proportional to (spherical derivative of w at basepoint)^delta,
+    with delta a float or a DeltaEstimate."""
     if depth < 2:
         raise MeasureError(f"depth must be >= 2, got {depth}")
     if group.rank == 0:
         raise MeasureError("the trivial group carries no limit-set measure")
-    if delta is None:
-        delta = estimate_delta(group).delta
-    elif isinstance(delta, DeltaEstimate):
+    if isinstance(delta, DeltaEstimate):
         delta = delta.delta
     delta = float(delta)
     if not (delta >= 0.0 and math.isfinite(delta)):
@@ -523,28 +521,18 @@ class ConformalityReport:
 
 def conformality_report(density: NayataniDensity, group: SchottkyGroup,
                         n_points: int = 50, seed: int = 0) -> ConformalityReport:
-    """Checks F(gx) * s_g(x)^delta = F(x) at sampled fundamental-domain points;
-    reports the worst relative deviation and its ratio to the measure residual."""
-    rng = np.random.default_rng(seed)
-    samples = []  # (x, F(x)) in draw order
-    guard = 0
-    while len(samples) < n_points:
-        pts, msk = uniform_sphere_points(rng, 4 * n_points)
-        cands = [INF if m else SpherePoint(complex(p)) for p, m in zip(pts, msk)]
-        vals, singular, _ = density.F_many(*_point_arrays(cands))
-        kept = [(x, fx) for x, fx, bad in zip(cands, vals.tolist(), singular)
-                if not bad and not any(c.contains(x) for c in group.circles or ())]
-        samples += kept[:n_points - len(samples)]
-        guard += 1
-        if guard > 50:
-            raise MeasureError("could not sample enough fundamental-domain points")
+    """Checks F(gx) * s_g(x)^delta = F(x) at the points of
+    fundamental_domain_samples(group, n_points, seed); reports the worst
+    relative deviation and its ratio to the measure residual."""
+    xs = fundamental_domain_samples(group, n_points, seed)
+    fxs, singular, _ = density.F_many(*_point_arrays(xs))
+    _check_regular(singular)
     worst = 0.0
     d = density.measure.delta
     for g in group.generators:
-        gxs = [g.apply(x) for x, _ in samples]
-        fgx, singular, _ = density.F_many(*_point_arrays(gxs))
+        fgx, singular, _ = density.F_many(*_point_arrays([g.apply(x) for x in xs]))
         _check_regular(singular)
-        for (x, fx), f in zip(samples, fgx.tolist()):
+        for x, fx, f in zip(xs, fxs.tolist(), fgx.tolist()):
             rel = abs(f * g.spherical_derivative(x) ** d - fx) / fx
             worst = max(worst, rel)
     residual = quasi_invariance_residual(density.measure, group)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._vec import act, fsum, stretch
+from ._vec import act, fsum, stretch, uniform_sphere_points
 from .moebius import (
     INF,
     MoebiusMap,
@@ -34,6 +34,7 @@ MAX_WORDS = 4_000_000
 PAIRING_RESIDUAL_TOL = 1e-9
 DELTA_MAX_ORDER = 10      # estimate_delta's default order cap
 DELTA_GRID = 16           # cells of [0, 2] scanned for the largest root
+SAMPLE_MARGIN = 0.05      # fundamental_domain_samples' distance from the disks
 
 
 class SchottkyError(ValueError):
@@ -616,6 +617,10 @@ def limit_set(group: SchottkyGroup, depth: int) -> LimitSetSample:
         raise SchottkyError("depth must be >= 1")
     if group.rank == 0:
         raise SchottkyError("the trivial group has no limit set")
+    for i, g in enumerate(group.generators, start=1):
+        kind = g.classify()
+        if kind != "loxodromic":
+            raise SchottkyError(f"generator {i} is {kind}, not loxodromic")
     seeds = []
     for i, g in enumerate(group.generators, start=1):
         fp = g.fixed_points_multiplier()
@@ -661,6 +666,28 @@ def reduce_to_fundamental_domain(group: SchottkyGroup, z, max_steps: int = 200):
     raise SchottkyError(
         f"reduction did not terminate in {max_steps} steps: "
         "point numerically indistinguishable from the limit set")
+
+
+def fundamental_domain_samples(group: SchottkyGroup, n: int, seed: int = 0):
+    """Deterministic sphere-uniform points in the common exterior of the
+    defining disks, at least SAMPLE_MARGIN outside each disk in the
+    Euclidean sense: |z - center| >= radius + SAMPLE_MARGIN.  Each of at
+    most 64 draws of 8n points adds its accepted points in draw order
+    until there are n."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(64):
+        if len(out) >= n:
+            return out
+        pts, msk = uniform_sphere_points(rng, 8 * n)
+        far = np.ones(pts.size, dtype=bool)
+        for c in group.circles or ():
+            far &= np.abs(pts - c.center) >= c.radius + SAMPLE_MARGIN
+        out += [INF if msk[i] else SpherePoint(complex(pts[i]))
+                for i in np.flatnonzero(far | msk)[:n - len(out)]]
+    if len(out) < n:
+        raise SchottkyError("could not sample enough fundamental-domain points")
+    return out
 
 
 def nielsen(group: SchottkyGroup, move) -> SchottkyGroup:

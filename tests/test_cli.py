@@ -628,3 +628,45 @@ def test_random_flag_text_exits_0_2_or_3(base_config, data):
                            f"{flag}={text}")
     assert code in (0, 2, 3), err
     assert "Traceback" not in err
+
+
+# non-loxodromic diagnostic groups: every command refuses cleanly ---------------
+
+C45 = math.sqrt(0.5)
+NON_LOXODROMIC = {"parabolic": [[1, 0], [1, 0], [0, 0], [1, 0]],     # z + 1
+                  "elliptic": [[C45, C45], [0, 0], [0, 0], [C45, -C45]]}  # i z
+
+
+@pytest.mark.parametrize("kind", sorted(NON_LOXODROMIC))
+@pytest.mark.parametrize("cmd", COMMANDS, ids=" ".join)
+def test_non_loxodromic_diagnostic_group_exits_cleanly(tmp_path, kind, cmd):
+    cfg = tmp_path / "group.json"
+    cfg.write_text(json.dumps({**BASE, "group": {
+        "generators": [{"matrix": NON_LOXODROMIC[kind]}],
+        "cyclic_diagnostic": True}}))
+    code, _, err = main_io("--config", str(cfg), f"--out={tmp_path / 'out'}",
+                           *cmd)
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if cmd == ("group", "limitset"):
+        assert code == 2
+        assert err == f"validation error: generator 1 is {kind}, not loxodromic\n"
+
+
+def test_bers_reads_measure_csv(std_config, tmp_path):
+    """bers takes its measure from measure_csv, as measure does; --depth
+    then is not checked."""
+    csv = tmp_path / "m.csv"
+    code, _, err = main_io("--config", std_config, "measure", "build", "--depth",
+                           "6", "--delta", "0.2984", "--out", str(csv))
+    assert code == 0, err
+    cfg = tmp_path / "withcsv.json"
+    cfg.write_text(json.dumps({**std_spec(), "measure_csv": str(csv)}))
+    code, built, err = main_io("--config", std_config, "bers", "--depth", "6",
+                               "--delta", "0.2984", "--samples", "1000")
+    assert code == 0, err
+    for extra in ((), ("--depth", "1")):
+        code, read, err = main_io("--config", str(cfg), "bers", "--samples",
+                                  "1000", *extra)
+        assert code == 0, err
+        assert json.loads(read)["results"] == json.loads(built)["results"]

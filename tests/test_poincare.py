@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kleinlog.moebius import INF, SpherePoint
+from kleinlog.moebius import INF, MoebiusMap, SpherePoint
 from kleinlog.poincare import (
     BLOCH_WIGNER_INTEGRAND,
     DomainError,
@@ -13,11 +13,15 @@ from kleinlog.poincare import (
     bers_integral,
     convergence_report,
     evaluate,
-    fundamental_domain_samples,
 )
 from kleinlog.polylog import D_GLOBAL_BOUND, bloch_wigner, bloch_wigner_many
 from kleinlog.psmeasure import MeasureError, NayataniDensity, PSMeasure
-from kleinlog.schottky import SchottkyError, SchottkyGroup
+from kleinlog.schottky import (
+    SAMPLE_MARGIN,
+    SchottkyError,
+    SchottkyGroup,
+    fundamental_domain_samples,
+)
 
 from tests.test_psmeasure import single_atom
 
@@ -151,6 +155,38 @@ def test_fundamental_domain_samples(std_group):
     for p in pts:
         for c in std_group.circles:
             assert not c.contains(complex(p), closed=False)
+            assert abs(p.value - c.center) >= c.radius + SAMPLE_MARGIN
+
+
+def scalar_fundamental_domain_samples(group, n, seed):
+    """The per-point loop that fundamental_domain_samples vectorizes."""
+    from kleinlog._vec import uniform_sphere_points
+
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(64):
+        if len(out) >= n:
+            break
+        pts, msk = uniform_sphere_points(rng, 8 * n)
+        for p, m in zip(pts, msk):
+            sp = INF if m else SpherePoint(complex(p))
+            if len(out) < n and not any(
+                    sp.is_finite and abs(sp.value - c.center) < c.radius + SAMPLE_MARGIN
+                    for c in group.circles or ()):
+                out.append(sp)
+    return out
+
+
+def test_fundamental_domain_samples_match_scalar_loop(std_group):
+    from tests.conftest import make_standard_group
+
+    wide = make_standard_group(0.9)
+    diagnostic = SchottkyGroup([MoebiusMap.translation(1.0)], cyclic_diagnostic=True)
+    for group in (std_group, wide, diagnostic):
+        for n in (2, 4, 8, 40):
+            for seed in (0, 3, 5, 7, 11, 123):
+                assert (fundamental_domain_samples(group, n, seed)
+                        == scalar_fundamental_domain_samples(group, n, seed))
 
 
 def test_convergence_report(std_group):

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -278,3 +279,17 @@ def test_bernoulli_and_zeta():
         )
     for n in range(2, 12):
         assert abs(zeta_int(n) - float(mpmath.zeta(n))) < 1e-14
+
+
+@pytest.mark.parametrize("z", ["1e6,1e6", "1e100,1e100"])
+def test_cli_bloch_wigner_bound_covers_its_error(z):
+    """polylog --bloch-wigner reports the bound it computed, and that bound
+    covers the error against a 40-digit D."""
+    from tests.test_cli import main_io
+
+    code, out, err = main_io("polylog", "--bloch-wigner", "--z", z)
+    assert code == 0, err
+    res = json.loads(out)["results"]
+    with mpmath.workdps(40):
+        exact = mp_D(complex(*map(float, z.split(","))))
+    assert res["error_bound"] >= abs(res["value"] - exact)

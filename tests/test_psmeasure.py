@@ -191,20 +191,19 @@ def test_csv_roundtrip(tmp_path, std_group, sharp_delta):
 
 def near_atom_points(measure, rng, k):
     """Points at chordal distance 1e-9..1e-3 from seeded atoms, plus infinity."""
-    from kleinlog._vec import from_sphere, sphere_coords_many
+    from kleinlog._vec import from_sphere_many, sphere_coords_many
 
     idx = rng.integers(0, len(measure), k)
     n0s = np.stack(sphere_coords_many(measure.points[idx], measure.inf_mask[idx]), 1)
-    pts, msk = [], []
+    vecs = []
     for n0 in n0s:
         t = rng.normal(size=3)
         t -= t.dot(n0) * n0
         t /= np.linalg.norm(t)
         theta = 2.0 * math.asin(0.5 * 10.0 ** rng.uniform(-9.0, -3.0))
-        p = from_sphere(math.cos(theta) * n0 + math.sin(theta) * t)
-        pts.append(0j if p.is_infinity else p.value)
-        msk.append(p.is_infinity)
-    return np.array(pts + [0j]), np.array(msk + [True])
+        vecs.append(math.cos(theta) * n0 + math.sin(theta) * t)
+    pts, msk = from_sphere_many(*np.array(vecs).T)
+    return np.append(pts, 0j), np.append(msk, True)
 
 
 def assert_within_bounds(den, pts, msk):

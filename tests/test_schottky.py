@@ -188,10 +188,11 @@ def test_only_schottky_reads_shell_storage():
 
 
 def test_every_definition_in_src_is_named_somewhere():
-    """A function, method, property or class of kleinlog that no code in
-    src/, tests/ or perfbench/ names (as a name, an attribute or an import)
-    is dead; dunders are called by Python itself.  Names in strings do not
-    count."""
+    """A function, method, property, class or module-level constant of
+    kleinlog that no code in src/, tests/ or perfbench/ names (as a name
+    read, an attribute or an import) is dead; assigning a name does not
+    name it, and dunders are used by Python itself.  Names in strings do
+    not count."""
     import kleinlog
 
     src = Path(kleinlog.__file__).parent
@@ -202,18 +203,27 @@ def test_every_definition_in_src_is_named_somewhere():
     named = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.update(node.name.split("."))
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    dead = sorted(f"{path.name}:{node.name}"
-                  for path, tree in trees.items() if path.is_relative_to(src)
-                  for node in ast.walk(tree)
-                  if isinstance(node, defs) and node.name not in named
-                  and not (node.name.startswith("__") and node.name.endswith("__")))
+    defined = []
+    for path, tree in trees.items():
+        if not path.is_relative_to(src):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path, node.name))
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            defined += [(path, t.id) for target in targets
+                        for t in ast.walk(target) if isinstance(t, ast.Name)]
+    dead = sorted(f"{path.name}:{name}" for path, name in defined
+                  if name not in named
+                  and not (name.startswith("__") and name.endswith("__")))
     assert not dead, f"defined but never named: {dead}"
 
 

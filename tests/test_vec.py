@@ -10,7 +10,7 @@ from kleinlog._vec import (
     FSUM_BLOCK,
     FSUM_SHORT,
     act,
-    from_sphere,
+    from_sphere_many,
     fsum,
     fsum_c,
     hom_many,
@@ -218,8 +218,9 @@ def test_sphere_round_trip():
     rng = np.random.default_rng(409)
     disk = np.sqrt(rng.uniform(size=50)) * np.exp(2j * np.pi * rng.uniform(size=50))
     pts = as_points(vals[:11], mask[:11]) + [INF] + as_points(disk, np.zeros(50))
-    for p in pts:
-        assert chordal(from_sphere(to_sphere(p)), p) <= 4 * U
+    back = as_points(*from_sphere_many(*np.stack([to_sphere(p) for p in pts], 1)))
+    for p, q in zip(pts, back):
+        assert chordal(q, p) <= 4 * U
 
 
 # threading --------------------------------------------------------------------

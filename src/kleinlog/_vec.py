@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -54,48 +55,65 @@ def fsum_c(z) -> complex:
 
 
 def _fsum_binned(a: np.ndarray) -> float:
-    # Every finite double is m * 2**(e - 53) with a signed 53-bit integer m
-    # and its frexp exponent e.  Per exponent, np.bincount sums the high 27
-    # and low 26 bits of m over blocks of FSUM_BLOCK elements; each partial
-    # sum is an integer below 2**27 * FSUM_BLOCK <= 2**53, so the float sums
-    # are exact, and int64 accumulates the blocks without loss.  The bins
-    # are combined as one Python int and rounded once by int / 2**k, which
-    # CPython rounds correctly, as math.fsum does.
-    hi_acc = np.zeros(_NBINS, dtype=np.int64)
-    lo_acc = np.zeros(_NBINS, dtype=np.int64)
-    emax = 0
-    for start in range(0, a.size, FSUM_BLOCK):
-        blk = a[start:start + FSUM_BLOCK]
-        if not np.isfinite(blk).all():
-            # nan, inf and their exceptions exactly as math.fsum gives them
-            return _fsum_python(a)
-        m, e = np.frexp(blk)
-        m *= 2.0**53
-        hi = np.floor(m * 2.0**-26)
-        m -= hi * 2.0**26
-        emax = max(emax, int(e.max()))
-        e += _EXP_BIAS
-        hi_acc += np.bincount(e, weights=hi, minlength=_NBINS).astype(np.int64)
-        lo_acc += np.bincount(e, weights=m, minlength=_NBINS).astype(np.int64)
-    if emax + a.size.bit_length() > 1023:
-        # sum |x| may reach 2**1023: math.fsum can overflow in an
-        # intermediate step, and then raises where the exact sum is finite
-        return _fsum_python(a)
-    nz = np.flatnonzero(hi_acc | lo_acc)
-    if nz.size == 0:
-        return 0.0
-    b0 = int(nz[0])
-    total = 0
-    for shift, h, lo in zip((nz - b0).tolist(), hi_acc[nz].tolist(),
-                            lo_acc[nz].tolist()):
-        total += ((h << 26) + lo) << shift
-    k = b0 - _EXP_BIAS - 53
-    return float(total << k) if k >= 0 else total / (1 << -k)
+    acc = ExactSum()
+    return acc.value() if acc.add(a) else _fsum_python(a)
 
 
 def _fsum_python(a: np.ndarray) -> float:
     return math.fsum(itertools.chain.from_iterable(
         a[i:i + FSUM_BLOCK].tolist() for i in range(0, a.size, FSUM_BLOCK)))
+
+
+class ExactSum:
+    """The exact sum of every float added or merged in, rounded once by
+    value(): math.fsum over their union, bit for bit, except that where
+    math.fsum would overflow part-way the exact sum is still rounded."""
+
+    def __init__(self):
+        self.total = 0      # finite terms, in units of 2**-(_EXP_BIAS + 53)
+        self.special = []   # the distinct nan and infinities of each array
+
+    def add(self, a: np.ndarray) -> bool:
+        """Add a 1-d float array.  False where math.fsum of the array alone
+        may differ from its exact sum: it holds nan or an infinity, or its
+        partial sums may reach 2**1023."""
+        # Every finite double is m * 2**(e - 53) with a signed 53-bit integer
+        # m and its frexp exponent e.  Per exponent, np.bincount sums the
+        # high 27 and low 26 bits of m over blocks of FSUM_BLOCK elements;
+        # each partial sum is an integer below 2**27 * FSUM_BLOCK <= 2**53,
+        # so the float sums are exact, and int64 accumulates the blocks
+        # without loss.  The bins then join the Python int total.
+        hi_acc = np.zeros(_NBINS, dtype=np.int64)
+        lo_acc = np.zeros(_NBINS, dtype=np.int64)
+        emax = 0
+        for start in range(0, a.size, FSUM_BLOCK):
+            blk = a[start:start + FSUM_BLOCK]
+            if not np.isfinite(blk).all():
+                self.special += np.unique(a[~np.isfinite(a)]).tolist()
+                return False
+            m, e = np.frexp(blk)
+            m *= 2.0**53
+            hi = np.floor(m * 2.0**-26)
+            m -= hi * 2.0**26
+            emax = max(emax, int(e.max()))
+            e += _EXP_BIAS
+            hi_acc += np.bincount(e, weights=hi, minlength=_NBINS).astype(np.int64)
+            lo_acc += np.bincount(e, weights=m, minlength=_NBINS).astype(np.int64)
+        nz = np.flatnonzero(hi_acc | lo_acc)
+        for b, h, lo in zip(nz.tolist(), hi_acc[nz].tolist(), lo_acc[nz].tolist()):
+            self.total += ((h << 26) + lo) << b
+        return emax + a.size.bit_length() <= 1023
+
+    def merge(self, other: "ExactSum") -> None:
+        self.total += other.total
+        self.special += other.special
+
+    def value(self) -> float:
+        if self.special:
+            # nan and infinities decide, with math.fsum's results and errors
+            return math.fsum(self.special)
+        # CPython rounds int / int correctly, as math.fsum rounds
+        return self.total / (1 << (_EXP_BIAS + 53))
 
 
 def hom_many(points: np.ndarray, inf_mask: np.ndarray):
@@ -192,16 +210,32 @@ def uniform_sphere_points(rng: np.random.Generator, n: int):
     return from_sphere_many(s * np.cos(ang), s * np.sin(ang), u)
 
 
+def ordered_map(fn, items, threads: int):
+    """Yield fn(item) for each of items, in order: on this thread when
+    threads <= 1, else on a pool of `threads` threads, taking the next item
+    while they run and never holding more than threads + 1 items whose
+    results have not been yielded."""
+    if threads <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        running = deque()
+        for item in items:
+            # ex.map over one item submits it; needing map alone keeps any
+            # executor that offers map usable here
+            running.append(ex.map(fn, (item,)))
+            if len(running) > threads:
+                yield next(running.popleft())
+        for result in running:
+            yield next(result)
+
+
 def parallel_chunks(work, n: int, threads: int, chunk: int) -> None:
     """Call work(lo, hi) on the pieces [lo, hi) of range(n), each `chunk`
     long but the last: in order on this thread when threads <= 1, else on
     at most `threads` threads and never more threads than pieces.  work
     sees the same pieces at every thread count."""
     spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    workers = min(threads, len(spans))
-    if workers <= 1:
-        for span in spans:
-            work(*span)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        list(ex.map(lambda span: work(*span), spans))
+    for _ in ordered_map(lambda span: work(*span), spans,
+                         min(threads, len(spans))):
+        pass

@@ -16,20 +16,28 @@ from itertools import islice
 
 import numpy as np
 
-from ._vec import fsum, fsum_c, parallel_chunks, uniform_sphere_points
+from ._vec import (
+    ExactSum,
+    fsum,
+    fsum_c,
+    ordered_map,
+    parallel_chunks,
+    uniform_sphere_points,
+)
 from .moebius import MoebiusMap, SpherePoint, as_sphere_point
 from .polylog import D_GLOBAL_BOUND, bloch_wigner, bloch_wigner_many
 from .psmeasure import MeasureError, NayataniDensity
 from .schottky import (
+    EVAL_CHUNK,
     SchottkyError,
     SchottkyGroup,
+    ShellOverflowError,
     estimate_delta,
     power_sum,
     reduce_to_fundamental_domain,
 )
 
 TAIL_SAFETY = 2.0
-EVAL_CHUNK = 65536
 WEIGHT_MODES = ("holomorphic", "absolute")
 
 
@@ -142,7 +150,11 @@ def evaluate(group: SchottkyGroup, integrand: SeriesIntegrand = None, z=0j,
 def _evaluate_at(group: SchottkyGroup, integrand, zs, weight_mode: str,
                  max_len: int, tol: float, threads: int) -> list[SeriesEvaluation]:
     """evaluate at each of zs in one pass over the shells.  Every point is
-    checked first, in order; then each shell is summed at every point."""
+    checked first, in order.  Then each piece of each shell is summed at
+    every point, the pieces spread over `threads` threads.  A shell of
+    several pieces is summed exactly and rounded once its last piece is in.
+    An error is raised where a pass shell by shell and point by point would
+    meet the first one: at the shortest length, then at the first point."""
     if integrand is None:
         integrand = BLOCH_WIGNER_INTEGRAND
     if weight_mode not in WEIGHT_MODES:
@@ -166,21 +178,81 @@ def _evaluate_at(group: SchottkyGroup, integrand, zs, weight_mode: str,
     sums = [[complex(integrand.eval_point(p))] for p in ps]
     wsums = [[1.0] for _ in ps]
     comp = [[1.0] for _ in ps]  # comparability: the largest of these
-    try:
+    # ((length, point, 0 for a SchottkyError from shell_terms else 1, piece),
+    # error) of every error met
+    errors = []
+
+    def pieces():
         # the trivial group has no words beyond the empty one
-        for shell in islice(group.shells(max_len if group.rank else 0), 1, None):
-            for i, p in enumerate(ps):
-                pts, infm, wts = group.shell_terms(shell, p, weight_mode)
-                vals = integrand.eval_many(pts, infm, threads)
-                sums[i].append(fsum_c(wts * vals))
-                wsums[i].append(fsum(np.abs(wts)))
+        try:
+            yield from islice(group.shells(max_len if group.rank else 0), 1, None)
+        except ShellOverflowError as e:
+            errors.append(((e.length, -1, 0, 0), e))
+
+    def piece_sums(item):
+        """Length, words, (sums, comparability ratios) at each point in
+        order, and (point, error) of the first error of one piece.  A whole
+        shell's sums are rounded, a piece's are ExactSums of re, im, |w|."""
+        n, piece = item
+        out = []
+        for i, p in enumerate(ps):
+            try:
+                pts, infm, wts = group.shell_terms(piece, p, weight_mode)
+                terms = wts * integrand.eval_many(pts, infm)
+                c = []
                 if weight_mode == "holomorphic":
-                    ratio = np.where(infm, np.inf, 1.0 + np.abs(pts) ** 2) / base_n[i]
+                    with np.errstate(over="ignore"):
+                        ratio = (np.where(infm, np.inf, 1.0 + np.abs(pts) ** 2)
+                                 / base_n[i])
                     ratio = ratio[np.isfinite(ratio)]
                     if ratio.size:
-                        comp[i] += [float(np.max(ratio)), float(1.0 / np.min(ratio))]
-    except SchottkyError as e:
-        raise DomainError(str(e)) from e
+                        c = [float(np.max(ratio)), float(1.0 / np.min(ratio))]
+                if piece.first.size == group.shell_size(n):
+                    out.append(((fsum_c(terms), fsum(np.abs(wts))), c))
+                    continue
+                re, im, w = ExactSum(), ExactSum(), ExactSum()
+                re.add(terms.real)
+                if np.iscomplexobj(terms):
+                    im.add(terms.imag)
+                w.add(np.abs(wts))
+                out.append(([re, im, w], c))
+            except (ValueError, ArithmeticError) as e:
+                return n, piece.first.size, out, (i, e)
+        return n, piece.first.size, out, None
+
+    # length -> sums at each point; -> [words so far, sums so far]
+    done, pending = {}, {}
+    for k, (n, words, out, err) in enumerate(
+            ordered_map(piece_sums, pieces(), threads)):
+        if err:
+            i, e = err
+            errors.append(((n, i, not isinstance(e, SchottkyError), k), e))
+        for i, (_, c) in enumerate(out):
+            comp[i] += c
+        out = [sums_i for sums_i, _ in out]
+        if n not in pending:
+            pending[n] = [0, out]
+        else:
+            for mine, theirs in zip(pending[n][1], out):
+                for acc, more in zip(mine, theirs):
+                    acc.merge(more)
+        pending[n][0] += words
+        if pending[n][0] == group.shell_size(n):
+            sums_n = pending.pop(n)[1]
+            done[n] = sums_n if words == group.shell_size(n) else [
+                (complex(re.value(), im.value()), w.value()) for re, im, w in sums_n]
+        first = min(errors, key=lambda e: e[0], default=None)
+        if first and all(m in done for m in range(1, first[0][0] + 1)):
+            break
+    if errors:
+        e = min(errors, key=lambda e: e[0])[1]
+        if isinstance(e, SchottkyError):
+            raise DomainError(str(e)) from e
+        raise e
+    for n in sorted(done):
+        for i, (s, w) in enumerate(done[n]):
+            sums[i].append(s)
+            wsums[i].append(w)
     out = []
     for p, shells, weight_shells, c in zip(ps, sums, wsums, comp):
         ratios = _ratios(weight_shells)

@@ -92,8 +92,21 @@ def build_ps(group: SchottkyGroup, delta, depth: int = 8) -> PSMeasure:
     if not (delta >= 0.0 and math.isfinite(delta)):
         raise MeasureError(f"delta must be a finite nonnegative real, got {delta!r}")
     bp = group.default_basepoint()
-    shell = group.shell(depth)
-    pts, msk, sph = group.shell_terms(shell, bp, "absolute")
+    size = group.shell_size(depth)
+    pts, msk, sph = np.empty(size, dtype=complex), np.empty(size, dtype=bool), np.empty(size)
+    escaped = set()  # letters whose words took an atom out of their disk
+    at = 0
+    for piece in (sh for n, sh in group.shells(depth) if n == depth):
+        span = slice(at, at + piece.first.size)
+        pts[span], msk[span], sph[span] = group.shell_terms(piece, bp, "absolute")
+        at = span.stop
+        if group.circles is None:
+            continue
+        for l in group.letters:
+            tgt, sel = group.target_circle(int(l)), piece.first == l
+            inside = np.abs(pts[span][sel] - tgt.center) <= tgt.radius + 1e-9
+            if np.any(msk[span][sel]) or not np.all(inside):
+                escaped.add(l)
     raw = sph**delta
     total = fsum(raw)
     if not (total > 0.0 and math.isfinite(total)):
@@ -101,14 +114,9 @@ def build_ps(group: SchottkyGroup, delta, depth: int = 8) -> PSMeasure:
     wts = raw / total
     # rescale so the compensated total is exactly representable as 1
     wts = wts / fsum(wts)
-    if group.circles is not None:
-        for l in group.letters:
-            sel = shell.first == l
-            tgt = group.target_circle(int(l))
-            inside = np.abs(pts[sel] - tgt.center) <= tgt.radius + 1e-9
-            if np.any(msk[sel]) or not np.all(inside):
-                raise MeasureError(
-                    f"orbit atoms escaped the defining disk of letter {l}")
+    if escaped:
+        raise MeasureError("orbit atoms escaped the defining disk of letter "
+                           f"{min(escaped, key=group.letters.index)}")
     return PSMeasure(pts, msk, wts, delta, int(depth), bp)
 
 
@@ -176,6 +184,10 @@ LEAF_ATOMS = 8                    # leaves: smallest prefix blocks this large
 MAX_RHO = 2.0**-6                 # accepted nodes have all |t_i| <= MAX_RHO * phi
 PAIR_BUDGET = 1 << 20             # (point, leaf) pairs one batch can reach
 POINT_BATCH = 1024
+# the smallest batch F_many spreads over threads: smaller batches' numpy
+# calls hold the interpreter lock too often (on 2 vCPUs, 2 threads walked
+# 512-point batches 1.25x faster than 1 thread, 359-point ones slower)
+THREAD_BATCH = POINT_BATCH // 2
 LEAF_BLOCK = 1 << 14              # elements of one leaf-kernel temporary
 
 
@@ -333,9 +345,10 @@ class NayataniDensity:
 
         rel_tol bounds the relative error each accepted tree node may add;
         rel_tol=0 accepts none and sums every atom.  The points are walked in
-        batches spread over at most `threads` threads.  Each value depends on
-        its own point only, so splitting the points or spreading them over
-        threads changes no bit.
+        batches, spread over at most `threads` threads when a batch holds at
+        least THREAD_BATCH points.  Each value depends on its own point only,
+        so splitting the points or spreading them over threads changes no
+        bit.
 
         Known weakness: for a point and an atom on opposite sides of
         |z| = 1 at chordal distance r, the kernel rounds z * (1/y), so the
@@ -355,7 +368,8 @@ class NayataniDensity:
 
         n_leaves = self._leaves.w.shape[0]
         batch = max(1, min(POINT_BATCH, PAIR_BUDGET // n_leaves))
-        parallel_chunks(work, Z.size, threads, batch)
+        parallel_chunks(work, Z.size, threads if batch >= THREAD_BATCH else 1,
+                        batch)
         return (vals.reshape(pts.shape), singular.reshape(pts.shape),
                 rel_err.reshape(pts.shape))
 

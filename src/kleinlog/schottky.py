@@ -31,6 +31,9 @@ from .moebius import (
 )
 
 MAX_WORDS = 4_000_000
+# words of a shell piece: the integrand sees a longer shell in pieces of
+# this size (see poincare.SeriesIntegrand.eval_many)
+EVAL_CHUNK = 65536
 PAIRING_RESIDUAL_TOL = 1e-9
 DELTA_MAX_ORDER = 10      # estimate_delta's default order cap
 DELTA_GRID = 16           # cells of [0, 2] scanned for the largest root
@@ -54,8 +57,12 @@ class EstimationError(SchottkyError):
 
 
 class ShellOverflowError(SchottkyError):
-    """Word matrices left the floating-point range; the message names the
-    first word length where they did."""
+    """Word matrices left the floating-point range; `length`, named in the
+    message, is the shortest word length where they did."""
+
+    def __init__(self, length: int):
+        super().__init__(f"word matrices overflow at length {length}")
+        self.length = length
 
 
 @dataclass(frozen=True)
@@ -149,6 +156,11 @@ class Shell(NamedTuple):
     mats: np.ndarray
     first: np.ndarray
     last: np.ndarray
+
+
+def _join(parts) -> Shell:
+    """Consecutive pieces of one shell as one Shell."""
+    return Shell(*map(np.concatenate, zip(*parts)))
 
 
 def _isometric_pair(g: MoebiusMap):
@@ -361,22 +373,57 @@ class SchottkyGroup:
                                 f"{MAX_WORDS} words")
 
     def shells(self, depth: int):
-        """Yield the shells 0..depth in order, each built from the one
-        before and none kept.  ShellOverflowError at the first shell whose
-        matrices are not finite."""
+        """Yield (n, piece) for the words of lengths 0..depth, each shell
+        built from the one before and none kept.  A shell of more than
+        2 * EVAL_CHUNK words comes as its rows [k * EVAL_CHUNK, (k + 1) *
+        EVAL_CHUNK), grown depth-first from blocks of the last whole shell,
+        so pieces of different lengths interleave.  ShellOverflowError names
+        the shortest length that overflows, after all shorter pieces."""
         self.check_depth(depth)
         empty = np.zeros(1, dtype=np.int64)
         sh = Shell(np.eye(2, dtype=complex)[None], empty, empty)
-        yield sh
-        for n in range(1, depth + 1):
+        yield 0, sh
+        n = 0
+        # shell 1 is the letters themselves, never grown from blocks
+        while n < depth and (n == 0 or self.shell_size(n + 1) <= 2 * EVAL_CHUNK):
+            n += 1
             sh = self._next_shell(sh, n)
             if not np.isfinite(sh.mats).all():
-                raise ShellOverflowError(f"word matrices overflow at length {n}")
-            yield sh
+                raise ShellOverflowError(n)
+            yield n, sh
+        if n < depth:
+            yield from self._pieces(sh, n, depth)
+
+    def _pieces(self, top: Shell, top_n: int, depth: int):
+        """shells' pieces of lengths top_n + 1..depth from blocks of `top`
+        that grow to at most EVAL_CHUNK words at `depth`; each length's rows
+        wait in `rows` until they fill a piece."""
+        block = max(1, EVAL_CHUNK // (2 * self.rank - 1) ** (depth - top_n))
+        rows = {n: [] for n in range(top_n + 1, depth + 1)}
+        stop = depth + 1
+        for lo in range(0, top.mats.shape[0], block):
+            sh = Shell(*(a[lo:lo + block] for a in top))
+            for n in range(top_n + 1, stop):
+                sh = self._next_shell(sh, n)
+                if not np.isfinite(sh.mats).all():
+                    stop = n
+                    break
+                rows[n].append(sh)
+                while (extra := sum(r.first.size for r in rows[n]) - EVAL_CHUNK) >= 0:
+                    last = rows[n].pop()
+                    cut = last.first.size - extra
+                    piece = _join(rows[n] + [Shell(*(a[:cut] for a in last))])
+                    rows[n] = [Shell(*(a[cut:] for a in last))]
+                    yield n, piece
+        for n in range(top_n + 1, stop):
+            if sum(r.first.size for r in rows[n]):
+                yield n, _join(rows[n])
+        if stop <= depth:
+            raise ShellOverflowError(stop)
 
     def shell(self, n: int) -> Shell:
-        """The length-n words, the last of shells(n)."""
-        return next(islice(self.shells(n), n, None))
+        """The length-n words: the pieces of length n of shells(n), joined."""
+        return _join([piece for m, piece in self.shells(n) if m == n])
 
     def _next_shell(self, prev: Shell, n: int) -> Shell:
         """Shell n from shell n - 1: each word followed by every letter but
@@ -450,8 +497,8 @@ class SchottkyGroup:
         is taken of the word's matrix scaled by its largest entry."""
         bp = self.default_basepoint() if basepoint is None else as_sphere_point(basepoint)
         zz, ww = _homogeneous(bp)
-        out = []
-        for sh in islice(self.shells(max_depth), 1, None):
+        out = [[] for _ in range(max_depth + 1)]
+        for n, sh in islice(self.shells(max_depth), 1, None):
             with np.errstate(divide="ignore"):
                 logd = np.log(self.shell_terms(sh, bp, "absolute")[2])
             big = ~np.isfinite(logd)
@@ -461,8 +508,8 @@ class SchottkyGroup:
             num, den = act(m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1], zz, ww)[2:]
             logd[big] = np.log(abs(zz) ** 2 + abs(ww) ** 2) - (
                 2.0 * np.log(top) + np.log(abs(num) ** 2 + abs(den) ** 2))
-            out.append(logd)
-        return out
+            out[n].append(logd)
+        return [np.concatenate(parts) for parts in out[1:]]
 
 
 def power_sum(logd: np.ndarray, s: float) -> float:
@@ -496,6 +543,18 @@ def _multipliers(shell: Shell):
     u = 2.0 / (mats[keep, 0, 0] + mats[keep, 1, 1])
     mu = u / (1.0 + np.sqrt(1.0 - u * u))
     return 2.0 * np.log(np.abs(mu)), 1.0 / np.abs(1.0 - mu * mu) ** 2
+
+
+def _multiplier_shells(group: SchottkyGroup, max_depth: int):
+    """_multipliers of shells 1..max_depth in order, each joined from its
+    pieces once its last piece is in."""
+    parts, words, n = {}, [0] * (max_depth + 1), 1
+    for m, piece in islice(group.shells(max_depth), 1, None):
+        parts.setdefault(m, []).append(_multipliers(piece))
+        words[m] += piece.first.size
+        while n <= max_depth and words[n] == group.shell_size(n):
+            yield tuple(map(np.concatenate, zip(*parts.pop(n))))
+            n += 1
 
 
 def _determinant(terms, s: float, total=fsum) -> float:
@@ -581,8 +640,8 @@ def estimate_delta(group: SchottkyGroup, resolution: float = 0.01,
     if group.rank == 1:
         return DeltaEstimate(0.0, (0.0, math.ulp(0.0)), (), max_depth)
     terms, orders = [], []
-    for n, shell in enumerate(islice(group.shells(max_depth), 1, None), 1):
-        terms.append(_multipliers(shell))
+    for n, shell_terms in enumerate(_multiplier_shells(group, max_depth), 1):
+        terms.append(shell_terms)
         if n % 2:
             continue
         # numpy's sums locate the root and the correctly rounded ones refine it

@@ -338,6 +338,43 @@ def test_series_report_pinned(std_config, threads):
     assert r.stdout == (DATA / "series_report_len10.json").read_bytes()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name, args", [
+    ("series_eval_len12_holomorphic.json",
+     ("series", "eval", "--max-len", "12", "--z", "0.3,0.7", "--weight",
+      "holomorphic")),
+    ("series_eval_len12_absolute.json",
+     ("series", "eval", "--max-len", "12", "--z", "0.3,0.7", "--weight",
+      "absolute")),
+    ("series_automorphy_len11.json",
+     ("series", "automorphy", "--max-len", "11", "--samples", "2", "--seed", "5")),
+])
+def test_streamed_shell_reports_pinned(std_config, threads, name, args):
+    """The exact bytes of reports whose shells 11 and 12 come in pieces,
+    recorded when those shells were still built whole."""
+    r = run_cli("--config", std_config, "--threads", threads, *args)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_overflowing_group_exits_3_naming_the_first_error(tmp_path, threads):
+    from tests.test_poincare import overflowing_group
+
+    gens = [{"matrix": [[v.real, v.imag] for v in (m.a, m.b, m.c, m.d)]}
+            for m in overflowing_group().generators]
+    cfg = tmp_path / "overflowing.json"
+    cfg.write_text(json.dumps({"group": {"generators": gens,
+                                         "cyclic_diagnostic": True}}))
+    base = ("--config", str(cfg), "--threads", threads, "series", "eval",
+            "--max-len", "12", "--z", "0.3,0.7")
+    assert main_io(*base, "--weight", "absolute") == (
+        3, "", "numeric error: word matrices overflow at length 11\n")
+    assert main_io(*base) == (
+        3, "", "numeric error: holomorphic weight at an orbit pole or "
+               "overflowing at z = (0.3+0.7j)\n")
+
+
 def test_deep_rank1_shells_refused_or_finite(tmp_path):
     """Generator 1 of the standard group alone: its word matrices overflow
     at length 339, and the denominator |num|^2 + |den|^2 of its spherical

@@ -20,6 +20,7 @@ from kleinlog.schottky import (
     SAMPLE_MARGIN,
     SchottkyError,
     SchottkyGroup,
+    Shell,
     fundamental_domain_samples,
 )
 
@@ -146,6 +147,53 @@ def test_integrand_bound_enforced(std_group):
         evaluate(std_group, lying, z=1j, max_len=3)
     with pytest.raises(TypeError):  # the vector form is required
         SeriesIntegrand(bloch_wigner)
+
+
+def overflowing_group() -> SchottkyGroup:
+    """diag(1e30, 1e-30) and its conjugate by z -> z + 1: word matrices
+    overflow at length 11, and holomorphic weights at z = 0.3 + 0.7i much
+    sooner."""
+    g = MoebiusMap(1e30, 0, 0, 1e-30)
+    t = MoebiusMap.translation(1.0)
+    return SchottkyGroup([g, t.compose(g).compose(t.inverse())],
+                         cyclic_diagnostic=True)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_errors_in_shell_then_point_order(threads):
+    g = overflowing_group()
+    with pytest.raises(DomainError) as err:
+        evaluate(g, None, 0.3 + 0.7j, "absolute", 12, threads=threads)
+    assert str(err.value) == "word matrices overflow at length 11"
+    with pytest.raises(DomainError) as err:
+        evaluate(g, None, 0.3 + 0.7j, "holomorphic", 12, threads=threads)
+    assert str(err.value) == ("holomorphic weight at an orbit pole or "
+                              "overflowing at z = (0.3+0.7j)")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_integrand_error_of_the_shorter_shell_wins(std_group, threads):
+    """Shell 12's first piece comes before any piece of shell 11; an
+    integrand that fails on both reports shell 11's failure, the one a pass
+    shell by shell meets first."""
+    z = 0.3 + 0.7j
+
+    def orbit_point(n, row):
+        sh = std_group.shell(n)
+        one = Shell(*(a[row:row + 1] for a in sh))
+        return std_group.shell_terms(one, z, "absolute")[0][0]
+
+    in12, in11 = orbit_point(12, 0), orbit_point(11, std_group.shell_size(11) - 1)
+
+    def marked(pts):
+        vals = bloch_wigner_many(pts)
+        vals[pts == in12] = 5.0
+        vals[pts == in11] = 3.0
+        return vals
+
+    integrand = SeriesIntegrand(bloch_wigner, marked, D_GLOBAL_BOUND, "marked")
+    with pytest.raises(IntegrandBoundError, match="'marked' reached 3.0,"):
+        evaluate(std_group, integrand, z, "absolute", 12, threads=threads)
 
 
 def test_fundamental_domain_samples(std_group):

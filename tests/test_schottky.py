@@ -16,10 +16,12 @@ from kleinlog.moebius import (
     from_fixed_points_multiplier,
 )
 from kleinlog.schottky import (
+    EVAL_CHUNK,
     Circle,
     EstimationError,
     SchottkyError,
     SchottkyGroup,
+    Shell,
     ShellOverflowError,
     ValidationFailure,
     estimate_delta,
@@ -166,6 +168,53 @@ def test_overflowing_shell_refused_and_finite_ones_kept():
     assert np.isfinite(g.shell(338).mats).all()
     with pytest.raises(ShellOverflowError, match="length 339"):
         g.shell(339)
+
+
+def test_deep_shells_come_in_pieces_equal_to_whole_shells(std_group):
+    """Shells 11 and 12 (more than 2 * EVAL_CHUNK words) come as rows
+    [k * EVAL_CHUNK, (k + 1) * EVAL_CHUNK) in order; joined, they equal the
+    shells grown whole one from the next, as shell(n) does."""
+    pieces = {}
+    for n, piece in std_group.shells(12):
+        pieces.setdefault(n, []).append(piece)
+    empty = np.zeros(1, dtype=np.int64)
+    whole = Shell(np.eye(2, dtype=complex)[None], empty, empty)
+    for n in range(1, 13):
+        whole = std_group._next_shell(whole, n)
+        sizes = [p.first.size for p in pieces[n]]
+        if whole.first.size <= 2 * EVAL_CHUNK:
+            assert sizes == [whole.first.size]
+        else:
+            assert sizes[:-1] == [EVAL_CHUNK] * (len(sizes) - 1)
+            assert 0 < sizes[-1] <= EVAL_CHUNK and sum(sizes) == whole.first.size
+        if n >= 10:
+            for mine, theirs, joined in zip(whole, zip(*pieces[n]), std_group.shell(n)):
+                assert np.array_equal(mine, np.concatenate(theirs))
+                assert np.array_equal(mine, joined)
+
+
+def test_overflow_names_the_shortest_length_whatever_overflows_first(
+        std_group, monkeypatch):
+    """Shell 12's first rows overflow in the first block, shell 11's only
+    in the last one: the error still names length 11, after every piece of
+    the shorter lengths, and no piece of shell 12 comes out."""
+    first12, last11 = std_group.shell(12).mats[0], std_group.shell(11).mats[-1]
+    grow = SchottkyGroup._next_shell
+
+    def next_shell(self, prev, n):
+        sh = grow(self, prev, n)
+        target = {11: last11, 12: first12}.get(n)
+        if target is not None:
+            sh.mats[(sh.mats == target).all(axis=(1, 2))] = np.inf
+        return sh
+
+    monkeypatch.setattr(SchottkyGroup, "_next_shell", next_shell)
+    seen = []
+    with pytest.raises(ShellOverflowError, match="length 11$") as err:
+        for n, _ in std_group.shells(12):
+            seen.append(n)
+    assert err.value.length == 11
+    assert seen[:11] == list(range(11)) and set(seen[11:]) == {11}
 
 
 def test_group_keeps_no_shells(std_group):

@@ -263,3 +263,110 @@ def test_one_thread_works_through_the_same_pieces(monkeypatch):
     parallel_chunks(lambda lo, hi: spans.append((lo, hi)), 10, 1, 4)
     assert spans == [(0, 4), (4, 8), (8, 10)]
     assert RecordingExecutor.seen == []
+
+
+# the running exact sum over pieces --------------------------------------------------
+
+
+def pieces_of(xs, seed: int, cuts: int) -> list[np.ndarray]:
+    """xs cut at `cuts` random places; pieces may be empty."""
+    rng = np.random.default_rng(seed)
+    xs = np.asarray(xs, dtype=float)
+    return np.split(xs, np.sort(rng.integers(0, xs.size + 1, cuts)))
+
+
+def exact_sum(pieces, seed: int) -> float:
+    """ExactSum over the pieces, added in a random order to three
+    accumulators that are then merged."""
+    rng = np.random.default_rng(seed)
+    accs = [_vec.ExactSum() for _ in range(3)]
+    for j in rng.permutation(len(pieces)):
+        accs[rng.integers(3)].add(pieces[j])
+    for other in accs[1:]:
+        accs[0].merge(other)
+    return accs[0].value()
+
+
+def union_outcome(xs):
+    """math.fsum's outcome over xs; where math.fsum overflows part-way, the
+    exact sum rounded once, or OverflowError if that is out of range."""
+    xs = np.asarray(xs, dtype=float).tolist()
+    ref = outcome(math.fsum, xs)
+    if isinstance(ref, tuple) and ref[0] is OverflowError:
+        exact = sum(n * (2**1074 // d) for n, d in (x.as_integer_ratio() for x in xs))
+        ref = outcome(lambda _: exact / 2**1074, xs)
+    return ref
+
+
+def assert_pieces_sum_like_union(xs, seed: int, cuts: int):
+    got = outcome(lambda p: exact_sum(p, seed), pieces_of(xs, seed, cuts))
+    ref = union_outcome(xs)
+    if isinstance(ref, tuple) and ref[0] is OverflowError:
+        assert isinstance(got, tuple) and got[0] is OverflowError
+    else:
+        assert got == ref
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 20_000),
+       lo=st.integers(-1074, 1023), width=st.integers(0, 2100),
+       cuts=st.integers(0, 8))
+def test_exact_sum_over_pieces_random_exponents(seed, n, lo, width, cuts):
+    assert_pieces_sum_like_union(spread(seed, n, lo, min(1023, lo + width)),
+                                 seed, cuts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6000),
+       lo=st.integers(-1074, 900), residues=st.lists(moderate, max_size=8),
+       cuts=st.integers(0, 8))
+def test_exact_sum_over_pieces_heavy_cancellation(seed, n, lo, residues, cuts):
+    x = spread(seed, n, lo, min(1000, lo + 200))
+    xs = np.concatenate([x, -x, np.array(residues) * 2.0**-600, residues])
+    np.random.default_rng(seed).shuffle(xs)
+    assert_pieces_sum_like_union(xs, seed, cuts)
+
+
+@given(st.lists(finite, max_size=64), st.integers(0, 2**32 - 1),
+       st.integers(0, 8))
+def test_exact_sum_over_pieces_full_exponent_range(xs, seed, cuts):
+    assert_pieces_sum_like_union(xs, seed, cuts)
+
+
+@given(st.lists(st.floats(-1e300, 1e300), max_size=40),
+       st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), max_size=3),
+       st.integers(0, 2**32 - 1), st.integers(0, 8))
+def test_exact_sum_over_non_finite_pieces(finite_xs, special, seed, cuts):
+    xs = np.array(finite_xs + special, dtype=float)
+    np.random.default_rng(seed).shuffle(xs)
+    got = outcome(lambda p: exact_sum(p, seed), pieces_of(xs, seed, cuts))
+    assert got == outcome(math.fsum, xs.tolist())
+
+
+def test_exact_sum_rounds_where_fsum_overflows_part_way():
+    acc = _vec.ExactSum()
+    assert not acc.add(np.array([1e308, 1e308]))
+    acc.add(np.array([-1e308]))
+    assert acc.value() == 1e308
+    with pytest.raises(OverflowError):
+        math.fsum([1e308, 1e308, -1e308])
+    acc.add(np.array([1.7976931348623157e308]))
+    with pytest.raises(OverflowError):
+        acc.value()
+
+
+def test_ordered_map_keeps_order_and_bounds_items_taken():
+    taken = []
+
+    def items():
+        for i in range(40):
+            taken.append(i)
+            yield i
+
+    got = []
+    for r in _vec.ordered_map(lambda i: i * i, items(), 3):
+        # at most threads + 1 items taken whose results are not yet out
+        assert len(taken) - len(got) <= 4
+        got.append(r)
+    assert got == [i * i for i in range(40)]
+    assert list(_vec.ordered_map(abs, iter([-2, 1]), 1)) == [2, 1]

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._vec import (
+    ExactSum,
     act,
     chordal_many,
     from_sphere_many,
@@ -33,6 +35,7 @@ from .schottky import DeltaEstimate, SchottkyGroup, fundamental_domain_samples
 MASS_TOL = 1e-12
 ATOM_GUARD = 1e-12
 RESIDUAL_EPS = 1e-12
+RESIDUAL_BLOCK = 1 << 16  # atoms quasi_invariance_residual takes at once
 
 
 class MeasureError(ValueError):
@@ -143,23 +146,31 @@ DEFAULT_TEST_FUNCTIONS = (
 def quasi_invariance_residual(measure: PSMeasure, group: SchottkyGroup,
                               test_functions=None) -> float:
     """max over generators g and test functions f of
-    |sum w f(x) - sum w s_g(x)^delta f(gx)| / (sum w |f(x)| + eps)."""
+    |sum w f(x) - sum w s_g(x)^delta f(gx)| / (sum w |f(x)| + eps).
+
+    The test functions act elementwise.  The atoms go RESIDUAL_BLOCK at a
+    time, and every sum is exact across the blocks, so the blocking changes
+    no bit."""
     fns = DEFAULT_TEST_FUNCTIONS if test_functions is None else tuple(test_functions)
-    wts = measure.weights
-    Z, W = hom_many(measure.points, measure.inf_mask)
-    cx = sphere_embed(Z, W)[1]
+    sums = [[(ExactSum(), ExactSum(), ExactSum()) for _ in fns]
+            for _ in group.generators]
+    for lo in range(0, len(measure), RESIDUAL_BLOCK):
+        blk = slice(lo, lo + RESIDUAL_BLOCK)
+        wts = measure.weights[blk]
+        Z, W = hom_many(measure.points[blk], measure.inf_mask[blk])
+        cx = sphere_embed(Z, W)[1]
+        for g, g_sums in zip(group.generators, sums):
+            img, img_msk, num, den = act(g.a, g.b, g.c, g.d, Z, W)
+            jac = stretch(Z, W, num, den) ** measure.delta
+            cy = sphere_coords_many(img, img_msk)
+            for (_, f), (lhs, rhs, scale) in zip(fns, g_sums):
+                fx = f(*cx)
+                lhs.add(wts * fx)
+                rhs.add(wts * jac * f(*cy))
+                scale.add(wts * np.abs(fx))
     worst = 0.0
-    for g in group.generators:
-        img, img_msk, num, den = act(g.a, g.b, g.c, g.d, Z, W)
-        jac = stretch(Z, W, num, den) ** measure.delta
-        cy = sphere_coords_many(img, img_msk)
-        for _, f in fns:
-            fx = f(*cx)
-            fy = f(*cy)
-            lhs = fsum(wts * fx)
-            rhs = fsum(wts * jac * fy)
-            den = fsum(wts * np.abs(fx)) + RESIDUAL_EPS
-            worst = max(worst, abs(lhs - rhs) / den)
+    for lhs, rhs, scale in (s for g_sums in sums for s in g_sums):
+        worst = max(worst, abs(lhs.value() - rhs.value()) / (scale.value() + RESIDUAL_EPS))
     return worst
 
 
@@ -175,7 +186,14 @@ def quasi_invariance_residual(measure: PSMeasure, group: SchottkyGroup,
 # the homogeneous-coordinate kernel.  All error bounds are relative to the
 # exact sum over the points as represented by their bounded homogeneous
 # coordinates (Z, W); the rounding constants below are multiples of the unit
-# roundoff _U with generous margins.
+# roundoff _U with generous margins.  The walk writes every per-pair
+# quantity into the _Workspace of its thread, one block, so it allocates no
+# per-pair array.  Once glibc frees a large block, it raises its mmap
+# threshold to that size and its trim threshold to twice that, so the next
+# call's block reuses resident pages: bers --depth 8 --samples 10000 takes
+# 0 minor page faults in the median command (at most about 160), against
+# about 22,000 with an array per formula and 400-1,800 with the rows and
+# slots as separate arrays.
 
 REL_TOL = 1e-13
 _U = 2.0**-53
@@ -185,10 +203,14 @@ MAX_RHO = 2.0**-6                 # accepted nodes have all |t_i| <= MAX_RHO * p
 PAIR_BUDGET = 1 << 20             # (point, leaf) pairs one batch can reach
 POINT_BATCH = 1024
 # the smallest batch F_many spreads over threads: smaller batches' numpy
-# calls hold the interpreter lock too often (on 2 vCPUs, 2 threads walked
-# 512-point batches 1.25x faster than 1 thread, 359-point ones slower)
+# calls hold the interpreter lock too often.  On a shared 2-vCPU guest, 2
+# threads walked 119-point batches (depth 10) 1.6-2x slower than 1.  While
+# the walk allocated an array per formula, 2 threads walked 512-point
+# batches 1.25x faster; with the workspace they only break even on
+# 1,024-point ones (bers --depth 8 --samples 10000: 0.108 s on 1 and on 2)
 THREAD_BATCH = POINT_BATCH // 2
 LEAF_BLOCK = 1 << 14              # elements of one leaf-kernel temporary
+ACCEPT_BLOCK = 1 << 13            # pairs _accept takes through its rows at once
 
 
 @dataclass(frozen=True)
@@ -207,6 +229,33 @@ class _Level:
     R: np.ndarray      # upper bound on max |e_i|
     eta1: np.ndarray   # bound on the error of n.m1 as computed
     eta2: np.ndarray   # bound on the error of n^T M2 n as computed
+
+
+class _Workspace:
+    """The buffers one worker thread of one F_many call writes every
+    per-pair quantity into, reused over levels and batches: 19 float, 3
+    complex and 2 bool rows of ACCEPT_BLOCK pairs for _accept, then SLOTS,
+    one level's per-pair arrays, with room for 8 * ACCEPT_BLOCK pairs (a
+    level of a 1,024-point batch holds at most about 34,500 on the standard
+    group at depth 8), grown only for a level that holds more."""
+
+    SLOTS = ("hit", "val", "bnd", "kpi", "knj", "pi0", "nj0", "pi1", "nj1")
+    ROWS = 25 * ACCEPT_BLOCK + ACCEPT_BLOCK // 4  # floats of the rows
+
+    def __init__(self):
+        self.pairs = 0
+        self.get("hit", 8 * ACCEPT_BLOCK)  # makes the block
+
+    def get(self, slot: str, n: int, dtype=np.intp) -> np.ndarray:
+        """n elements of a slot; growing leaves views of the old block valid."""
+        if n > self.pairs:
+            self.pairs, B = max(n, 2 * self.pairs), ACCEPT_BLOCK
+            m = self.mem = np.empty(self.ROWS + len(self.SLOTS) * self.pairs)
+            self.f = m[:19 * B].reshape(19, B)
+            self.c = m[19 * B:25 * B].view(complex).reshape(3, B)
+            self.b = m[25 * B:self.ROWS].view(bool).reshape(2, B)
+        at = self.ROWS + self.SLOTS.index(slot) * self.pairs
+        return self.mem[at:at + n].view(dtype)
 
 
 @dataclass(frozen=True)
@@ -348,7 +397,8 @@ class NayataniDensity:
         batches, spread over at most `threads` threads when a batch holds at
         least THREAD_BATCH points.  Each value depends on its own point only,
         so splitting the points or spreading them over threads changes no
-        bit.
+        bit.  Each worker thread walks its batches in one _Workspace, made
+        once per call, so the walk allocates no per-pair array.
 
         Known weakness: for a point and an atom on opposite sides of
         |z| = 1 at chordal distance r, the kernel rounds z * (1/y), so the
@@ -361,10 +411,13 @@ class NayataniDensity:
         vals = np.empty(Z.size)
         singular = np.empty(Z.size, dtype=bool)
         rel_err = np.empty(Z.size)
+        local = threading.local()  # one _Workspace per worker thread
 
         def work(lo, hi):
+            if not hasattr(local, "ws"):
+                local.ws = _Workspace()
             vals[lo:hi], singular[lo:hi], rel_err[lo:hi] = self._walk(
-                Z[lo:hi], W[lo:hi], inf[lo:hi], rel_tol)
+                Z[lo:hi], W[lo:hi], inf[lo:hi], rel_tol, local.ws)
 
         n_leaves = self._leaves.w.shape[0]
         batch = max(1, min(POINT_BATCH, PAIR_BUDGET // n_leaves))
@@ -373,7 +426,7 @@ class NayataniDensity:
         return (vals.reshape(pts.shape), singular.reshape(pts.shape),
                 rel_err.reshape(pts.shape))
 
-    def _walk(self, Z, W, inf, rel_tol):
+    def _walk(self, Z, W, inf, rel_tol, ws):
         """Level-by-level walk over (point, node) pairs.  Pairs stay in
         point-major order, so bincount adds each point's terms in an order
         that depends on that point alone."""
@@ -386,16 +439,19 @@ class NayataniDensity:
         count = np.zeros(n)
         pi = np.arange(n)
         nj = np.zeros(n, dtype=np.intp)
-        for lv in self._levels:
+        for k, lv in enumerate(self._levels):
             if rel_tol > 0.0:
-                acc, val, e = self._accept(lv, pi, nj, pt, rel_tol)
-                hit = pi[acc]
+                hit, val, e, pi, nj = self._accept(lv, pi, nj, pt, rel_tol, ws)
                 total += np.bincount(hit, val, n)
                 err += np.bincount(hit, e, n)
                 count += np.bincount(hit, minlength=n)
-                pi, nj = pi[~acc], nj[~acc]
-            pi = np.repeat(pi, lv.branch)
-            nj = (nj[:, None] * lv.branch + np.arange(lv.branch)).ravel()
+            # pi, nj = np.repeat(pi, b), (nj[:, None] * b + np.arange(b)).ravel()
+            b = lv.branch
+            npi, nnj = (ws.get(f"{a}{k % 2}", pi.size * b) for a in ("pi", "nj"))
+            npi.reshape(-1, b)[...] = pi[:, None]
+            np.add(np.multiply(nj[:, None], b, out=nnj.reshape(-1, b)),
+                   np.arange(b), out=nnj.reshape(-1, b))
+            pi, nj = npi, nnj
         val, e, bad = self._leaf_sums(pi, nj, pt)
         total += np.bincount(pi, val, n)
         err += np.bincount(pi, e, n)
@@ -411,44 +467,106 @@ class NayataniDensity:
         rel[singular] = np.inf
         return total, singular, rel
 
-    def _accept(self, lv: _Level, pi, nj, pt, rel_tol):
-        """Accepted-pair mask, and the expansion value and its absolute error
-        bound for each accepted pair."""
+    def _accept(self, lv: _Level, pi, nj, pt, rel_tol, ws):
+        """The accepted pairs as (points, expansion values, absolute error
+        bounds), then the others as (pi, nj), all views of ws.  The pairs go
+        ACCEPT_BLOCK at a time through ws's rows, each formula written in
+        place under its text in the text's order (numpy rounds the complex
+        a * b and b * a apart), so the bits are those of the text."""
         Z, W, nsq, nvec, small, inf = pt
         d = self.measure.delta
-        take = np.take
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            dz = take(Z, pi) * take(lv.Wc, nj) - take(lv.Zc, nj) * take(W, pi)
-            c2 = dz.real**2 + dz.imag**2
-            phi0 = 2.0 * c2 / (take(nsq, pi) * take(lv.Nc, nj))
-            # relative rounding of phi0; a product across charts is inexact
-            cross = (take(small, pi) != take(lv.small, nj)) & ~take(inf, pi)
-            eps = _U * (12.0 + 5.0 * cross / np.sqrt(c2))
-            phi_lo = phi0 * (1.0 - eps)
-            R = take(lv.R, nj)
-            # |t_i| <= min(|e_i|, |n(x) - n(c)| |e_i| + |e_i|^2 / 2)
-            t = np.minimum(R, np.sqrt(2.0 * phi0 * (1.0 + eps)) * R + 0.5 * R * R)
-            rho = t * (1.0 + 8.0 * _U) / phi_lo
-            n1, n2, n3 = take(nvec, pi, axis=1)
-            m1, M2 = take(lv.m1, nj, axis=1), take(lv.M2, nj, axis=1)
-            a = n1 * m1[0] + n2 * m1[1] + n3 * m1[2]
-            q = (n1 * (n1 * M2[0] + 2.0 * (n2 * M2[3] + n3 * M2[4]))
-                 + n2 * (n2 * M2[1] + 2.0 * n3 * M2[5]) + n3 * n3 * M2[2])
-            Wn, eta1, eta2 = take(lv.W, nj), take(lv.eta1, nj), take(lv.eta2, nj)
-            # (1 - u)^-d = 1 + d u + d(d+1)/2 u^2 + R3 with |R3| <= c3 rho u^2
-            # for |u| <= rho <= MAX_RHO, and sum w_i u_i^2 = q / phi0^2
-            c3 = d * (d + 1.0) * (d + 2.0) / 6.0 * (1.0 - MAX_RHO) ** (-d - 3.0)
-            trunc = c3 * rho * (np.maximum(q, 0.0) + eta2) / phi_lo**2
-            mom = d * eta1 / phi_lo + 0.5 * d * (d + 1.0) * eta2 / phi_lo**2
-            bound = trunc + mom + Wn * ((d + 2.0) * eps + 16.0 * _U)
-            # the node's contribution is at least W phi0^-d (1 + rho)^-d
-            ok = ((eps <= 1e-3) & (rho <= MAX_RHO)
-                  & (phi_lo * (1.0 - rho) > GUARD_PHI)
-                  & (bound * (1.0 + MAX_RHO) ** d <= rel_tol * Wn))
-        phi0 = phi0[ok]
-        P = phi0**-d
-        val = P * (Wn[ok] + d / phi0 * (a[ok] + 0.5 * (d + 1.0) * q[ok] / phi0))
-        return ok, val, bound[ok] * P
+        mul, div, add, sub, sq = np.multiply, np.divide, np.add, np.subtract, np.square
+
+        def tk(a, i, out):
+            return a.take(i, out=out, mode="wrap")  # "raise" would copy out
+
+        # (1 - u)^-d = 1 + d u + d(d+1)/2 u^2 + R3 with |R3| <= c3 rho u^2
+        # for |u| <= rho <= MAX_RHO, and sum w_i u_i^2 = q / phi0^2
+        c3 = d * (d + 1.0) * (d + 2.0) / 6.0 * (1.0 - MAX_RHO) ** (-d - 3.0)
+        hit, kpi, knj = (ws.get(k, pi.size) for k in ("hit", "kpi", "knj"))
+        val, bnd = (ws.get(k, pi.size, float) for k in ("val", "bnd"))
+        na = nk = 0
+        for lo in range(0, pi.size, ACCEPT_BLOCK):
+            p, j = pi[lo:lo + ACCEPT_BLOCK], nj[lo:lo + ACCEPT_BLOCK]
+            (phi0, c2, eps, phi_lo, R, t, rho, n1, n2, n3, a, q, Wn, eta2, pl2,
+             bound, t0, t1, t2) = ws.f[:, :p.size]
+            (dz, z0, z1), (ok, b0) = ws.c[:, :p.size], ws.b[:, :p.size]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                # dz = take(Z, pi) * take(lv.Wc, nj) - take(lv.Zc, nj) * take(W, pi)
+                sub(mul(tk(Z, p, dz), tk(lv.Wc, j, z0), dz),
+                    mul(tk(lv.Zc, j, z0), tk(W, p, z1), z0), dz)
+                # c2 = dz.real**2 + dz.imag**2
+                # phi0 = 2.0 * c2 / (take(nsq, pi) * take(lv.Nc, nj))
+                add(sq(dz.real, c2), sq(dz.imag, t0), c2)
+                div(mul(2.0, c2, phi0), mul(tk(nsq, p, t0), tk(lv.Nc, j, t1), t0), phi0)
+                # relative rounding of phi0; a product across charts is inexact
+                # cross = (take(small, pi) != take(lv.small, nj)) & ~take(inf, pi)
+                # eps = _U * (12.0 + 5.0 * cross / np.sqrt(c2))
+                np.not_equal(tk(small, p, ok), tk(lv.small, j, b0), ok)
+                ok &= np.invert(tk(inf, p, b0), b0)
+                mul(_U, add(12.0, div(mul(5.0, ok, eps), np.sqrt(c2, t0), eps), eps), eps)
+                # phi_lo = phi0 * (1.0 - eps); R = take(lv.R, nj)
+                # |t_i| <= min(|e_i|, |n(x) - n(c)| |e_i| + |e_i|^2 / 2)
+                # t = np.minimum(R, np.sqrt(2.0 * phi0 * (1.0 + eps)) * R + 0.5 * R * R)
+                # rho = t * (1.0 + 8.0 * _U) / phi_lo
+                mul(phi0, sub(1.0, eps, phi_lo), phi_lo)
+                mul(np.sqrt(mul(mul(2.0, phi0, t), add(1.0, eps, t0), t), t), tk(lv.R, j, R), t)
+                np.minimum(R, add(t, mul(mul(0.5, R, t0), R, t0), t), out=t)
+                div(mul(t, 1.0 + 8.0 * _U, rho), phi_lo, rho)
+                # n1, n2, n3 = take(nvec, pi, axis=1); with m1, M2 = take(lv.m1,
+                # nj, axis=1), take(lv.M2, nj, axis=1):
+                # a = n1 * m1[0] + n2 * m1[1] + n3 * m1[2]
+                # q = (n1 * (n1 * M2[0] + 2.0 * (n2 * M2[3] + n3 * M2[4]))
+                #      + n2 * (n2 * M2[1] + 2.0 * n3 * M2[5]) + n3 * n3 * M2[2])
+                n1, n2, n3 = (tk(r, p, o) for r, o in zip(nvec, (n1, n2, n3)))
+                m1, M2 = lv.m1, lv.M2
+                add(mul(n1, tk(m1[0], j, a), a), mul(n2, tk(m1[1], j, t0), t0), a)
+                add(a, mul(n3, tk(m1[2], j, t0), t0), a)
+                add(mul(n2, tk(M2[3], j, t0), t0), mul(n3, tk(M2[4], j, t1), t1), t0)
+                mul(n1, add(mul(n1, tk(M2[0], j, t1), t1), mul(2.0, t0, t0), t1), q)
+                add(mul(n2, tk(M2[1], j, t0), t0),
+                    mul(mul(2.0, n3, t1), tk(M2[5], j, t2), t1), t0)
+                add(q, mul(n2, t0, t0), q)
+                add(q, mul(mul(n3, n3, t0), tk(M2[2], j, t1), t0), q)
+                # trunc = c3 * rho * (np.maximum(q, 0.0) + eta2) / phi_lo**2
+                # mom = d * eta1 / phi_lo + 0.5 * d * (d + 1.0) * eta2 / phi_lo**2
+                # bound = trunc + mom + Wn * ((d + 2.0) * eps + 16.0 * _U)
+                # with Wn, eta1, eta2 = take(lv.W, nj), take(lv.eta1, nj), take(lv.eta2, nj)
+                tk(lv.eta2, j, eta2)
+                sq(phi_lo, pl2)
+                div(mul(mul(c3, rho, t0), add(np.maximum(q, 0.0, out=t1), eta2, t1), t0),
+                    pl2, t0)
+                add(div(mul(d, tk(lv.eta1, j, t1), t1), phi_lo, t1),
+                    div(mul(0.5 * d * (d + 1.0), eta2, t2), pl2, t2), t1)
+                add(add(t0, t1, bound),
+                    mul(tk(lv.W, j, Wn), add(mul(d + 2.0, eps, t2), 16.0 * _U, t2), t2),
+                    bound)
+                # the node's contribution is at least W phi0^-d (1 + rho)^-d
+                # ok = ((eps <= 1e-3) & (rho <= MAX_RHO)
+                #       & (phi_lo * (1.0 - rho) > GUARD_PHI)
+                #       & (bound * (1.0 + MAX_RHO) ** d <= rel_tol * Wn))
+                np.less_equal(eps, 1e-3, ok)
+                ok &= np.less_equal(rho, MAX_RHO, b0)
+                ok &= np.greater(mul(phi_lo, sub(1.0, rho, t0), t0), GUARD_PHI, b0)
+                ok &= np.less_equal(mul(bound, (1.0 + MAX_RHO) ** d, t0),
+                                    mul(rel_tol, Wn, t1), b0)
+            acc, rest = np.flatnonzero(ok), np.flatnonzero(~ok)
+            span, na = slice(na, na + acc.size), na + acc.size
+            tk(p, acc, hit[span])
+            tk(p, rest, kpi[nk:nk + rest.size])
+            tk(j, rest, knj[nk:nk + rest.size])
+            nk += rest.size
+            # phi0 = phi0[ok]; P = phi0**-d; e = bound[ok] * P
+            # val = P * (Wn[ok] + d / phi0 * (a[ok] + 0.5 * (d + 1.0) * q[ok] / phi0))
+            ph, P = tk(phi0, acc, t0[:acc.size]), t1[:acc.size]
+            P[...] = ph
+            P **= -d
+            mul(tk(bound, acc, t2[:acc.size]), P, bnd[span])
+            x, y = tk(q, acc, t2[:acc.size]), tk(a, acc, c2[:acc.size])
+            add(y, div(mul(0.5 * (d + 1.0), x, x), ph, x), y)
+            mul(div(d, ph, x), y, y)
+            mul(P, add(tk(Wn, acc, x), y, x), val[span])
+        return hit[:na], val[:na], bnd[:na], kpi[:nk], knj[:nk]
 
     def _leaf_sums(self, pi, nj, pt):
         """Kernel sums of (point, leaf) pairs on cache-sized row blocks: the

@@ -542,7 +542,10 @@ def _multipliers(shell: Shell):
     # trace does not overflow
     u = 2.0 / (mats[keep, 0, 0] + mats[keep, 1, 1])
     mu = u / (1.0 + np.sqrt(1.0 - u * u))
-    return 2.0 * np.log(np.abs(mu)), 1.0 / np.abs(1.0 - mu * mu) ** 2
+    # a word that is not loxodromic (mu^2 = 1 or T = 0) or whose trace
+    # overflows gives a non-finite term, which estimate_delta reports
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 2.0 * np.log(np.abs(mu)), 1.0 / np.abs(1.0 - mu * mu) ** 2
 
 
 def _multiplier_shells(group: SchottkyGroup, max_depth: int):
@@ -641,6 +644,10 @@ def estimate_delta(group: SchottkyGroup, resolution: float = 0.01,
         return DeltaEstimate(0.0, (0.0, math.ulp(0.0)), (), max_depth)
     terms, orders = [], []
     for n, shell_terms in enumerate(_multiplier_shells(group, max_depth), 1):
+        if not all(np.isfinite(t).all() for t in shell_terms):
+            raise EstimationError(f"a word of length {n} is not loxodromic, or "
+                                  "its trace overflows: its multiplier term "
+                                  "is not finite")
         terms.append(shell_terms)
         if n % 2:
             continue

@@ -357,8 +357,7 @@ def test_streamed_shell_reports_pinned(std_config, threads, name, args):
     assert r.stdout == (DATA / name).read_bytes()
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_overflowing_group_exits_3_naming_the_first_error(tmp_path, threads):
+def overflowing_config(tmp_path) -> Path:
     from tests.test_poincare import overflowing_group
 
     gens = [{"matrix": [[v.real, v.imag] for v in (m.a, m.b, m.c, m.d)]}
@@ -366,6 +365,12 @@ def test_overflowing_group_exits_3_naming_the_first_error(tmp_path, threads):
     cfg = tmp_path / "overflowing.json"
     cfg.write_text(json.dumps({"group": {"generators": gens,
                                          "cyclic_diagnostic": True}}))
+    return cfg
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_overflowing_group_exits_3_naming_the_first_error(tmp_path, threads):
+    cfg = overflowing_config(tmp_path)
     base = ("--config", str(cfg), "--threads", threads, "series", "eval",
             "--max-len", "12", "--z", "0.3,0.7")
     assert main_io(*base, "--weight", "absolute") == (
@@ -373,6 +378,18 @@ def test_overflowing_group_exits_3_naming_the_first_error(tmp_path, threads):
     assert main_io(*base) == (
         3, "", "numeric error: holomorphic weight at an orbit pole or "
                "overflowing at z = (0.3+0.7j)\n")
+
+
+@pytest.mark.parametrize("args", [
+    ("group", "delta", "--depth", "12"),
+    ("series", "report", "--max-len", "12", "--z", "0.3,0.7"),
+])
+def test_parabolic_word_exits_3_naming_its_length(tmp_path, args):
+    """The overflowing group's length-2 words include a parabolic one, so
+    the delta estimate that both commands start with has no determinant."""
+    assert main_io("--config", str(overflowing_config(tmp_path)), *args) == (
+        3, "", "numeric error: a word of length 2 is not loxodromic, or its "
+               "trace overflows: its multiplier term is not finite\n")
 
 
 def test_deep_rank1_shells_refused_or_finite(tmp_path):

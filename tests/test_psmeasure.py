@@ -5,6 +5,9 @@ import pytest
 
 from kleinlog.moebius import INF, SpherePoint, phi
 from kleinlog.psmeasure import (
+    PAIR_BUDGET,
+    POINT_BATCH,
+    REL_TOL,
     MeasureError,
     NayataniDensity,
     PSMeasure,
@@ -95,6 +98,31 @@ def test_custom_test_functions(std_group, sharp_delta):
     )
     full = quasi_invariance_residual(m, std_group)
     assert only_const <= full + 1e-15
+
+
+def test_residual_in_blocks_is_bitwise(monkeypatch, std_group, sharp_delta):
+    """Blocks of 1,000 and 7 atoms give the bits of one block, and those are
+    the bits of fsum over whole arrays."""
+    from kleinlog import psmeasure
+    from kleinlog._vec import act, fsum, hom_many, sphere_coords_many, stretch
+
+    m = build_ps(std_group, sharp_delta, 6)
+    Z, W = hom_many(m.points, m.inf_mask)
+    cx = sphere_coords_many(m.points, m.inf_mask)
+    want = 0.0
+    for g in std_group.generators:
+        img, img_msk, num, den = act(g.a, g.b, g.c, g.d, Z, W)
+        jac = stretch(Z, W, num, den) ** m.delta
+        cy = sphere_coords_many(img, img_msk)
+        for _, f in psmeasure.DEFAULT_TEST_FUNCTIONS:
+            fx = f(*cx)
+            rel = abs(fsum(m.weights * fx) - fsum(m.weights * jac * f(*cy))) / (
+                fsum(m.weights * np.abs(fx)) + psmeasure.RESIDUAL_EPS)
+            want = max(want, rel)
+    assert quasi_invariance_residual(m, std_group) == want
+    for block in (1000, 7):
+        monkeypatch.setattr(psmeasure, "RESIDUAL_BLOCK", block)
+        assert quasi_invariance_residual(m, std_group) == want
 
 
 def test_single_atom_density_closed_form():
@@ -275,6 +303,111 @@ def test_f_many_independent_of_splits(std_group, sharp_delta):
         assert np.array_equal(a, np.concatenate(b))
     for a, b in zip(whole, den.F_many(pts, msk, threads=3)):
         assert np.array_equal(a, b)
+
+
+def assert_same_bits(a, b):
+    for x, y in zip(a, b):
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("depth, rel_tol, batches", [
+    (8, REL_TOL, 5), (8, 0.0, 1.25), (10, REL_TOL, 5)])
+def test_f_many_workspace_leaks_no_state(std_group, sharp_delta, depth, rel_tol,
+                                         batches):
+    """Each worker thread reuses one workspace over the batches of a call:
+    A, then B, then A again, A on 3 threads, and A's batches called one by
+    one in reverse order all give the same bits.  With rel_tol=0 every pair
+    reaches the leaves; at depth 10 a batch holds 119 points and the walk
+    has 8 levels."""
+    from kleinlog._vec import uniform_sphere_points
+
+    m = build_ps(std_group, sharp_delta, depth)
+    den = NayataniDensity(m)
+    batch = min(POINT_BATCH, PAIR_BUDGET // den._leaves.w.shape[0])
+    rng = np.random.default_rng(depth)
+    near, near_msk = near_atom_points(m, rng, 40)
+    far, far_msk = uniform_sphere_points(rng, int(batches * batch) - 44)
+    a = (np.concatenate([near, m.points[:3], far]),
+         np.concatenate([near_msk, np.zeros(3, dtype=bool), far_msk]))
+    first = den.F_many(*a, rel_tol=rel_tol)
+    assert np.flatnonzero(first[1]).tolist() == [41, 42, 43]
+    den.F_many(*uniform_sphere_points(rng, batch // 2 + 1), rel_tol=rel_tol)
+    assert_same_bits(first, den.F_many(*a, rel_tol=rel_tol))
+    assert_same_bits(first, den.F_many(*a, rel_tol=rel_tol, threads=3))
+    cuts = range(0, a[0].size, batch)
+    parts = [den.F_many(a[0][lo:lo + batch], a[1][lo:lo + batch], rel_tol=rel_tol)
+             for lo in reversed(cuts)]
+    assert_same_bits(first, map(np.concatenate, zip(*reversed(parts))))
+
+
+def reference_accept(den, lv, pi, nj, pt, rel_tol):
+    """_accept's formulas on whole arrays, as their text reads."""
+    from kleinlog.psmeasure import _U, GUARD_PHI, MAX_RHO
+
+    Z, W, nsq, nvec, small, inf = pt
+    d = den.measure.delta
+    take = np.take
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dz = take(Z, pi) * take(lv.Wc, nj) - take(lv.Zc, nj) * take(W, pi)
+        c2 = dz.real**2 + dz.imag**2
+        phi0 = 2.0 * c2 / (take(nsq, pi) * take(lv.Nc, nj))
+        cross = (take(small, pi) != take(lv.small, nj)) & ~take(inf, pi)
+        eps = _U * (12.0 + 5.0 * cross / np.sqrt(c2))
+        phi_lo = phi0 * (1.0 - eps)
+        R = take(lv.R, nj)
+        t = np.minimum(R, np.sqrt(2.0 * phi0 * (1.0 + eps)) * R + 0.5 * R * R)
+        rho = t * (1.0 + 8.0 * _U) / phi_lo
+        n1, n2, n3 = take(nvec, pi, axis=1)
+        m1, M2 = take(lv.m1, nj, axis=1), take(lv.M2, nj, axis=1)
+        a = n1 * m1[0] + n2 * m1[1] + n3 * m1[2]
+        q = (n1 * (n1 * M2[0] + 2.0 * (n2 * M2[3] + n3 * M2[4]))
+             + n2 * (n2 * M2[1] + 2.0 * n3 * M2[5]) + n3 * n3 * M2[2])
+        Wn, eta1, eta2 = take(lv.W, nj), take(lv.eta1, nj), take(lv.eta2, nj)
+        c3 = d * (d + 1.0) * (d + 2.0) / 6.0 * (1.0 - MAX_RHO) ** (-d - 3.0)
+        trunc = c3 * rho * (np.maximum(q, 0.0) + eta2) / phi_lo**2
+        mom = d * eta1 / phi_lo + 0.5 * d * (d + 1.0) * eta2 / phi_lo**2
+        bound = trunc + mom + Wn * ((d + 2.0) * eps + 16.0 * _U)
+        ok = ((eps <= 1e-3) & (rho <= MAX_RHO)
+              & (phi_lo * (1.0 - rho) > GUARD_PHI)
+              & (bound * (1.0 + MAX_RHO) ** d <= rel_tol * Wn))
+    phi0 = phi0[ok]
+    P = phi0**-d
+    val = P * (Wn[ok] + d / phi0 * (a[ok] + 0.5 * (d + 1.0) * q[ok] / phi0))
+    return pi[ok], val, bound[ok] * P, pi[~ok], nj[~ok]
+
+
+@pytest.mark.parametrize("scale, delta", [(1.0, None), (1.0, 1.0), (0.25, None)])
+def test_accept_in_place_matches_whole_array_text(std_group, sharp_delta, scale,
+                                                  delta):
+    """Every pair of every level, ACCEPT_BLOCK at a time through the
+    workspace rows, gets the bits of the whole-array formulas.  At delta 1
+    numpy's ** takes a reciprocal.  Scaled by 1/4, the group's atoms and
+    node centres move into the |z| <= 1 chart, so the complex products of
+    dz meet general values on both sides, where a * b and b * a round
+    apart."""
+    from kleinlog._vec import hom_many, sphere_embed, uniform_sphere_points
+    from kleinlog.psmeasure import _Workspace
+    from kleinlog.schottky import Circle, SchottkyGroup, pairing_map
+
+    c = [Circle(scale * k.center, scale * k.radius) for k in std_group.circles]
+    group = SchottkyGroup([pairing_map(c[0], c[1]), pairing_map(c[2], c[3])], c)
+    m = build_ps(group, sharp_delta if delta is None else delta, 7)
+    den = NayataniDensity(m)
+    rng = np.random.default_rng(19)
+    near, near_msk = near_atom_points(m, rng, 30)
+    far, far_msk = uniform_sphere_points(rng, 270)
+    inf = np.concatenate([near_msk, far_msk])
+    Z, W = hom_many(np.concatenate([near, far]), inf)
+    pt = (Z, W, *sphere_embed(Z, W), W == 1.0, inf)
+    ws, accepted = _Workspace(), 0
+    for lv in den._levels:
+        pi = np.repeat(np.arange(Z.size), lv.W.size)
+        nj = np.tile(np.arange(lv.W.size), Z.size)
+        for rel_tol in (REL_TOL, 1e-6):
+            got = den._accept(lv, pi, nj, pt, rel_tol, ws)
+            assert_same_bits(got, reference_accept(den, lv, pi, nj, pt, rel_tol))
+            accepted += got[0].size
+    assert accepted > 0
 
 
 def test_bers_bitwise_across_threads(std_group, sharp_delta):

@@ -133,15 +133,21 @@ def hom_many(points: np.ndarray, inf_mask: np.ndarray):
 def act(a, b, c, d, Z, W):
     """Matrices [[a, b], [c, d]] applied to homogeneous points (Z, W), all
     broadcasting.  Returns (points, inf_mask, num, den): the images as
-    (complex, mask) pairs, and their homogeneous coordinates num/den."""
+    (complex, mask) pairs (see project), and their homogeneous coordinates
+    num/den."""
     num = a * Z + b * W
     den = c * Z + d * W
+    return (*project(num, den), num, den)
+
+
+def project(num, den):
+    """Homogeneous points num/den as (points, inf_mask) pairs."""
     inf_mask = den == 0
     with np.errstate(over="ignore", invalid="ignore"):
         points = num / np.where(inf_mask, 1.0, den)
     # an overflowing quotient is infinity too
     inf_mask = inf_mask | ~np.isfinite(points)
-    return np.where(inf_mask, 0.0, points), inf_mask, num, den
+    return np.where(inf_mask, 0.0, points), inf_mask
 
 
 def stretch(Z, W, num, den):

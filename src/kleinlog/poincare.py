@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -149,11 +148,12 @@ def evaluate(group: SchottkyGroup, integrand: SeriesIntegrand = None, z=0j,
 
 def _evaluate_at(group: SchottkyGroup, integrand, zs, weight_mode: str,
                  max_len: int, tol: float, threads: int) -> list[SeriesEvaluation]:
-    """evaluate at each of zs in one pass over the shells.  Every point is
-    checked first, in order.  Then each piece of each shell is summed at
-    every point, the pieces spread over `threads` threads.  A shell of
-    several pieces is summed exactly and rounded once its last piece is in.
-    An error is raised where a pass shell by shell and point by point would
+    """evaluate at each of zs.  Every point is checked first, in order.
+    Then the points' orbits are walked one after another, each shell by
+    shell (SchottkyGroup.orbits, which forms no word matrix), and the
+    pieces of one walk are summed on `threads` threads.  A shell of several
+    pieces is summed exactly and rounded once its last piece is in.  An
+    error is raised where a pass shell by shell and point by point would
     meet the first one: at the shortest length, then at the first point."""
     if integrand is None:
         integrand = BLOCH_WIGNER_INTEGRAND
@@ -178,81 +178,82 @@ def _evaluate_at(group: SchottkyGroup, integrand, zs, weight_mode: str,
     sums = [[complex(integrand.eval_point(p))] for p in ps]
     wsums = [[1.0] for _ in ps]
     comp = [[1.0] for _ in ps]  # comparability: the largest of these
-    # ((length, point, 0 for a SchottkyError from shell_terms else 1, piece),
-    # error) of every error met
+    # ((length, point, 0 for a SchottkyError from the walk or shell_terms
+    # else 1, piece), error) of each point's first error
     errors = []
 
-    def pieces():
-        # the trivial group has no words beyond the empty one
-        try:
-            yield from islice(group.shells(max_len if group.rank else 0), 1, None)
-        except ShellOverflowError as e:
-            errors.append(((e.length, -1, 0, 0), e))
-
-    def piece_sums(item):
-        """Length, words, (sums, comparability ratios) at each point in
-        order, and (point, error) of the first error of one piece.  A whole
-        shell's sums are rounded, a piece's are ExactSums of re, im, |w|."""
+    def piece_sums(i, item):
+        """Length, sums, comparability ratios and error of one piece at
+        point i.  A whole shell's sums are rounded, a piece's are ExactSums
+        of re, im, |w|."""
         n, piece = item
-        out = []
-        for i, p in enumerate(ps):
-            try:
-                pts, infm, wts = group.shell_terms(piece, p, weight_mode)
-                terms = wts * integrand.eval_many(pts, infm)
-                c = []
-                if weight_mode == "holomorphic":
-                    with np.errstate(over="ignore"):
-                        ratio = (np.where(infm, np.inf, 1.0 + np.abs(pts) ** 2)
-                                 / base_n[i])
-                    ratio = ratio[np.isfinite(ratio)]
-                    if ratio.size:
-                        c = [float(np.max(ratio)), float(1.0 / np.min(ratio))]
-                if piece.first.size == group.shell_size(n):
-                    out.append(((fsum_c(terms), fsum(np.abs(wts))), c))
-                    continue
-                re, im, w = ExactSum(), ExactSum(), ExactSum()
-                re.add(terms.real)
-                if np.iscomplexobj(terms):
-                    im.add(terms.imag)
-                w.add(np.abs(wts))
-                out.append(([re, im, w], c))
-            except (ValueError, ArithmeticError) as e:
-                return n, piece.first.size, out, (i, e)
-        return n, piece.first.size, out, None
+        try:
+            pts, infm, wts = group.shell_terms(piece, ps[i], weight_mode)
+            terms = wts * integrand.eval_many(pts, infm)
+        except (ValueError, ArithmeticError) as e:
+            return n, None, [], e
+        c = []
+        if weight_mode == "holomorphic":
+            with np.errstate(over="ignore"):
+                ratio = np.where(infm, np.inf, 1.0 + np.abs(pts) ** 2) / base_n[i]
+            ratio = ratio[np.isfinite(ratio)]
+            if ratio.size:
+                c = [float(np.max(ratio)), float(1.0 / np.min(ratio))]
+        if piece.first.size == group.shell_size(n):
+            return n, (fsum_c(terms), fsum(np.abs(wts))), c, None
+        re, im, w = ExactSum(), ExactSum(), ExactSum()
+        re.add(terms.real)
+        if np.iscomplexobj(terms):
+            im.add(terms.imag)
+        w.add(np.abs(wts))
+        return n, [re, im, w], c, None
 
-    # length -> sums at each point; -> [words so far, sums so far]
-    done, pending = {}, {}
-    for k, (n, words, out, err) in enumerate(
-            ordered_map(piece_sums, pieces(), threads)):
-        if err:
-            i, e = err
-            errors.append(((n, i, not isinstance(e, SchottkyError), k), e))
-        for i, (_, c) in enumerate(out):
+    # the trivial group has no words beyond the empty one
+    depth = max_len if group.rank else 0
+    for i, walk in enumerate(group.orbits(ps, depth)):
+        # a later point's error at the same length comes too late
+        limit = min([depth] + [key[0] - 1 for key, _ in errors])
+        found = []  # this point's errors
+
+        def pieces():
+            done = 0
+            try:
+                for n, piece in walk:
+                    if n > limit or found and n > min(key for key, _ in found)[0]:
+                        return
+                    yield n, piece
+                    done += 1
+            except ShellOverflowError as e:
+                found.append(((e.length, i, 0, done), e))
+
+        pending = {}  # length -> sums so far
+        for k, (n, s, c, e) in enumerate(
+                ordered_map(lambda item: piece_sums(i, item), pieces(), threads)):
+            if e is not None:
+                found.append(((n, i, not isinstance(e, SchottkyError), k), e))
+            if found:
+                continue
             comp[i] += c
-        out = [sums_i for sums_i, _ in out]
-        if n not in pending:
-            pending[n] = [0, out]
-        else:
-            for mine, theirs in zip(pending[n][1], out):
-                for acc, more in zip(mine, theirs):
+            if n not in pending:
+                pending[n] = s
+            else:
+                for acc, more in zip(pending[n], s):
                     acc.merge(more)
-        pending[n][0] += words
-        if pending[n][0] == group.shell_size(n):
-            sums_n = pending.pop(n)[1]
-            done[n] = sums_n if words == group.shell_size(n) else [
-                (complex(re.value(), im.value()), w.value()) for re, im, w in sums_n]
-        first = min(errors, key=lambda e: e[0], default=None)
-        if first and all(m in done for m in range(1, first[0][0] + 1)):
-            break
+        if found:
+            errors.append(min(found, key=lambda f: f[0]))
+        if errors:
+            continue
+        for n in range(1, depth + 1):
+            s = pending[n]
+            if isinstance(s, list):  # the ExactSums of a shell in pieces
+                s = complex(s[0].value(), s[1].value()), s[2].value()
+            sums[i].append(s[0])
+            wsums[i].append(s[1])
     if errors:
         e = min(errors, key=lambda e: e[0])[1]
         if isinstance(e, SchottkyError):
             raise DomainError(str(e)) from e
         raise e
-    for n in sorted(done):
-        for i, (s, w) in enumerate(done[n]):
-            sums[i].append(s)
-            wsums[i].append(w)
     out = []
     for p, shells, weight_shells, c in zip(ps, sums, wsums, comp):
         ratios = _ratios(weight_shells)
@@ -297,8 +298,8 @@ def automorphy_residual(group: SchottkyGroup, integrand: SeriesIntegrand = None,
 
     Every element is resolved before any series is evaluated.  S is
     evaluated at samples * (1 + number of elements) points, S(z) once per
-    sample and S(gz) once per sample and element, all in one pass over the
-    shells.
+    sample and S(gz) once per sample and element, each point's orbit walked
+    once (see _evaluate_at).
     """
     gs = [_as_element(group, e) for e in elements]
     worst = [0.0] * len(gs)

@@ -304,8 +304,11 @@ def ramakrishnan_L(m: int, z, tol: float = 1e-10) -> PolylogResult:
     parts = []
     err = 0.0
     used = 0
+    # tol is split over the m orders; where the share of a subnormal tol
+    # rounds to 0, which li refuses, each order gets tol itself
+    share = tol / m or tol
     for j in range(1, m + 1):
-        res = li(j, zz, tol / m)
+        res = li(j, zz, share)
         coef = neg_log ** (m - j) / math.factorial(m - j)
         parts.append(coef * res.value)
         err += abs(coef) * res.error_bound

@@ -101,7 +101,7 @@ def build_ps(group: SchottkyGroup, delta, depth: int = 8) -> PSMeasure:
     at = 0
     for piece in (sh for n, sh in group.shells(depth) if n == depth):
         span = slice(at, at + piece.first.size)
-        pts[span], msk[span], sph[span] = group.shell_terms(piece, bp, "absolute")
+        pts[span], msk[span], sph[span] = group.shell_terms(piece.at(bp), bp, "absolute")
         at = span.stop
         if group.circles is None:
             continue

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._vec import act, fsum, stretch, uniform_sphere_points
+from ._vec import act, fsum, project, stretch, uniform_sphere_points
 from .moebius import (
     INF,
     MoebiusMap,
@@ -31,8 +31,9 @@ from .moebius import (
 )
 
 MAX_WORDS = 4_000_000
-# words of a shell piece: the integrand sees a longer shell in pieces of
-# this size (see poincare.SeriesIntegrand.eval_many)
+# words of a shell piece: shells() and orbits() keep a shell of up to twice
+# this many words whole and give a longer one in pieces of this size, which
+# is how the integrand sees it (see poincare.SeriesIntegrand.eval_many)
 EVAL_CHUNK = 65536
 PAIRING_RESIDUAL_TOL = 1e-9
 DELTA_MAX_ORDER = 10      # estimate_delta's default order cap
@@ -57,11 +58,12 @@ class EstimationError(SchottkyError):
 
 
 class ShellOverflowError(SchottkyError):
-    """Word matrices left the floating-point range; `length`, named in the
-    message, is the shortest word length where they did."""
+    """Word matrices (shells) or a point's orbit coordinates (orbits) left
+    the floating-point range; `length`, named in the message, is the
+    shortest word length where they did."""
 
-    def __init__(self, length: int):
-        super().__init__(f"word matrices overflow at length {length}")
+    def __init__(self, length: int, what: str = "word matrices"):
+        super().__init__(f"{what} overflow at length {length}")
         self.length = length
 
 
@@ -156,6 +158,35 @@ class Shell(NamedTuple):
     mats: np.ndarray
     first: np.ndarray
     last: np.ndarray
+
+    def at(self, z) -> "Orbit":
+        """The images of z under these words, from their matrices."""
+        zz, ww = _homogeneous(as_sphere_point(z))
+        m = self.mats
+        return Orbit(*act(m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1], zz, ww),
+                     self.first, self.last)
+
+
+class Orbit(NamedTuple):
+    """A point's images under consecutive words of one shell, in
+    enumeration order, as act gives them: (complex, mask) pairs and their
+    homogeneous coordinates num/den; and the words' first and last letters
+    (0 for the empty word)."""
+
+    points: np.ndarray
+    inf_mask: np.ndarray
+    num: np.ndarray
+    den: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+
+
+def _orbit_block(size: int) -> Orbit:
+    """An Orbit of `size` words to fill, its complex rows and letters (in
+    the bytes of a fourth complex row) in one block."""
+    block = np.empty((4, size), dtype=complex)
+    return Orbit(block[0], np.empty(size, dtype=bool), block[1], block[2],
+                 *block[3].view(np.int64).reshape(2, size))
 
 
 def _join(parts) -> Shell:
@@ -459,22 +490,101 @@ class SchottkyGroup:
     def shell_matrices(self, n: int) -> np.ndarray:
         return self.shell(n).mats
 
-    def shell_terms(self, shell: Shell, z, mode: str = "absolute"):
-        """Orbit points and derivative weights of `shell`'s words at z.
+    def orbits(self, zs, depth: int):
+        """Yield, for each of zs in turn, an iterator of (n, piece) over the
+        images of z under the words of lengths 1..depth, shell by shell,
+        each piece an Orbit with the rows of a piece of shells(depth); no
+        word matrix is formed.
+
+        The words of shell n that start with letter l are l followed by the
+        words of shell n - 1 that do not start with -l, in order, so their
+        images are M_l applied to those words' images: one Moebius step per
+        word, the depth-first walk of Mumford, Series and Wright, Indra's
+        Pearls (2002), ch. 5.  Shells of at most 2 * EVAL_CHUNK words are
+        grown whole, each from the one before, into one block that every
+        walk reuses (so a walk has to be done before the next is taken):
+        fresh arrays for each shell of each point would be returned to the
+        system and faulted back in.  A longer shell comes in pieces of
+        EVAL_CHUNK rows, its rows with prefix p being M_p applied to rows of
+        the last whole shell.  ShellOverflowError names the first length
+        whose coordinates leave the floating-point range."""
+        self.check_depth(depth)
+        block = _orbit_block(sum(self.shell_size(n) for n in range(1, depth + 1)
+                                 if self.shell_size(n) <= 2 * EVAL_CHUNK))
+        for z in zs:
+            yield self._walk(z, depth, block)
+
+    def _walk(self, z, depth: int, block: Orbit):
+        """orbits' iterator for z, its whole shells written to `block`."""
+        zz, ww = _homogeneous(as_sphere_point(z))
+        top, top_n, at = _orbit_block(1), 0, 0
+        top.num[0], top.den[0], top.first[0], top.last[0] = zz, ww, 0, 0
+        for n in range(1, depth + 1):
+            size = self.shell_size(n)
+            step = size if size <= 2 * EVAL_CHUNK else EVAL_CHUNK
+            for lo in range(0, size, step):
+                out = (Orbit(*(a[at:at + size] for a in block)) if step == size
+                       else _orbit_block(min(lo + step, size) - lo))
+                piece = self._grow(top, n - top_n, lo, out)
+                if not (np.isfinite(piece.num).all() and np.isfinite(piece.den).all()):
+                    raise ShellOverflowError(n, "orbit coordinates")
+                yield n, piece
+            if step == size:
+                top, top_n, at = piece, n, at + size
+
+    def _grow(self, top: Orbit, j: int, lo: int, out: Orbit) -> Orbit:
+        """Rows lo.. of the shell j letters longer than the whole shell
+        `top`, written to `out`.  The rows with prefix p, the reduced words
+        of length j taken in enumeration order, are p's map applied to the
+        rows of top that do not start with the inverse of p's last letter."""
+        hi = lo + out.first.size
+        prefixes = [w for w in self.enumerate_words(j) if w.length == j]
+        # top's rows that start with one letter are a run of `run` rows, in
+        # letter order; the empty word starts with none
+        run = top.first.size // len(self.letters) if top.first[0] else 0
+        width = top.first.size - run
+        for q in range(lo // width, (hi - 1) // width + 1):
+            p, m = prefixes[q].letters, prefixes[q].map
+            skip = self.letters.index(-p[-1]) * run
+            # the prefix's rows x..x1 - 1 (of width) are top's rows x + shift
+            for x, x1, shift in ((0, skip, 0), (skip, width, run)):
+                x, x1 = max(x, lo - q * width), min(x1, hi - q * width)
+                if x >= x1:
+                    continue
+                rows, dst = slice(x + shift, x1 + shift), slice(q * width + x - lo,
+                                                               q * width + x1 - lo)
+                # act's num and den, written in place; _walk reports
+                # what overflows
+                num, den = out.num[dst], out.den[dst]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.multiply(m.a, top.num[rows], out=num)
+                    num += m.b * top.den[rows]
+                    np.multiply(m.c, top.num[rows], out=den)
+                    den += m.d * top.den[rows]
+                out.first[dst] = p[0]
+                out.last[dst] = top.last[rows] if run else p[-1]
+        out.points[:], out.inf_mask[:] = project(out.num, out.den)
+        return out
+
+    def shell_terms(self, orbit: Orbit, z, mode: str = "absolute"):
+        """Orbit points and derivative weights at z of the words whose
+        images of z `orbit` holds: from orbits() in `series eval` and
+        `series automorphy`, or from Shell.at(z), the word matrices, where
+        measures and convergence reports need them.
 
         Returns (points, inf_mask, weights); weights are complex gamma'(z) in
         holomorphic mode and real spherical factors in absolute mode.
         """
         p = as_sphere_point(z)
-        mats = shell.mats
-        c, d = mats[:, 1, 0], mats[:, 1, 1]
         zz, ww = _homogeneous(p)
-        points, inf_mask, num, den = act(mats[:, 0, 0], mats[:, 0, 1], c, d, zz, ww)
+        num, den = orbit.num, orbit.den
         if mode == "holomorphic":
             if p.is_infinity:
                 raise SchottkyError("holomorphic weights require a finite basepoint")
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                w = c * p.value + d
+                # gamma'(z) = 1/(c z + d)^2 for a det-1 matrix, and
+                # den = (c z + d) W
+                w = den * (1.0 / ww)
                 sq = w * w
                 weights = 1.0 / sq
                 # w * w overflows at |z| above about 1e150 where (1/w)**2
@@ -488,7 +598,7 @@ class SchottkyGroup:
             weights = stretch(zz, ww, num, den)
         else:
             raise SchottkyError(f"unknown weight mode {mode!r}")
-        return points, inf_mask, weights
+        return orbit.points, orbit.inf_mask, weights
 
     def shell_log_derivatives(self, max_depth: int, basepoint=None) -> list[np.ndarray]:
         """log of the spherical derivative of every shell word at the basepoint,
@@ -500,7 +610,7 @@ class SchottkyGroup:
         out = [[] for _ in range(max_depth + 1)]
         for n, sh in islice(self.shells(max_depth), 1, None):
             with np.errstate(divide="ignore"):
-                logd = np.log(self.shell_terms(sh, bp, "absolute")[2])
+                logd = np.log(self.shell_terms(sh.at(bp), bp, "absolute")[2])
             big = ~np.isfinite(logd)
             m = sh.mats[big]
             top = np.abs(m).max(axis=(1, 2), initial=0.0)

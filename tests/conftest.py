@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import pytest
 
 from kleinlog.schottky import Circle, SchottkyGroup, estimate_delta, pairing_map
@@ -12,6 +15,13 @@ def make_standard_group(radius: float = STD_RADIUS) -> SchottkyGroup:
     g1 = pairing_map(circles[0], circles[1])
     g2 = pairing_map(circles[2], circles[3])
     return SchottkyGroup([g1, g2], circles)
+
+
+def make_rank3_group() -> SchottkyGroup:
+    """Rank-3 group pairing circles of radius 0.4 at 3 exp(i pi k / 3)."""
+    c = [Circle(3.0 * cmath.exp(1j * math.pi * k / 3), 0.4)
+         for k in (0, 3, 1, 4, 2, 5)]
+    return SchottkyGroup([pairing_map(c[i], c[i + 1]) for i in (0, 2, 4)], c)
 
 
 @pytest.fixture(scope="session")

@@ -350,8 +350,8 @@ def test_series_report_pinned(std_config, threads):
      ("series", "automorphy", "--max-len", "11", "--samples", "2", "--seed", "5")),
 ])
 def test_streamed_shell_reports_pinned(std_config, threads, name, args):
-    """The exact bytes of reports whose shells 11 and 12 come in pieces,
-    recorded when those shells were still built whole."""
+    """The exact bytes of reports whose shells 11 and 12 come in pieces;
+    --threads does not change them."""
     r = run_cli("--config", std_config, "--threads", threads, *args)
     assert r.returncode == 0, r.stderr
     assert r.stdout == (DATA / name).read_bytes()
@@ -374,7 +374,7 @@ def test_overflowing_group_exits_3_naming_the_first_error(tmp_path, threads):
     base = ("--config", str(cfg), "--threads", threads, "series", "eval",
             "--max-len", "12", "--z", "0.3,0.7")
     assert main_io(*base, "--weight", "absolute") == (
-        3, "", "numeric error: word matrices overflow at length 11\n")
+        3, "", "numeric error: orbit coordinates overflow at length 11\n")
     assert main_io(*base) == (
         3, "", "numeric error: holomorphic weight at an orbit pole or "
                "overflowing at z = (0.3+0.7j)\n")
@@ -393,26 +393,27 @@ def test_parabolic_word_exits_3_naming_its_length(tmp_path, args):
 
 
 def test_deep_rank1_shells_refused_or_finite(tmp_path):
-    """Generator 1 of the standard group alone: its word matrices overflow
-    at length 339, and the denominator |num|^2 + |den|^2 of its spherical
-    weights overflows from length 170 on.  An overflowing shell exits 3
-    naming the length; below it every report is finite, and no numpy
-    warning escapes."""
+    """Generator 1 of the standard group alone: its word matrices, and the
+    orbit coordinates of 0.3 + 0.7i, overflow at length 339, and the
+    denominator |num|^2 + |den|^2 of its spherical weights overflows from
+    length 170 on.  An overflow exits 3 naming what overflows and the
+    length; below it every report is finite, and no numpy warning
+    escapes."""
     spec = std_spec()["group"]
     cfg = tmp_path / "rank1.json"
     cfg.write_text(json.dumps({"group": {"generators": spec["generators"][:1],
                                          "circles": spec["circles"][:2]}}))
-    overflow = "numeric error: word matrices overflow at length 339\n"
 
     def no_nan(token):
         raise AssertionError(f"{token} in the report")
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for args in (("series", "eval", "--z", "0.3,0.7", "--max-len", "400",
-                      "--weight", "absolute"),
-                     ("group", "limitset", "--depth", "400")):
-            assert main_io("--config", str(cfg), *args) == (3, "", overflow)
+        for args, what in ((("series", "eval", "--z", "0.3,0.7", "--max-len",
+                             "400", "--weight", "absolute"), "orbit coordinates"),
+                           (("group", "limitset", "--depth", "400"), "word matrices")):
+            assert main_io("--config", str(cfg), *args) == (
+                3, "", f"numeric error: {what} overflow at length 339\n")
         code, out, err = main_io("--config", str(cfg), "series", "eval",
                                  "--z", "0.3,0.7", "--max-len", "300",
                                  "--weight", "absolute")
@@ -437,11 +438,11 @@ def test_deep_rank1_shells_refused_or_finite(tmp_path):
 def test_series_automorphy_evaluates_each_point_once(std_config, monkeypatch,
                                                      extra, calls, code):
     """S(z) once per sample and S(gz) once per sample and element: `calls`
-    points, each summed over shells 1..3, which are built once for all of
-    them.  A bad element is refused before any shell is built."""
+    points, each with one walk of its orbit summed over shells 1..3, and no
+    word matrix built.  A bad element is refused before any walk."""
     from kleinlog.schottky import SchottkyGroup
 
-    seen = {"shell_terms": 0, "_next_shell": 0}
+    seen = {"shell_terms": 0, "_walk": 0, "_next_shell": 0}
 
     def count(name):
         method = getattr(SchottkyGroup, name)
@@ -453,11 +454,12 @@ def test_series_automorphy_evaluates_each_point_once(std_config, monkeypatch,
         monkeypatch.setattr(SchottkyGroup, name, counting)
 
     count("shell_terms")
+    count("_walk")
     count("_next_shell")
     got, _, err = main_io("--config", std_config, "series", "automorphy",
                           "--samples", "4", "--max-len", "3", *extra)
-    assert (got, seen["shell_terms"], seen["_next_shell"]) == \
-        (code, 3 * calls, 0 if code else 3), err
+    assert (got, seen["shell_terms"], seen["_walk"], seen["_next_shell"]) == \
+        (code, 3 * calls, calls, 0), err
     if code:
         assert err == "validation error: letter 3 out of range for rank 2\n"
 

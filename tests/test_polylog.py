@@ -269,6 +269,13 @@ def test_ramakrishnan_singularities():
         ramakrishnan_L(0, 0.5)
 
 
+def test_ramakrishnan_subnormal_tolerance():
+    """The smallest positive tol, split over three orders, rounds to 0 for
+    each; every order then works to tol itself."""
+    assert ramakrishnan_D(3, 0.3 + 0.2j, 5e-324).value == \
+        ramakrishnan_D(3, 0.3 + 0.2j, 1e-300).value
+
+
 def test_bernoulli_and_zeta():
     known = {0: 1.0, 1: -0.5, 2: 1 / 6, 4: -1 / 30, 6: 1 / 42, 3: 0.0, 5: 0.0}
     for k, v in known.items():

@@ -177,7 +177,7 @@ def test_shell_terms_match_scalar(std_group):
     for p in as_points(vals, mask):
         for n in (1, 3):
             maps = shell_maps(std_group, n)
-            pts, inf_mask, w = std_group.shell_terms(std_group.shell(n), p,
+            pts, inf_mask, w = std_group.shell_terms(std_group.shell(n).at(p), p,
                                                    "absolute")
             assert_close_points(pts, inf_mask, [m.apply(p) for m in maps])
             assert_close_values(w, [m.spherical_derivative(p) for m in maps])
@@ -188,9 +188,9 @@ def test_shell_terms_match_scalar(std_group):
                 refs = [m.derivative(p) for m in maps]
             except PoleError:
                 with pytest.raises(SchottkyError):
-                    std_group.shell_terms(std_group.shell(n), p, "holomorphic")
+                    std_group.shell_terms(std_group.shell(n).at(p), p, "holomorphic")
                 continue
-            _, _, w = std_group.shell_terms(std_group.shell(n), p, "holomorphic")
+            _, _, w = std_group.shell_terms(std_group.shell(n).at(p), p, "holomorphic")
             assert_close_values(w, refs)
 
 

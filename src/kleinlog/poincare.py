@@ -66,20 +66,20 @@ class SeriesIntegrand:
     def eval_many(self, points: np.ndarray, inf_mask: np.ndarray,
                   threads: int = 1) -> np.ndarray:
         """Values at a 1-d array of sphere points, 0 at infinity."""
-        pts = np.where(inf_mask, 0.0, points)
+        pts = np.where(inf_mask, 0.0, points) if inf_mask.any() else points
         vals = np.empty(pts.size)
 
         def work(lo, hi):
             vals[lo:hi] = self.evaluator_many(pts[lo:hi])
 
-        # bloch_wigner_many's last bits depend on how its input is split: numpy
-        # reuses temporaries of 256 KiB and more, which swaps the operands of a
-        # complex product, and its FMA product does not round both orders alike.
-        # So up to 2 * EVAL_CHUNK points stay whole, and beyond that every
-        # thread count splits them into the same EVAL_CHUNK pieces.
+        # bloch_wigner_many gives the same bits however its input is split; a
+        # custom evaluator_many need not, as numpy reuses temporaries of 256 KiB
+        # and more, which swaps a complex product's operands, and its FMA
+        # product rounds the two orders apart.  So up to 2 * EVAL_CHUNK points
+        # stay whole, and beyond that every thread count cuts the same pieces.
         piece = max(1, pts.size) if pts.size <= 2 * EVAL_CHUNK else EVAL_CHUNK
         parallel_chunks(work, pts.size, threads, piece)
-        vals = np.where(inf_mask, 0.0, vals)
+        vals[inf_mask] = 0.0
         self._check(float(np.max(np.abs(vals))) if vals.size else 0.0)
         return vals
 

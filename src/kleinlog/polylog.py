@@ -5,6 +5,11 @@ inversion formula through a Bernoulli polynomial for |z| >= 2, and the
 log-argument expansion in the remaining band.  Every region carries a proven
 geometric tail bound, so the reported error_bound is honest rather than a
 heuristic.
+
+bloch_wigner_many, the vector D, reduces by D's symmetries to |w| <= 1,
+Re w <= 1/2, Im w >= 0, where |L| = |log(1 - w)| <= pi/3, and sums the
+Bernoulli series of Li_2 in L to D_SERIES_K = 10 terms: a proven tail of at
+most D_SERIES_TAIL = 7.2e-19.
 """
 
 from __future__ import annotations
@@ -220,66 +225,61 @@ def bloch_wigner(z, tol: float = 1e-14) -> float:
 
 # vectorized evaluation -------------------------------------------------------
 
-_SERIES_K = 48
-_INV_K2 = np.array([1.0 / k ** 2 for k in range(_SERIES_K, 0, -1)])
-
-_BAND_K = 64
-# coefficients zeta(2-k)/k! of mu^k for k >= 2 (the k = 0, 1 terms are explicit)
-_BAND_COEFFS = np.array(
-    [zeta_int(2 - k) / math.factorial(k) for k in range(_BAND_K, 1, -1)]
-)
-
-
-def _d_small_vec(u: np.ndarray) -> np.ndarray:
-    # D on |u| <= 1/2, u off the real axis
-    # Horner in place: the same products and sums as acc = acc * u + c,
-    # without two fresh arrays per step
-    acc = np.zeros(u.shape, dtype=complex)
-    for c in _INV_K2:
-        np.multiply(acc, u, out=acc)
-        acc += c
-    s = u * acc
-    return s.imag + np.angle(1.0 - u) * np.log(np.abs(u))
-
-
-def _d_band_vec(u: np.ndarray) -> np.ndarray:
-    # D on the band 1/2 < |u| < 2, |1-u| > 1/2, u off the real axis
-    mu = np.log(u)
-    acc = np.zeros(u.shape, dtype=complex)
-    for c in _BAND_COEFFS:
-        np.multiply(acc, mu, out=acc)
-        acc += c
-    li2 = zeta_int(2) + mu * (1.0 - np.log(-mu)) + mu * mu * acc
-    return li2.imag + np.angle(1.0 - u) * np.log(np.abs(u))
+# Li_2(w) = L - L^2/4 + sum_{k>=1} B_2k/(2k+1)! L^(2k+1) with L = -log(1 - w),
+# summed to k = D_SERIES_K.  As |B_2k| = 2 (2k)! zeta(2k)/(2 pi)^2k, at
+# |L| <= pi/3 the terms after K sum to at most 2 zeta(2K+2)/(2K+3) (pi/3)
+# 36^-(K+1) * 36/35, below 2^-60 from K = 10 on.
+D_SERIES_K = 10
+D_SERIES_TAIL = 7.2e-19
+_D_COEFFS = np.array([float(_bernoulli_fraction(2 * k) / math.factorial(2 * k + 1))
+                      for k in range(D_SERIES_K, 0, -1)])
 
 
 def bloch_wigner_many(z: np.ndarray) -> np.ndarray:
-    """Vectorized bloch_wigner over an array of finite complex arguments."""
+    """Vectorized bloch_wigner over an array of finite complex arguments.
+
+    D(conj z) = -D(z) folds z to the upper half-plane; D(1/conj w) = D(w)
+    takes |w| > 1 to w/|w|^2 (divided by |w| twice, so nothing overflows);
+    D(1 - conj w) = D(w) takes Re w > 1/2 to 1 - conj w (exact by Sterbenz).
+    There |w| <= 1, Re w <= 1/2, so L = -log(1 - w) has |L| <= pi/3, and
+    D(w) = Im Li_2(w) - Im L log|w| = Im L (1 - Re L/2 - log|w|) + Im(L t P(t))
+    with t = L^2 and P the series above, whose tail is below D_SERIES_TAIL.
+    Against 40-digit mpmath it errs by at most 6e-16 absolute: within that
+    of the scalar bloch_wigner, not bit for bit.  It is +0.0 on the real
+    axis, where Im L = +0 and its factor is at least 0.65.
+    """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
-    if flat.size and not np.all(np.isfinite(flat)):
+    n = flat.size
+    if n and not np.all(np.isfinite(flat)):
         raise ValueError("bloch_wigner_many requires finite arguments")
-    out = np.zeros(flat.shape, dtype=float)
-    off_axis = flat.imag != 0.0
-    w = flat[off_axis]
-    sign = np.where(w.imag < 0.0, -1.0, 1.0)
-    w = np.where(w.imag < 0.0, np.conj(w), w)
-    res = np.empty(w.shape, dtype=float)
-    aw = np.abs(w)
-    m_small = aw <= 0.5
-    m_large = aw >= 2.0
-    m_mid = ~m_small & ~m_large
-    m_refl = m_mid & (np.abs(1.0 - w) <= 0.5)
-    m_band = m_mid & ~m_refl
-    if m_small.any():
-        res[m_small] = _d_small_vec(w[m_small])
-    if m_large.any():
-        res[m_large] = -_d_small_vec(1.0 / w[m_large])
-    if m_refl.any():
-        res[m_refl] = -_d_small_vec(1.0 - w[m_refl])
-    if m_band.any():
-        res[m_band] = _d_band_vec(w[m_band])
-    out[off_axis] = sign * res
+    x, y = xy = np.stack([flat.real, np.abs(flat.imag)])
+    # |z|, kept off 0 and inf for its log
+    r = np.clip(np.abs(flat), 5e-324, np.finfo(float).max)
+    inv = r > 1.0
+    np.divide(xy, r, out=xy, where=inv)
+    np.divide(xy, r, out=xy, where=inv)
+    la = np.log(r, out=r)
+    np.negative(la, out=la, where=inv)                   # log|w|
+    u = 1.0 - x
+    lb = np.log(np.maximum(u * u + y * y, 5e-324)) * 0.5  # log|1 - w|
+    # w -> 1 - conj w swaps log|w| and log|1 - w|; 1 - w becomes conj w
+    refl = x > 0.5
+    np.copyto(u, x, where=refl)
+    theta = np.arctan2(y, u, out=y)                      # Im L
+    logw = np.where(refl, lb, la)
+    np.copyto(lb, la, where=refl)                        # log|1 - w| = -Re L
+    L = np.empty(n, dtype=complex)
+    np.negative(lb, out=L.real)
+    np.copyto(L.imag, theta)
+    t = L * L
+    acc = t * _D_COEFFS[0]
+    for c in _D_COEFFS[1:]:
+        acc += c
+        acc *= t
+    acc *= L                                             # L t P(t)
+    out = (lb * 0.5 + 1.0 - logw) * theta + acc.imag
+    np.negative(out, out=out, where=flat.imag < 0.0)
     return out.reshape(z.shape)
 
 

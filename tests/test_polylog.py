@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,12 +9,11 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 
 from kleinlog.polylog import (
-    _BAND_COEFFS,
-    _INV_K2,
+    _D_COEFFS,
     D_GLOBAL_BOUND,
+    D_SERIES_K,
+    D_SERIES_TAIL,
     SingularArgumentError,
-    _d_band_vec,
-    _d_small_vec,
     bernoulli_number,
     bloch_wigner,
     bloch_wigner_many,
@@ -22,6 +22,7 @@ from kleinlog.polylog import (
     ramakrishnan_L,
     zeta_int,
 )
+from kleinlog.schottky import EVAL_CHUNK
 
 # anchor values frozen from the oracle runs (brute series / closed forms)
 LI2_HALF = 0.5822405264650125  # pi^2/12 - log(2)^2/2
@@ -160,52 +161,123 @@ def test_bloch_wigner_many_matches_scalar():
         assert abs(vi - bloch_wigner(complex(zi))) < 1e-13
 
 
-def _d_small_fresh(u):
-    # _d_small_vec with a fresh array at every Horner step
-    acc = np.zeros(u.shape, dtype=complex)
-    for c in _INV_K2:
-        acc = acc * u + c
-    s = u * acc
-    return s.imag + np.angle(1.0 - u) * np.log(np.abs(u))
+def _d_fresh(z):
+    # bloch_wigner_many's formula with a fresh array at every step
+    x, y = z.real, np.abs(z.imag)
+    r = np.clip(np.abs(z), 5e-324, np.finfo(float).max)
+    inv = r > 1.0
+    x = np.where(inv, x / r / r, x)
+    y = np.where(inv, y / r / r, y)
+    la = np.where(inv, -np.log(r), np.log(r))
+    lb = np.log(np.maximum((1.0 - x) * (1.0 - x) + y * y, 5e-324)) * 0.5
+    refl = x > 0.5
+    theta = np.arctan2(y, np.where(refl, x, 1.0 - x))
+    logw = np.where(refl, lb, la)
+    L = (-np.where(refl, la, lb)).astype(complex)
+    L.imag = theta
+    t = L * L
+    acc = t * _D_COEFFS[0]
+    for c in _D_COEFFS[1:]:
+        acc = (acc + c) * t
+    acc = acc * L
+    d = (L.real * -0.5 + 1.0 - logw) * theta + acc.imag
+    return np.where(z.imag < 0.0, -d, d)
 
 
-def _d_band_fresh(u):
-    mu = np.log(u)
-    acc = np.zeros(u.shape, dtype=complex)
-    for c in _BAND_COEFFS:
-        acc = acc * mu + c
-    li2 = zeta_int(2) + mu * (1.0 - np.log(-mu)) + mu * mu * acc
-    return li2.imag + np.angle(1.0 - u) * np.log(np.abs(u))
+def _d_test_points(rng, n):
+    # every branch of the reduction, the real axis and its -0.0 included
+    z = rng.uniform(-3.0, 3.0, n) + 1j * rng.uniform(-3.0, 3.0, n)
+    z[::7] = z[::7].real
+    z[3::7] = z[3::7].real - 0j
+    z[5::7] *= 1e3
+    return z
 
 
-def _upper(rng, n, r_lo, r_hi):
-    return rng.uniform(r_lo, r_hi, n) * np.exp(1j * rng.uniform(0.01, 3.13, n))
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64).tolist()
 
 
-def _band_points(rng, n):
-    w = np.empty(0, dtype=complex)
-    while w.size < n:
-        c = _upper(rng, 2 * n, 0.51, 1.99)
-        w = np.concatenate([w, c[np.abs(1.0 - c) > 0.5]])
-    return w[:n]
-
-
-@pytest.mark.parametrize("n", [1, 16383, 16384, 65536, 131073])
+@pytest.mark.parametrize("n", sorted({1, 16383, 16384, 65536, 131073, 2 * EVAL_CHUNK + 1}))
 def test_d_kernels_in_place_horner_bitwise(n):
-    """The in-place Horner loops give the bits of the allocating form in
-    every region bloch_wigner_many sends to them, at sizes across numpy's
-    temporary-reuse threshold."""
+    """bloch_wigner_many, which writes its Horner steps in place, gives the
+    bits of the allocating form, and a whole array gives the bits of its
+    pieces concatenated, at sizes across numpy's temporary-reuse threshold;
+    so its values do not depend on how eval_many splits its input."""
     rng = np.random.default_rng(n)
-    cases = [
-        # small |w| <= 1/2, large |w| >= 2 through 1/w, near 1 through 1 - w
-        (_d_small_vec, _d_small_fresh, _upper(rng, n, 0.01, 0.5)),
-        (_d_small_vec, _d_small_fresh, 1.0 / _upper(rng, n, 2.0, 50.0)),
-        (_d_small_vec, _d_small_fresh, 1.0 - (1.0 + _upper(rng, n, 0.01, 0.5))),
-        (_d_band_vec, _d_band_fresh, _band_points(rng, n)),
-    ]
-    for kernel, fresh, u in cases:
-        assert kernel(u).view(np.int64).tolist() == \
-            fresh(u).view(np.int64).tolist()
+    z = _d_test_points(rng, n)
+    whole = bloch_wigner_many(z)
+    assert _bits(whole) == _bits(_d_fresh(z))
+    cuts = np.unique(np.concatenate([[0, n], rng.integers(0, n + 1, 5)]))
+    pieces = [bloch_wigner_many(z[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+    assert _bits(whole) == _bits(np.concatenate(pieces))
+
+
+D_MANY_ERR = 6e-16  # absolute, against 40-digit mpmath
+
+
+def test_bloch_wigner_many_against_mpmath(std_group):
+    """bloch_wigner_many errs by at most D_MANY_ERR on each set below; it is
+    +0.0 on the real axis, finite at huge and subnormal |z|, and raises no
+    numpy warning."""
+    rng = np.random.default_rng(37)
+    n = 200
+
+    def ring(r):
+        return r * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+
+    orbit = np.concatenate([std_group.shell(k).at(0.3 + 0.7j).points for k in (1, 3, 6)])
+    hexa = cmath.exp(1j * math.pi / 3)
+    sets = {
+        "orbit": rng.choice(orbit, n, replace=False),
+        "square": rng.uniform(-3, 3, n) + 1j * rng.uniform(-3, 3, n),
+        "circle+": ring(1 + 1e-9),
+        "circle-": ring(1 - 1e-9),
+        "hexagonal": hexa + 1e-6 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
+        "re=1/2": 0.5 + 1j * rng.uniform(-3, 3, n),
+        "radii": ring(np.exp(rng.uniform(math.log(1e-6), math.log(1e6), n))),
+        "near 1": 1 + ring(rng.uniform(1e-8, 1e-6, n)),
+        "im~1e-12": rng.uniform(-3, 3, n) + 1e-12j * rng.uniform(-1, 1, n),
+    }
+    with warnings.catch_warnings(), \
+            np.errstate(divide="warn", over="warn", invalid="warn"):
+        warnings.simplefilter("error")
+        for name, z in sets.items():
+            with mpmath.workdps(40):
+                exact = np.array([mp_D(complex(v)) for v in z])
+            err = np.max(np.abs(bloch_wigner_many(z) - exact))
+            assert err <= D_MANY_ERR, (name, err)
+        real = np.array([-1e300, -3.0, -1.0, 0.0, 0.25, 0.5, 1.0, 2.0, 1e300, 5e-324])
+        for z in (real + 0j, real - 0j, real.astype(complex)):
+            got = bloch_wigner_many(z)
+            assert np.all(got == 0.0) and not np.any(np.signbit(got)), z
+        extreme = np.concatenate([ring(1e300), ring(1e-320),
+                                  [1e308 + 1e308j, -1.7e308j, 5e-324j, -5e-324 + 5e-324j]])
+        got = bloch_wigner_many(extreme)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got) <= 1e-290)
+
+
+def test_d_series_tail_bound():
+    """On the reduced region |w| <= 1, Re w <= 1/2, Im w >= 0, |log(1 - w)|
+    <= pi/3; there the Bernoulli terms bloch_wigner_many drops sum to at most
+    D_SERIES_TAIL, recomputed from the coefficients, and D_SERIES_K is the
+    least K that puts that sum below 2^-60."""
+    th = np.linspace(math.pi / 3, math.pi, 2001)
+    edge = np.concatenate([np.exp(1j * th),
+                           0.5 + 1j * np.linspace(0.0, math.sqrt(0.75), 2001),
+                           np.linspace(-1.0, 0.5, 2001)])
+    assert np.max(np.abs(np.log(1.0 - edge))) <= math.pi / 3 * (1 + 1e-15)
+    with mpmath.workdps(40):
+        coef = [mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k + 1)
+                for k in range(1, D_SERIES_K + 60)]
+        assert _D_COEFFS.tolist() == [float(c) for c in coef[D_SERIES_K - 1::-1]]
+        terms = [abs(c) * (mpmath.pi / 3) ** (2 * k + 3) for k, c in enumerate(coef)]
+
+        def tail(K):
+            # the terms left out, past k = D_SERIES_K + 59, shrink 36-fold each
+            return mpmath.fsum(terms[K:])
+
+        assert tail(D_SERIES_K) <= D_SERIES_TAIL < 2.0 ** -60 < tail(D_SERIES_K - 1)
 
 
 def test_bloch_wigner_many_rejects_nonfinite():

@@ -37,13 +37,11 @@ from .polylog import (
     ramakrishnan_L,
 )
 from .psmeasure import (
-    AsymptoticProfile,
     ConformalityReport,
     MeasureError,
     NayataniDensity,
     PSMeasure,
     SingularEvaluationError,
-    asymptotic_profile,
     build_ps,
     conformality_report,
     quasi_invariance_residual,

@@ -218,10 +218,6 @@ class MoebiusMap:
         # adjugate of a det-1 matrix, det unchanged
         return MoebiusMap._from_normalized(self.d, -self.b, -self.c, self.a)
 
-    def conjugate_by(self, h: "MoebiusMap") -> "MoebiusMap":
-        """h o self o h^-1."""
-        return h.compose(self).compose(h.inverse())
-
     def is_identity(self, tol: float = CLASSIFY_TOL) -> bool:
         return (
             max(abs(self.b), abs(self.c), abs(self.a - self.d)) <= tol

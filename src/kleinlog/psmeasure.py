@@ -19,15 +19,12 @@ import numpy as np
 from ._vec import (
     ExactSum,
     act,
-    chordal_many,
-    from_sphere_many,
     fsum,
     hom_many,
     parallel_chunks,
     sphere_coords_many,
     sphere_embed,
     stretch,
-    to_sphere,
 )
 from .moebius import INF, SpherePoint, as_sphere_point
 from .schottky import DeltaEstimate, SchottkyGroup, fundamental_domain_samples
@@ -99,9 +96,9 @@ def build_ps(group: SchottkyGroup, delta, depth: int = 8) -> PSMeasure:
     pts, msk, sph = np.empty(size, dtype=complex), np.empty(size, dtype=bool), np.empty(size)
     escaped = set()  # letters whose words took an atom out of their disk
     at = 0
-    for piece in (sh for n, sh in group.shells(depth) if n == depth):
+    for piece in (sh for n, sh in next(group.orbits([bp], depth)) if n == depth):
         span = slice(at, at + piece.first.size)
-        pts[span], msk[span], sph[span] = group.shell_terms(piece.at(bp), bp, "absolute")
+        pts[span], msk[span], sph[span] = group.shell_terms(piece, bp, "absolute")
         at = span.stop
         if group.circles is None:
             continue
@@ -594,53 +591,6 @@ class NayataniDensity:
             err[lo:lo + rows] = s * _U * (d * (12.0 + 5.0 * cross * far) + 10.0)
             bad[lo:lo + rows] = b
         return val, err, bad
-
-
-@dataclass(frozen=True)
-class AsymptoticProfile:
-    radii: tuple[float, ...]
-    values: tuple[float, ...]
-    slope: float
-    resolution: float
-
-
-def atom_resolution(density: NayataniDensity, y0) -> float:
-    """Chordal distance from y0 to the nearest atom not coincident with it."""
-    d = chordal_many(y0, density.measure.points, density.measure.inf_mask)
-    distinct = d[d > ATOM_GUARD]
-    return float(distinct.min()) if distinct.size else 0.0
-
-
-def asymptotic_profile(density: NayataniDensity, y0, radii) -> AsymptoticProfile:
-    """F along a fixed tangent ray toward y0, at the given chordal radii,
-    with the fitted log-log slope."""
-    radii = [float(r) for r in radii]
-    if len(radii) < 2 or any(r <= 0 for r in radii):
-        raise MeasureError("need at least two positive radii")
-    if any(radii[i] <= radii[i + 1] for i in range(len(radii) - 1)):
-        raise MeasureError("radii must be strictly decreasing")
-    if radii[0] >= 2.0:
-        raise MeasureError("chordal radii must be < 2")
-    res = atom_resolution(density, y0)
-    if res > 0.0 and min(radii) < res:
-        raise MeasureError(
-            f"radius {min(radii):.3e} is below the atom resolution scale "
-            f"{res:.3e} of the measure; deepen the measure or raise the radii")
-    n0 = to_sphere(y0)
-    t = np.cross([0.0, 0.0, 1.0], n0)
-    if np.linalg.norm(t) < 1e-9:
-        t = np.cross([1.0, 0.0, 0.0], n0)
-    t = t / np.linalg.norm(t)
-    vecs = []
-    for r in radii:
-        theta = 2.0 * math.asin(min(1.0, r / 2.0))
-        vecs.append(math.cos(theta) * n0 + math.sin(theta) * t)
-    values, singular, _ = density.F_many(*from_sphere_many(*np.array(vecs).T))
-    _check_regular(singular)
-    logs_r = np.log(radii)
-    logs_f = np.log(values)
-    slope = float(np.polyfit(logs_r, logs_f, 1)[0])
-    return AsymptoticProfile(tuple(radii), tuple(values.tolist()), slope, res)
 
 
 @dataclass(frozen=True)

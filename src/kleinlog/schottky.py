@@ -7,6 +7,14 @@ the exterior of the first onto the interior of the second.  Letters are the
 signed integers +-1..+-g ordered (1, -1, 2, -2, ...); words are tuples of
 letters with the leftmost letter outermost, i.e. word (l1, l2) acts as
 m(l1) o m(l2).
+
+Words are enumerated once, by SchottkyGroup._walk: shell by shell, it
+applies each letter's matrix to the homogeneous images of the shorter
+words, so the new letter goes in front.  Every consumer walks points
+through it: series evaluation its point, measures and convergence reports
+the basepoint, limit_set the generators' fixed points, and the word
+matrices, whose columns are the images of infinity and 0, come from the
+walk of those two.
 """
 
 from __future__ import annotations
@@ -14,12 +22,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
-from ._vec import act, fsum, project, stretch, uniform_sphere_points
+from ._vec import fsum, project, stretch, uniform_sphere_points
 from .moebius import (
     INF,
     MoebiusMap,
@@ -31,9 +38,9 @@ from .moebius import (
 )
 
 MAX_WORDS = 4_000_000
-# words of a shell piece: shells() and orbits() keep a shell of up to twice
-# this many words whole and give a longer one in pieces of this size, which
-# is how the integrand sees it (see poincare.SeriesIntegrand.eval_many)
+# words of a shell piece: the walk keeps a shell of up to twice this many
+# words whole and gives a longer one in pieces of this size, which is how
+# the integrand sees it (see poincare.SeriesIntegrand.eval_many)
 EVAL_CHUNK = 65536
 PAIRING_RESIDUAL_TOL = 1e-9
 DELTA_MAX_ORDER = 10      # estimate_delta's default order cap
@@ -58,12 +65,12 @@ class EstimationError(SchottkyError):
 
 
 class ShellOverflowError(SchottkyError):
-    """Word matrices (shells) or a point's orbit coordinates (orbits) left
-    the floating-point range; `length`, named in the message, is the
-    shortest word length where they did."""
+    """The homogeneous coordinates of a walk left the floating-point range;
+    `length`, named in the message, is the shortest word length where they
+    did."""
 
-    def __init__(self, length: int, what: str = "word matrices"):
-        super().__init__(f"{what} overflow at length {length}")
+    def __init__(self, length: int):
+        super().__init__(f"orbit coordinates overflow at length {length}")
         self.length = length
 
 
@@ -151,27 +158,13 @@ class LimitSetSample:
     first_letters: tuple[int, ...]
 
 
-class Shell(NamedTuple):
-    """All length-n words in enumeration order: their matrices, shape
-    (count, 2, 2), and their first and last letters (0 for the empty word)."""
-
-    mats: np.ndarray
-    first: np.ndarray
-    last: np.ndarray
-
-    def at(self, z) -> "Orbit":
-        """The images of z under these words, from their matrices."""
-        zz, ww = _homogeneous(as_sphere_point(z))
-        m = self.mats
-        return Orbit(*act(m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1], zz, ww),
-                     self.first, self.last)
-
-
 class Orbit(NamedTuple):
-    """A point's images under consecutive words of one shell, in
-    enumeration order, as act gives them: (complex, mask) pairs and their
+    """Images of points under consecutive words of one shell, in
+    enumeration order: as (complex, mask) pairs, as act gives them, and as
     homogeneous coordinates num/den; and the words' first and last letters
-    (0 for the empty word)."""
+    (0 for the empty word).  An Orbit from orbits() holds one point's
+    images; a piece of a walk of k points holds k rows of each but the
+    letters."""
 
     points: np.ndarray
     inf_mask: np.ndarray
@@ -181,17 +174,22 @@ class Orbit(NamedTuple):
     last: np.ndarray
 
 
-def _orbit_block(size: int) -> Orbit:
-    """An Orbit of `size` words to fill, its complex rows and letters (in
-    the bytes of a fourth complex row) in one block."""
-    block = np.empty((4, size), dtype=complex)
-    return Orbit(block[0], np.empty(size, dtype=bool), block[1], block[2],
-                 *block[3].view(np.int64).reshape(2, size))
+def _orbit_block(k: int, size: int, block=None) -> Orbit:
+    """An Orbit of k points and `size` words to fill, its complex rows and
+    letters (in the bytes of a last complex row) in one block: the first
+    (3k + 1) size elements of the 1-d `block`, or fresh ones if it is
+    None."""
+    block = (np.empty((3 * k + 1) * size, dtype=complex) if block is None
+             else block[:(3 * k + 1) * size]).reshape(3 * k + 1, size)
+    return Orbit(block[:k], np.empty((k, size), dtype=bool), block[k:2 * k],
+                 block[2 * k:3 * k], *block[3 * k].view(np.int64).reshape(2, size))
 
 
-def _join(parts) -> Shell:
-    """Consecutive pieces of one shell as one Shell."""
-    return Shell(*map(np.concatenate, zip(*parts)))
+def _projected(piece: Orbit) -> Orbit:
+    """A piece of a walk of one point as that point's Orbit, its points
+    projected into the piece's own rows."""
+    piece.points[0], piece.inf_mask[0] = project(piece.num[0], piece.den[0])
+    return Orbit(*(a[0] for a in piece[:4]), piece.first, piece.last)
 
 
 def _isometric_pair(g: MoebiusMap):
@@ -403,134 +401,72 @@ class SchottkyGroup:
             raise SchottkyError(f"shells through length {depth} would exceed "
                                 f"{MAX_WORDS} words")
 
-    def shells(self, depth: int):
-        """Yield (n, piece) for the words of lengths 0..depth, each shell
-        built from the one before and none kept.  A shell of more than
-        2 * EVAL_CHUNK words comes as its rows [k * EVAL_CHUNK, (k + 1) *
-        EVAL_CHUNK), grown depth-first from blocks of the last whole shell,
-        so pieces of different lengths interleave.  ShellOverflowError names
-        the shortest length that overflows, after all shorter pieces."""
-        self.check_depth(depth)
-        empty = np.zeros(1, dtype=np.int64)
-        sh = Shell(np.eye(2, dtype=complex)[None], empty, empty)
-        yield 0, sh
-        n = 0
-        # shell 1 is the letters themselves, never grown from blocks
-        while n < depth and (n == 0 or self.shell_size(n + 1) <= 2 * EVAL_CHUNK):
-            n += 1
-            sh = self._next_shell(sh, n)
-            if not np.isfinite(sh.mats).all():
-                raise ShellOverflowError(n)
-            yield n, sh
-        if n < depth:
-            yield from self._pieces(sh, n, depth)
-
-    def _pieces(self, top: Shell, top_n: int, depth: int):
-        """shells' pieces of lengths top_n + 1..depth from blocks of `top`
-        that grow to at most EVAL_CHUNK words at `depth`; each length's rows
-        wait in `rows` until they fill a piece."""
-        block = max(1, EVAL_CHUNK // (2 * self.rank - 1) ** (depth - top_n))
-        rows = {n: [] for n in range(top_n + 1, depth + 1)}
-        stop = depth + 1
-        for lo in range(0, top.mats.shape[0], block):
-            sh = Shell(*(a[lo:lo + block] for a in top))
-            for n in range(top_n + 1, stop):
-                sh = self._next_shell(sh, n)
-                if not np.isfinite(sh.mats).all():
-                    stop = n
-                    break
-                rows[n].append(sh)
-                while (extra := sum(r.first.size for r in rows[n]) - EVAL_CHUNK) >= 0:
-                    last = rows[n].pop()
-                    cut = last.first.size - extra
-                    piece = _join(rows[n] + [Shell(*(a[:cut] for a in last))])
-                    rows[n] = [Shell(*(a[cut:] for a in last))]
-                    yield n, piece
-        for n in range(top_n + 1, stop):
-            if sum(r.first.size for r in rows[n]):
-                yield n, _join(rows[n])
-        if stop <= depth:
-            raise ShellOverflowError(stop)
-
-    def shell(self, n: int) -> Shell:
-        """The length-n words: the pieces of length n of shells(n), joined."""
-        return _join([piece for m, piece in self.shells(n) if m == n])
-
-    def _next_shell(self, prev: Shell, n: int) -> Shell:
-        """Shell n from shell n - 1: each word followed by every letter but
-        the inverse of its last, in letter order."""
-        letters = np.array(self.letters, dtype=np.int64)
-        maps = [self.letter_map(l) for l in self.letters]
-        lmats = np.array([((m.a, m.b), (m.c, m.d)) for m in maps],
-                         dtype=complex).reshape(-1, 2, 2)
-        if n == 1:
-            return Shell(lmats, letters, letters.copy())
-        # position of each letter value in the canonical order, indexed by letter+g
-        pos = np.zeros(2 * self.rank + 1, dtype=np.int64)
-        pos[letters + self.rank] = np.arange(letters.size)
-        width = letters.size - 1
-        count = prev.mats.shape[0] * width
-        mats = np.empty((count, 2, 2), dtype=complex)
-        last = np.empty(count, dtype=np.int64)
-        first = np.empty(count, dtype=np.int64)
-        forb_pos = pos[-prev.last + self.rank]
-        base = np.arange(prev.mats.shape[0], dtype=np.int64) * width
-        for idx, l in enumerate(self.letters):
-            sel = np.nonzero(prev.last != -l)[0]
-            rank_here = idx - (forb_pos[sel] < idx)
-            dest = base[sel] + rank_here
-            mats[dest] = np.einsum("nij,jk->nik", prev.mats[sel], lmats[idx])
-            last[dest] = l
-            first[dest] = prev.first[sel]
-        # letter matrices have det 1, so products keep det 1 to O(n*eps);
-        # recomputing ad-bc here would cancel catastrophically once the
-        # entries grow large, so no renormalization is done
-        return Shell(mats, first, last)
-
     def shell_matrices(self, n: int) -> np.ndarray:
-        return self.shell(n).mats
+        """The matrices of the length-n words in enumeration order, shape
+        (count, 2, 2): their columns are the images of infinity (1, 0) and
+        of 0 (0, 1), walked together."""
+        if n == 0 or self.rank == 0:
+            return np.eye(2, dtype=complex)[None].repeat(self.shell_size(n), axis=0)
+        num, den, _, _ = self._shell(np.eye(2), n)
+        return np.stack([num.T, den.T], axis=1)
 
     def orbits(self, zs, depth: int):
         """Yield, for each of zs in turn, an iterator of (n, piece) over the
         images of z under the words of lengths 1..depth, shell by shell,
-        each piece an Orbit with the rows of a piece of shells(depth); no
-        word matrix is formed.
+        each piece an Orbit of z alone (see _walk).  Every point's walk
+        writes its whole shells to the same block (so a walk has to be done
+        before the next is taken): fresh arrays for each shell of each
+        point would be returned to the system and faulted back in."""
+        self.check_depth(depth)
+        # 3k + 1 = 4 complex rows for each word of a whole shell
+        block = np.empty(4 * sum(s for s in map(self.shell_size, range(1, depth + 1))
+                                 if s <= 2 * EVAL_CHUNK), dtype=complex)
+        for z in zs:
+            walk = self._walk([_homogeneous(as_sphere_point(z))], depth, block)
+            yield ((n, _projected(piece)) for n, piece in walk)
+
+    def _shell(self, starts, n: int):
+        """num, den, first and last of the walk of `starts` at length n,
+        joined from its pieces."""
+        pieces = [piece[2:] for m, piece in self._walk(starts, n) if m == n]
+        return [np.concatenate(a, axis=-1) for a in zip(*pieces)]
+
+    def _walk(self, starts, depth: int, block: np.ndarray | None = None):
+        """Yield (n, piece) over the images of the k homogeneous points
+        `starts` (pairs (Z, W)) under the words of lengths 1..depth, shell
+        by shell.  A piece is an Orbit whose num and den hold one row per
+        point and whose points are not filled in.
 
         The words of shell n that start with letter l are l followed by the
         words of shell n - 1 that do not start with -l, in order, so their
         images are M_l applied to those words' images: one Moebius step per
-        word, the depth-first walk of Mumford, Series and Wright, Indra's
-        Pearls (2002), ch. 5.  Shells of at most 2 * EVAL_CHUNK words are
-        grown whole, each from the one before, into one block that every
-        walk reuses (so a walk has to be done before the next is taken):
-        fresh arrays for each shell of each point would be returned to the
-        system and faulted back in.  A longer shell comes in pieces of
-        EVAL_CHUNK rows, its rows with prefix p being M_p applied to rows of
-        the last whole shell.  ShellOverflowError names the first length
-        whose coordinates leave the floating-point range."""
+        word and point, the depth-first walk of Mumford, Series and Wright,
+        Indra's Pearls (2002), ch. 5.  Shells of at most 2 * EVAL_CHUNK words
+        are grown whole, each from the one before, into consecutive parts of
+        `block` if one is given (see _orbit_block), else into fresh arrays
+        like the pieces.  A longer shell comes in pieces of EVAL_CHUNK
+        rows, its rows with prefix p being M_p applied to rows of the last
+        whole shell.  ShellOverflowError names the first length whose
+        coordinates leave the floating-point range."""
         self.check_depth(depth)
-        block = _orbit_block(sum(self.shell_size(n) for n in range(1, depth + 1)
-                                 if self.shell_size(n) <= 2 * EVAL_CHUNK))
-        for z in zs:
-            yield self._walk(z, depth, block)
-
-    def _walk(self, z, depth: int, block: Orbit):
-        """orbits' iterator for z, its whole shells written to `block`."""
-        zz, ww = _homogeneous(as_sphere_point(z))
-        top, top_n, at = _orbit_block(1), 0, 0
-        top.num[0], top.den[0], top.first[0], top.last[0] = zz, ww, 0, 0
+        k = len(starts)
+        top, top_n = _orbit_block(k, 1), 0
+        top.num[:, 0], top.den[:, 0] = np.transpose(starts)
+        top.first[0], top.last[0] = 0, 0
         for n in range(1, depth + 1):
             size = self.shell_size(n)
-            step = size if size <= 2 * EVAL_CHUNK else EVAL_CHUNK
+            # the trivial group's shells beyond the empty word have no piece
+            step = max(1, size) if size <= 2 * EVAL_CHUNK else EVAL_CHUNK
             for lo in range(0, size, step):
-                out = (Orbit(*(a[at:at + size] for a in block)) if step == size
-                       else _orbit_block(min(lo + step, size) - lo))
+                out = _orbit_block(k, min(lo + step, size) - lo,
+                                   block if step == size else None)
                 piece = self._grow(top, n - top_n, lo, out)
                 if not (np.isfinite(piece.num).all() and np.isfinite(piece.den).all()):
-                    raise ShellOverflowError(n, "orbit coordinates")
+                    raise ShellOverflowError(n)
                 yield n, piece
             if step == size:
-                top, top_n, at = piece, n, at + size
+                top, top_n = piece, n
+                block = None if block is None else block[(3 * k + 1) * size:]
 
     def _grow(self, top: Orbit, j: int, lo: int, out: Orbit) -> Orbit:
         """Rows lo.. of the shell j letters longer than the whole shell
@@ -553,24 +489,21 @@ class SchottkyGroup:
                     continue
                 rows, dst = slice(x + shift, x1 + shift), slice(q * width + x - lo,
                                                                q * width + x1 - lo)
-                # act's num and den, written in place; _walk reports
-                # what overflows
-                num, den = out.num[dst], out.den[dst]
+                # act's num and den for every point at once, written in
+                # place; _walk reports what overflows
+                num, den = out.num[:, dst], out.den[:, dst]
                 with np.errstate(over="ignore", invalid="ignore"):
-                    np.multiply(m.a, top.num[rows], out=num)
-                    num += m.b * top.den[rows]
-                    np.multiply(m.c, top.num[rows], out=den)
-                    den += m.d * top.den[rows]
+                    np.multiply(m.a, top.num[:, rows], out=num)
+                    num += m.b * top.den[:, rows]
+                    np.multiply(m.c, top.num[:, rows], out=den)
+                    den += m.d * top.den[:, rows]
                 out.first[dst] = p[0]
                 out.last[dst] = top.last[rows] if run else p[-1]
-        out.points[:], out.inf_mask[:] = project(out.num, out.den)
         return out
 
     def shell_terms(self, orbit: Orbit, z, mode: str = "absolute"):
         """Orbit points and derivative weights at z of the words whose
-        images of z `orbit` holds: from orbits() in `series eval` and
-        `series automorphy`, or from Shell.at(z), the word matrices, where
-        measures and convergence reports need them.
+        images of z `orbit`, a piece of orbits(), holds.
 
         Returns (points, inf_mask, weights); weights are complex gamma'(z) in
         holomorphic mode and real spherical factors in absolute mode.
@@ -602,22 +535,22 @@ class SchottkyGroup:
 
     def shell_log_derivatives(self, max_depth: int, basepoint=None) -> list[np.ndarray]:
         """log of the spherical derivative of every shell word at the basepoint,
-        for shells 1..max_depth.  Where the derivative's denominator
-        |num|^2 + |den|^2 overflows (word entries past about 1e154), the log
-        is taken of the word's matrix scaled by its largest entry."""
+        for shells 1..max_depth, from the walk of the basepoint.  Where the
+        derivative's denominator |num|^2 + |den|^2 overflows (coordinates
+        past about 1e154), the log is taken of num and den scaled by the
+        larger of their moduli."""
         bp = self.default_basepoint() if basepoint is None else as_sphere_point(basepoint)
         zz, ww = _homogeneous(bp)
-        out = [[] for _ in range(max_depth + 1)]
-        for n, sh in islice(self.shells(max_depth), 1, None):
+        # the trivial group's shells have no piece and join to empty arrays
+        out = [[np.empty(0)] for _ in range(max_depth + 1)]
+        for n, piece in self._walk([(zz, ww)], max_depth):
+            num, den = piece.num[0], piece.den[0]
             with np.errstate(divide="ignore"):
-                logd = np.log(self.shell_terms(sh.at(bp), bp, "absolute")[2])
+                logd = np.log(stretch(zz, ww, num, den))
             big = ~np.isfinite(logd)
-            m = sh.mats[big]
-            top = np.abs(m).max(axis=(1, 2), initial=0.0)
-            m = m / top[:, None, None]
-            num, den = act(m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1], zz, ww)[2:]
-            logd[big] = np.log(abs(zz) ** 2 + abs(ww) ** 2) - (
-                2.0 * np.log(top) + np.log(abs(num) ** 2 + abs(den) ** 2))
+            top = np.maximum(abs(num[big]), abs(den[big]))
+            logd[big] = np.log(abs(zz) ** 2 + abs(ww) ** 2) - (2.0 * np.log(top) + np.log(
+                abs(num[big] / top) ** 2 + abs(den[big] / top) ** 2))
             out[n].append(logd)
         return [np.concatenate(parts) for parts in out[1:]]
 
@@ -640,17 +573,18 @@ def shell_sums(group: SchottkyGroup, s: float, max_depth: int,
             for ld in group.shell_log_derivatives(max_depth, basepoint)]
 
 
-def _multipliers(shell: Shell):
+def _multipliers(piece: Orbit):
     """log|k_w| and 1/|1 - k_w|^2 over the cyclically reduced words w of
-    `shell`, those whose last letter does not cancel the first; k_w =
-    lambda_w^-2 is w's multiplier at its attracting fixed point, lambda_w
-    the larger root of lambda^2 - T lambda + 1, T = tr w."""
-    mats, first, last = shell
-    keep = last != -first
+    `piece`, a piece of the walk of infinity and 0, those whose last letter
+    does not cancel the first; k_w = lambda_w^-2 is w's multiplier at its
+    attracting fixed point, lambda_w the larger root of lambda^2 - T lambda
+    + 1, T = tr w = a + d: a is the first coordinate of infinity's image
+    (a, c), d the second of 0's image (b, d)."""
+    keep = piece.last != -piece.first
     # 1/lambda_w = u / (1 + sqrt(1 - u^2)) with u = 2/T: the principal root
     # has a nonnegative real part, so 1 + sqrt does not cancel, and a large
     # trace does not overflow
-    u = 2.0 / (mats[keep, 0, 0] + mats[keep, 1, 1])
+    u = 2.0 / (piece.num[0, keep] + piece.den[1, keep])
     mu = u / (1.0 + np.sqrt(1.0 - u * u))
     # a word that is not loxodromic (mu^2 = 1 or T = 0) or whose trace
     # overflows gives a non-finite term, which estimate_delta reports
@@ -659,15 +593,15 @@ def _multipliers(shell: Shell):
 
 
 def _multiplier_shells(group: SchottkyGroup, max_depth: int):
-    """_multipliers of shells 1..max_depth in order, each joined from its
-    pieces once its last piece is in."""
-    parts, words, n = {}, [0] * (max_depth + 1), 1
-    for m, piece in islice(group.shells(max_depth), 1, None):
-        parts.setdefault(m, []).append(_multipliers(piece))
-        words[m] += piece.first.size
-        while n <= max_depth and words[n] == group.shell_size(n):
-            yield tuple(map(np.concatenate, zip(*parts.pop(n))))
-            n += 1
+    """_multipliers of shells 1..max_depth in order, from one walk of
+    infinity and 0, each joined from its pieces once its last piece is in."""
+    parts, words = [], 0
+    for n, piece in group._walk(np.eye(2), max_depth):
+        parts.append(_multipliers(piece))
+        words += piece.first.size
+        if words == group.shell_size(n):
+            yield tuple(map(np.concatenate, zip(*parts)))
+            parts, words = [], 0
 
 
 def _determinant(terms, s: float, total=fsum) -> float:
@@ -802,15 +736,14 @@ def limit_set(group: SchottkyGroup, depth: int) -> LimitSetSample:
         fp = g.fixed_points_multiplier()
         seeds.append((i, fp.fix_attracting))
         seeds.append((-i, fp.fix_repelling))
-    mats, first, last = group.shell(depth)
+    num, den, first, last = group._shell([_homogeneous(seed) for _, seed in seeds],
+                                         depth)
     # one row per seed, one column per word; the kept entries, read
     # row-major, are seed-major and word-lexicographic within
     keep = np.stack([last != -direction for direction, _ in seeds])
-    Z, W = np.array([_homogeneous(seed) for _, seed in seeds]).T[:, :, None]
-    pts, inf_mask, _, _ = act(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0],
-                              mats[:, 1, 1], Z, W)
+    pts, inf_mask = project(num[keep], den[keep])
     points = [INF if m else SpherePoint(q)
-              for q, m in zip(pts[keep].tolist(), inf_mask[keep].tolist())]
+              for q, m in zip(pts.tolist(), inf_mask.tolist())]
     firsts = np.broadcast_to(first, keep.shape)[keep].tolist()
     return LimitSetSample(tuple(points), depth, tuple(seeds), tuple(firsts))
 

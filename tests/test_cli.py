@@ -393,12 +393,12 @@ def test_parabolic_word_exits_3_naming_its_length(tmp_path, args):
 
 
 def test_deep_rank1_shells_refused_or_finite(tmp_path):
-    """Generator 1 of the standard group alone: its word matrices, and the
-    orbit coordinates of 0.3 + 0.7i, overflow at length 339, and the
-    denominator |num|^2 + |den|^2 of its spherical weights overflows from
-    length 170 on.  An overflow exits 3 naming what overflows and the
-    length; below it every report is finite, and no numpy warning
-    escapes."""
+    """Generator 1 of the standard group alone: the orbit coordinates of
+    0.3 + 0.7i, and those of its fixed points that `group limitset` walks,
+    overflow at length 339, and the denominator |num|^2 + |den|^2 of its
+    spherical weights overflows from length 170 on.  An overflow exits 3
+    naming the length; below it every report is finite, and no numpy
+    warning escapes."""
     spec = std_spec()["group"]
     cfg = tmp_path / "rank1.json"
     cfg.write_text(json.dumps({"group": {"generators": spec["generators"][:1],
@@ -409,11 +409,10 @@ def test_deep_rank1_shells_refused_or_finite(tmp_path):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for args, what in ((("series", "eval", "--z", "0.3,0.7", "--max-len",
-                             "400", "--weight", "absolute"), "orbit coordinates"),
-                           (("group", "limitset", "--depth", "400"), "word matrices")):
+        for args in (("series", "eval", "--z", "0.3,0.7", "--max-len", "400",
+                      "--weight", "absolute"), ("group", "limitset", "--depth", "400")):
             assert main_io("--config", str(cfg), *args) == (
-                3, "", f"numeric error: {what} overflow at length 339\n")
+                3, "", "numeric error: orbit coordinates overflow at length 339\n")
         code, out, err = main_io("--config", str(cfg), "series", "eval",
                                  "--z", "0.3,0.7", "--max-len", "300",
                                  "--weight", "absolute")
@@ -439,10 +438,10 @@ def test_series_automorphy_evaluates_each_point_once(std_config, monkeypatch,
                                                      extra, calls, code):
     """S(z) once per sample and S(gz) once per sample and element: `calls`
     points, each with one walk of its orbit summed over shells 1..3, and no
-    word matrix built.  A bad element is refused before any walk."""
+    other walk.  A bad element is refused before any walk."""
     from kleinlog.schottky import SchottkyGroup
 
-    seen = {"shell_terms": 0, "_walk": 0, "_next_shell": 0}
+    seen = {"shell_terms": 0, "_walk": 0}
 
     def count(name):
         method = getattr(SchottkyGroup, name)
@@ -455,11 +454,9 @@ def test_series_automorphy_evaluates_each_point_once(std_config, monkeypatch,
 
     count("shell_terms")
     count("_walk")
-    count("_next_shell")
     got, _, err = main_io("--config", std_config, "series", "automorphy",
                           "--samples", "4", "--max-len", "3", *extra)
-    assert (got, seen["shell_terms"], seen["_walk"], seen["_next_shell"]) == \
-        (code, 3 * calls, calls, 0), err
+    assert (got, seen["shell_terms"], seen["_walk"]) == (code, 3 * calls, calls), err
     if code:
         assert err == "validation error: letter 3 out of range for rank 2\n"
 

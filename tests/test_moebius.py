@@ -172,17 +172,6 @@ def test_classify():
         MoebiusMap.translation(1 + 0j).fixed_points_multiplier()
 
 
-def test_conjugation():
-    rng = random.Random(37)
-    for _ in range(50):
-        m, h = rand_map(rng), rand_map(rng)
-        c = m.conjugate_by(h)
-        p = rand_point(rng)
-        lhs = c.apply(h.apply(p))
-        rhs = h.apply(m.apply(p))
-        assert chordal(lhs, rhs) < 1e-8
-
-
 @pytest.mark.parametrize("r", [1e-3, 1e-6, 1e-9])
 def test_chordal_close_pairs_match_mpmath(r):
     mpmath = pytest.importorskip("mpmath")

@@ -225,7 +225,8 @@ def test_bloch_wigner_many_against_mpmath(std_group):
     def ring(r):
         return r * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
 
-    orbit = np.concatenate([std_group.shell(k).at(0.3 + 0.7j).points for k in (1, 3, 6)])
+    orbit = np.concatenate([piece.points for k, piece in next(std_group.orbits([0.3 + 0.7j], 6))
+                            if k in (1, 3, 6)])
     hexa = cmath.exp(1j * math.pi / 3)
     sets = {
         "orbit": rng.choice(orbit, n, replace=False),

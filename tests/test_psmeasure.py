@@ -12,8 +12,6 @@ from kleinlog.psmeasure import (
     NayataniDensity,
     PSMeasure,
     SingularEvaluationError,
-    asymptotic_profile,
-    atom_resolution,
     build_ps,
     conformality_report,
     quasi_invariance_residual,
@@ -155,37 +153,6 @@ def test_f_many_matches_scalar(std_group, sharp_delta):
     assert not singular.any()
     for p, v in zip(pts, vals):
         assert abs(den.F(SpherePoint(complex(p))) - v) <= 1e-12 * abs(v)
-
-
-def test_asymptotic_profile_single_atom():
-    # F = phi^-delta around one atom gives log-slope exactly -2 delta
-    for delta in (0.5, 1.0):
-        d = NayataniDensity(single_atom(delta=delta))
-        radii = np.geomspace(1e-2, 1e-4, 7)
-        prof = asymptotic_profile(d, SpherePoint(0j), radii)
-        assert abs(prof.slope + 2.0 * delta) < 1e-6
-        assert prof.resolution == 0.0
-
-
-def test_profile_refuses_below_resolution(std_group, sharp_delta):
-    m = build_ps(std_group, sharp_delta, 6)
-    den = NayataniDensity(m)
-    y0 = SpherePoint(m.points[3])
-    res = atom_resolution(den, y0)
-    assert res >= 0.0
-    with pytest.raises(MeasureError):
-        asymptotic_profile(den, y0, np.geomspace(res + 1e-15, (res + 1e-15) / 100, 5))
-
-
-def test_profile_near_limit_set(std_group, sharp_delta):
-    # slope is recorded, not asserted: the measured profile exponent near the
-    # limit set is diagnostic output
-    m = build_ps(std_group, sharp_delta, 6)
-    den = NayataniDensity(m)
-    prof = asymptotic_profile(den, SpherePoint(2.2 + 0j), np.geomspace(0.5, 0.08, 6))
-    assert np.isfinite(prof.slope)
-    assert len(prof.values) == 6
-    assert all(v > 0 for v in prof.values)
 
 
 def test_conformality_report(std_group, sharp_delta):

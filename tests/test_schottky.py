@@ -25,7 +25,6 @@ from kleinlog.schottky import (
     Orbit,
     SchottkyError,
     SchottkyGroup,
-    Shell,
     ShellOverflowError,
     ValidationFailure,
     estimate_delta,
@@ -35,7 +34,12 @@ from kleinlog.schottky import (
     reduce_to_fundamental_domain,
     shell_sums,
 )
-from tests.conftest import make_rank3_group, make_standard_group
+from tests.conftest import (
+    make_random_group,
+    make_rank3_group,
+    make_standard_group,
+    matrix_orbit,
+)
 
 # frozen from the resolution-1e-7, depth-12 bisection of the standard group
 STD_DELTA_REF = 0.298403
@@ -151,74 +155,63 @@ def test_word_from_letters_rejects_unreduced(std_group):
         std_group.word_from_letters([3])
 
 
+def shell_letters(group, n):
+    """The first and last letters of every row of shell n, in enumeration
+    order, as word_of_row reads them, for all rows at once."""
+    letters = np.array(group.letters)
+    row = np.arange(group.shell_size(n))
+    first = last = None
+    for k in range(n, 0, -1):
+        run = (2 * group.rank - 1) ** (k - 1)
+        idx = row // run
+        row = row % run
+        if last is not None:
+            # skip the inverse of the letter before, at index 2(|l| - 1) + (l > 0)
+            idx += idx >= 2 * (np.abs(last) - 1) + (last > 0)
+        last = letters[idx]
+        first = last if first is None else first
+    return first, last
+
+
 def test_shell_letters_match_enumeration(std_group):
     words = list(std_group.enumerate_words(4))
-    for n in range(5):
-        sh = std_group.shell(n)
+    for n, piece in next(std_group.orbits([0j], 4)):
         letters = [w.letters for w in words if w.length == n]
-        assert sh.first.tolist() == [w[0] if w else 0 for w in letters]
-        assert sh.last.tolist() == [w[-1] if w else 0 for w in letters]
-        assert np.array_equal(sh.mats, std_group.shell_matrices(n))
+        assert piece.first.tolist() == [w[0] for w in letters]
+        assert piece.last.tolist() == [w[-1] for w in letters]
+        assert [a.tolist() for a in shell_letters(std_group, n)] == \
+            [piece.first.tolist(), piece.last.tolist()]
+    assert np.array_equal(std_group.shell_matrices(0), np.eye(2)[None])
     trivial = SchottkyGroup([])
-    assert [trivial.shell(n).mats.shape for n in range(3)] == \
+    assert [trivial.shell_matrices(n).shape for n in range(3)] == \
         [(1, 2, 2), (0, 2, 2), (0, 2, 2)]
+
+
+@pytest.mark.parametrize("make_group, per_letter", [(make_standard_group, 0),
+                                                    (make_random_group, 3)])
+def test_shell_matrices_match_enumerate_words(make_group, per_letter):
+    """Each length-n word's matrix, walked from infinity and 0, is its
+    product of letter matrices, within per_letter * n * u of its largest
+    entry.  The standard group's letter matrices are dyadic, so both
+    products are exact; on the random group the walk measured 1.9nu
+    (13.7u at n <= 8)."""
+    g = make_group()
+    words = list(g.enumerate_words(8))
+    for n in range(9):
+        ref = np.array([[[w.map.a, w.map.b], [w.map.c, w.map.d]]
+                        for w in words if w.length == n])
+        err = np.abs(g.shell_matrices(n) - ref).max(axis=(1, 2))
+        assert np.all(err <= per_letter * n * U * np.abs(ref).max(axis=(1, 2))), n
 
 
 def test_overflowing_shell_refused_and_finite_ones_kept():
     std = make_standard_group()
     g = SchottkyGroup(std.generators[:1], std.circles[:2])
     with pytest.raises(ShellOverflowError, match="length 339"):
-        g.shell(400)
-    assert np.isfinite(g.shell(338).mats).all()
+        g.shell_matrices(400)
+    assert np.isfinite(g.shell_matrices(338)).all()
     with pytest.raises(ShellOverflowError, match="length 339"):
-        g.shell(339)
-
-
-def test_deep_shells_come_in_pieces_equal_to_whole_shells(std_group):
-    """Shells 11 and 12 (more than 2 * EVAL_CHUNK words) come as rows
-    [k * EVAL_CHUNK, (k + 1) * EVAL_CHUNK) in order; joined, they equal the
-    shells grown whole one from the next, as shell(n) does."""
-    pieces = {}
-    for n, piece in std_group.shells(12):
-        pieces.setdefault(n, []).append(piece)
-    empty = np.zeros(1, dtype=np.int64)
-    whole = Shell(np.eye(2, dtype=complex)[None], empty, empty)
-    for n in range(1, 13):
-        whole = std_group._next_shell(whole, n)
-        sizes = [p.first.size for p in pieces[n]]
-        if whole.first.size <= 2 * EVAL_CHUNK:
-            assert sizes == [whole.first.size]
-        else:
-            assert sizes[:-1] == [EVAL_CHUNK] * (len(sizes) - 1)
-            assert 0 < sizes[-1] <= EVAL_CHUNK and sum(sizes) == whole.first.size
-        if n >= 10:
-            for mine, theirs, joined in zip(whole, zip(*pieces[n]), std_group.shell(n)):
-                assert np.array_equal(mine, np.concatenate(theirs))
-                assert np.array_equal(mine, joined)
-
-
-def test_overflow_names_the_shortest_length_whatever_overflows_first(
-        std_group, monkeypatch):
-    """Shell 12's first rows overflow in the first block, shell 11's only
-    in the last one: the error still names length 11, after every piece of
-    the shorter lengths, and no piece of shell 12 comes out."""
-    first12, last11 = std_group.shell(12).mats[0], std_group.shell(11).mats[-1]
-    grow = SchottkyGroup._next_shell
-
-    def next_shell(self, prev, n):
-        sh = grow(self, prev, n)
-        target = {11: last11, 12: first12}.get(n)
-        if target is not None:
-            sh.mats[(sh.mats == target).all(axis=(1, 2))] = np.inf
-        return sh
-
-    monkeypatch.setattr(SchottkyGroup, "_next_shell", next_shell)
-    seen = []
-    with pytest.raises(ShellOverflowError, match="length 11$") as err:
-        for n, _ in std_group.shells(12):
-            seen.append(n)
-    assert err.value.length == 11
-    assert seen[:11] == list(range(11)) and set(seen[11:]) == {11}
+        g.shell_matrices(339)
 
 
 U = 2.0**-53
@@ -325,24 +318,30 @@ def test_walk_rows_accuracy(std_group):
 @pytest.mark.parametrize("make_group, depth", [(make_standard_group, 12),
                                                (make_rank3_group, 8)])
 def test_walk_pieces_are_the_shells_pieces(make_group, depth):
-    """The walk goes shell by shell; each shell comes in the pieces that
-    shells() gives it, with the same first and last letters row by row."""
+    """The walk goes shell by shell.  A shell of at most 2 * EVAL_CHUNK
+    words comes whole, a longer one as its rows [k * EVAL_CHUNK, (k + 1) *
+    EVAL_CHUNK) in order, and the pieces' first and last letters are the
+    shell's row by row."""
     g = make_group()
     walk = [(n, piece.first.copy(), piece.last.copy())
             for n, piece in next(g.orbits([0.3 + 0.7j], depth))]
-    built = [(n, piece.first, piece.last) for n, piece in g.shells(depth) if n]
-    assert [n for n, _, _ in walk] == sorted(n for n, _, _ in built)
+    assert [n for n, _, _ in walk] == sorted(n for n, _, _ in walk)
     for n in range(1, depth + 1):
         mine = [item[1:] for item in walk if item[0] == n]
-        theirs = [item[1:] for item in built if item[0] == n]
-        assert [f.size for f, _ in mine] == [f.size for f, _ in theirs]
-        for (f, l), (f2, l2) in zip(mine, theirs):
-            assert np.array_equal(f, f2) and np.array_equal(l, l2)
+        size = g.shell_size(n)
+        sizes = [f.size for f, _ in mine]
+        if size <= 2 * EVAL_CHUNK:
+            assert sizes == [size]
+        else:
+            assert sizes[:-1] == [EVAL_CHUNK] * (len(sizes) - 1)
+            assert 0 < sizes[-1] <= EVAL_CHUNK and sum(sizes) == size
+        for got, want in zip(map(np.concatenate, zip(*mine)), shell_letters(g, n)):
+            assert np.array_equal(got, want)
 
 
 def test_group_keeps_no_shells(std_group):
-    sh = std_group.shell(5)
-    mats = weakref.ref(sh.mats)
+    sh = std_group.shell_matrices(5)
+    mats = weakref.ref(sh)
     del sh
     assert mats() is None
 
@@ -409,7 +408,7 @@ def test_shell_matrices_unit_determinant(std_group):
 def test_shell_terms_match_word_maps(std_group):
     z = SpherePoint(0.3 + 0.2j)
     words = [w for w in std_group.enumerate_words(3) if w.length == 3]
-    pts, inf_mask, weights = std_group.shell_terms(std_group.shell(3).at(z), z,
+    pts, inf_mask, weights = std_group.shell_terms(matrix_orbit(std_group, 3, z), z,
                                                      mode="absolute")
     assert len(pts) == len(words)
     for k, w in enumerate(words):
@@ -422,7 +421,7 @@ def test_shell_terms_match_word_maps(std_group):
 def test_shell_terms_holomorphic_weights(std_group):
     z = SpherePoint(0.25 + 0.1j)
     words = [w for w in std_group.enumerate_words(2) if w.length == 2]
-    pts, inf_mask, weights = std_group.shell_terms(std_group.shell(2).at(z), z,
+    pts, inf_mask, weights = std_group.shell_terms(matrix_orbit(std_group, 2, z), z,
                                                      mode="holomorphic")
     for k, w in enumerate(words):
         assert abs(weights[k] - w.map.derivative(complex(z))) < 1e-12

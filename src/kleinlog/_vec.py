@@ -2,10 +2,9 @@
 the one thread pool.
 
 Points are (complex ndarray, bool inf-mask) pairs; the formulas go through
-bounded homogeneous coordinates, or forms staged like moebius.chordal, so
-nothing overflows near infinity.  act and stretch are the Moebius kernels
-that every vector path shares.  The scalar methods of moebius stay the bit
-references: numpy and CPython round the same formulas differently (complex
+bounded homogeneous coordinates, so nothing overflows near infinity.  act
+and stretch are the Moebius kernels that every vector path shares.  The
+scalar methods of moebius stay the bit references: numpy and CPython round the same formulas differently (complex
 division, hypot), so a scalar call is not a one-element vector call.
 """
 
@@ -17,14 +16,6 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-
-from .moebius import (
-    CHORDAL_AFFINE_MAX,
-    INF,
-    SpherePoint,
-    as_sphere_point,
-    chordal,
-)
 
 FSUM_BLOCK = 1 << 14
 # below this length math.fsum over a list is faster than the binned sum
@@ -80,25 +71,27 @@ class ExactSum:
         # Every finite double is m * 2**(e - 53) with a signed 53-bit integer
         # m and its frexp exponent e.  Per exponent, np.bincount sums the
         # high 27 and low 26 bits of m over blocks of FSUM_BLOCK elements;
-        # each partial sum is an integer below 2**27 * FSUM_BLOCK <= 2**53,
-        # so the float sums are exact, and int64 accumulates the blocks
-        # without loss.  The bins then join the Python int total.
+        # each partial sum is an integer (the low bits in units of 2**-26)
+        # below 2**27 * FSUM_BLOCK <= 2**53, so the float sums are exact, and
+        # int64 accumulates the blocks without loss.  The bins then join the
+        # Python int total.
         hi_acc = np.zeros(_NBINS, dtype=np.int64)
         lo_acc = np.zeros(_NBINS, dtype=np.int64)
         emax = 0
         for start in range(0, a.size, FSUM_BLOCK):
-            blk = a[start:start + FSUM_BLOCK]
-            if not np.isfinite(blk).all():
-                self.special += np.unique(a[~np.isfinite(a)]).tolist()
-                return False
-            m, e = np.frexp(blk)
-            m *= 2.0**53
-            hi = np.floor(m * 2.0**-26)
-            m -= hi * 2.0**26
+            m, e = np.frexp(a[start:start + FSUM_BLOCK])
+            m *= 2.0**27
+            hi = np.floor(m)
+            with np.errstate(invalid="ignore"):
+                m -= hi  # nan for nan and infinities
             emax = max(emax, int(e.max()))
             e += _EXP_BIAS
+            lo = np.bincount(e, weights=m, minlength=_NBINS)
+            if not np.isfinite(lo).all():
+                self.special += np.unique(a[~np.isfinite(a)]).tolist()
+                return False
             hi_acc += np.bincount(e, weights=hi, minlength=_NBINS).astype(np.int64)
-            lo_acc += np.bincount(e, weights=m, minlength=_NBINS).astype(np.int64)
+            lo_acc += (lo * 2.0**26).astype(np.int64)
         nz = np.flatnonzero(hi_acc | lo_acc)
         for b, h, lo in zip(nz.tolist(), hi_acc[nz].tolist(), lo_acc[nz].tolist()):
             self.total += ((h << 26) + lo) << b
@@ -140,14 +133,16 @@ def act(a, b, c, d, Z, W):
     return (*project(num, den), num, den)
 
 
-def project(num, den):
-    """Homogeneous points num/den as (points, inf_mask) pairs."""
-    inf_mask = den == 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        points = num / np.where(inf_mask, 1.0, den)
-    # an overflowing quotient is infinity too
-    inf_mask = inf_mask | ~np.isfinite(points)
-    return np.where(inf_mask, 0.0, points), inf_mask
+def project(num, den, points=None, inf_mask=None):
+    """Homogeneous points num/den as (points, inf_mask) pairs, written to
+    the arrays `points` and `inf_mask` if they are given."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        points = np.divide(num, den, out=points)
+    # a zero denominator or an overflowing quotient gives a non-finite one
+    inf_mask = np.logical_not(np.isfinite(points, out=inf_mask), out=inf_mask)
+    if inf_mask.any():
+        points[inf_mask] = 0.0
+    return points, inf_mask
 
 
 def stretch(Z, W, num, den):
@@ -157,27 +152,6 @@ def stretch(Z, W, num, den):
     with np.errstate(over="ignore"):
         return (abs(Z) ** 2 + abs(W) ** 2) / (
             num.real**2 + num.imag**2 + den.real**2 + den.imag**2)
-
-
-def chordal_many(p, points, inf_mask) -> np.ndarray:
-    """Chordal distances from one sphere point to an array of them, by the
-    forms of moebius.chordal; pairs beyond its affine range go to it."""
-    p = as_sphere_point(p)
-    y = np.asarray(points, dtype=complex)
-    fin = ~np.asarray(inf_mask, dtype=bool)
-    ay = np.hypot(y.real, y.imag)
-    out = np.full(y.shape, chordal(p, INF))
-    if p.is_infinity:
-        out[fin] = 2.0 / np.hypot(1.0, ay[fin])
-        return out
-    ax = abs(p.value)
-    affine = fin & (ay < CHORDAL_AFFINE_MAX) & (ax < CHORDAL_AFFINE_MAX)
-    diff = p.value - y[affine]
-    out[affine] = 2.0 * (np.hypot(diff.real, diff.imag) / np.hypot(1.0, ax)
-                         ) / np.hypot(1.0, ay[affine])
-    for i in np.flatnonzero(fin & ~affine):
-        out[i] = chordal(p, SpherePoint(y[i]))
-    return out
 
 
 def sphere_embed(Z, W):
@@ -192,11 +166,6 @@ def sphere_embed(Z, W):
 def sphere_coords_many(points, inf_mask) -> np.ndarray:
     """Unit-sphere embedding (n1, n2, n3) as rows of a (3, n) array."""
     return sphere_embed(*hom_many(points, inf_mask))[1]
-
-
-def to_sphere(p) -> np.ndarray:
-    p = as_sphere_point(p)
-    return sphere_coords_many(np.array([p.value]), np.array([p.is_infinity]))[:, 0]
 
 
 def from_sphere_many(n1, n2, n3):

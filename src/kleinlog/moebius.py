@@ -90,7 +90,7 @@ CHORDAL_AFFINE_MAX = 2.0**1022
 
 def _hypot1(a: float) -> float:
     # libm hypot(1, a), as complex abs and np.hypot compute it (math.hypot
-    # rounds differently), so chordal and _vec.chordal_many agree bitwise
+    # rounds differently), so chordal agrees bitwise with its numpy form
     return abs(complex(1.0, a))
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._vec import (
+    FSUM_BLOCK,
     ExactSum,
     fsum,
     fsum_c,
@@ -28,6 +29,7 @@ from .polylog import D_GLOBAL_BOUND, bloch_wigner, bloch_wigner_many
 from .psmeasure import MeasureError, NayataniDensity
 from .schottky import (
     EVAL_CHUNK,
+    Orbit,
     SchottkyError,
     SchottkyGroup,
     ShellOverflowError,
@@ -67,18 +69,21 @@ class SeriesIntegrand:
                   threads: int = 1) -> np.ndarray:
         """Values at a 1-d array of sphere points, 0 at infinity."""
         pts = np.where(inf_mask, 0.0, points) if inf_mask.any() else points
-        vals = np.empty(pts.size)
-
-        def work(lo, hi):
-            vals[lo:hi] = self.evaluator_many(pts[lo:hi])
-
         # bloch_wigner_many gives the same bits however its input is split; a
         # custom evaluator_many need not, as numpy reuses temporaries of 256 KiB
         # and more, which swaps a complex product's operands, and its FMA
         # product rounds the two orders apart.  So up to 2 * EVAL_CHUNK points
-        # stay whole, and beyond that every thread count cuts the same pieces.
-        piece = max(1, pts.size) if pts.size <= 2 * EVAL_CHUNK else EVAL_CHUNK
-        parallel_chunks(work, pts.size, threads, piece)
+        # stay whole, and beyond that every thread count cuts the same pieces;
+        # the series passes the same blocks of FSUM_BLOCK points at any count.
+        if pts.size <= 2 * EVAL_CHUNK:
+            vals = np.asarray(self.evaluator_many(pts), dtype=float)
+        else:
+            vals = np.empty(pts.size)
+
+            def work(lo, hi):
+                vals[lo:hi] = self.evaluator_many(pts[lo:hi])
+
+            parallel_chunks(work, pts.size, threads, EVAL_CHUNK)
         vals[inf_mask] = 0.0
         self._check(float(np.max(np.abs(vals))) if vals.size else 0.0)
         return vals
@@ -121,6 +126,20 @@ def _ratios(sums) -> list[float]:
     return [sums[i + 1] / sums[i] for i in range(len(sums) - 1) if sums[i] > 0]
 
 
+def _comparability(pts, infm, base: float) -> list[float]:
+    """The largest finite (1 + |p|^2) / base over the finite points p and
+    the reciprocal of the smallest, or [] if there is none.  The ratio
+    rounds monotonically in |p|, so the extreme |p| give them bit for bit."""
+    mod = np.abs(pts[~infm] if infm.any() else pts)
+    # |p|^2 overflows from 2**512 on
+    if mod.size and mod.max() >= 2.0**512:
+        mod = mod[mod < 2.0**512]
+    if not mod.size:
+        return []
+    top, low = float(mod.max()), float(mod.min())
+    return [(1.0 + top * top) / base, 1.0 / ((1.0 + low * low) / base)]
+
+
 def _check_admissible(group: SchottkyGroup, p: SpherePoint) -> None:
     """DomainError when p lies numerically on the limit set."""
     if group.rank > 0 and group.circles is not None:
@@ -135,9 +154,9 @@ def evaluate(group: SchottkyGroup, integrand: SeriesIntegrand = None, z=0j,
              tol: float = 1e-8, threads: int = 1) -> SeriesEvaluation:
     """Sum the series over all words of length <= max_len, shell by shell.
 
-    Every shell sum and the total are correctly rounded (fsum), and the
-    integrand sees the same pieces of a shell at every thread count (see
-    SeriesIntegrand.eval_many), so the result does not depend on threads.
+    Every shell sum and the total are correctly rounded (exact sums), and
+    the integrand sees the same blocks of at most FSUM_BLOCK words at every
+    thread count, so the result does not depend on threads.
 
     tail_estimate extrapolates the last weight-shell ratio geometrically with
     a 2x safety factor: 2 * bound * S_N * r/(1-r).  verdict is converged only
@@ -151,10 +170,11 @@ def _evaluate_at(group: SchottkyGroup, integrand, zs, weight_mode: str,
     """evaluate at each of zs.  Every point is checked first, in order.
     Then the points' orbits are walked one after another, each shell by
     shell (SchottkyGroup.orbits, which forms no word matrix), and the
-    pieces of one walk are summed on `threads` threads.  A shell of several
-    pieces is summed exactly and rounded once its last piece is in.  An
-    error is raised where a pass shell by shell and point by point would
-    meet the first one: at the shortest length, then at the first point."""
+    pieces of one walk are summed on `threads` threads, FSUM_BLOCK words
+    at a time, so no temporary grows with the shell.  Every shell is summed
+    exactly and rounded once its last piece is in.  An error is raised
+    where a pass shell by shell and point by point would meet the first
+    one: at the shortest length, then at the first point."""
     if integrand is None:
         integrand = BLOCH_WIGNER_INTEGRAND
     if weight_mode not in WEIGHT_MODES:
@@ -183,30 +203,32 @@ def _evaluate_at(group: SchottkyGroup, integrand, zs, weight_mode: str,
     errors = []
 
     def piece_sums(i, item):
-        """Length, sums, comparability ratios and error of one piece at
-        point i.  A whole shell's sums are rounded, a piece's are ExactSums
-        of re, im, |w|."""
+        """Length, ExactSums of re, im and |w|, comparability ratios and
+        error of one piece at point i, taken FSUM_BLOCK words at a time.
+        A SchottkyError from shell_terms in any block comes before an
+        integrand's error, and that before a later block's."""
         n, piece = item
-        try:
-            pts, infm, wts = group.shell_terms(piece, ps[i], weight_mode)
-            terms = wts * integrand.eval_many(pts, infm)
-        except (ValueError, ArithmeticError) as e:
-            return n, None, [], e
-        c = []
-        if weight_mode == "holomorphic":
-            with np.errstate(over="ignore"):
-                ratio = np.where(infm, np.inf, 1.0 + np.abs(pts) ** 2) / base_n[i]
-            ratio = ratio[np.isfinite(ratio)]
-            if ratio.size:
-                c = [float(np.max(ratio)), float(1.0 / np.min(ratio))]
-        if piece.first.size == group.shell_size(n):
-            return n, (fsum_c(terms), fsum(np.abs(wts))), c, None
-        re, im, w = ExactSum(), ExactSum(), ExactSum()
-        re.add(terms.real)
-        if np.iscomplexobj(terms):
-            im.add(terms.imag)
-        w.add(np.abs(wts))
-        return n, [re, im, w], c, None
+        sums, c, err = (ExactSum(), ExactSum(), ExactSum()), [], None
+        for lo in range(0, piece.first.size, FSUM_BLOCK):
+            block = Orbit(*(a[lo:lo + FSUM_BLOCK] for a in piece))
+            try:
+                pts, infm, wts = group.shell_terms(block, ps[i], weight_mode)
+                if err is None:
+                    vals = integrand.eval_many(pts, infm)
+            except (ValueError, ArithmeticError) as e:
+                if isinstance(e, SchottkyError):
+                    return n, None, [], e
+                err = err or e
+            if err is not None:
+                continue
+            if weight_mode == "holomorphic":
+                sums[0].add(wts.real * vals)
+                sums[1].add(wts.imag * vals)
+                c += _comparability(pts, infm, base_n[i])
+            else:
+                sums[0].add(wts * vals)
+            sums[2].add(np.abs(wts))
+        return (n, None, [], err) if err else (n, sums, c, None)
 
     # the trivial group has no words beyond the empty one
     depth = max_len if group.rank else 0
@@ -226,7 +248,7 @@ def _evaluate_at(group: SchottkyGroup, integrand, zs, weight_mode: str,
             except ShellOverflowError as e:
                 found.append(((e.length, i, 0, done), e))
 
-        pending = {}  # length -> sums so far
+        pending = {}  # length -> ExactSums of re, im and |w| so far
         for k, (n, s, c, e) in enumerate(
                 ordered_map(lambda item: piece_sums(i, item), pieces(), threads)):
             if e is not None:
@@ -244,11 +266,9 @@ def _evaluate_at(group: SchottkyGroup, integrand, zs, weight_mode: str,
         if errors:
             continue
         for n in range(1, depth + 1):
-            s = pending[n]
-            if isinstance(s, list):  # the ExactSums of a shell in pieces
-                s = complex(s[0].value(), s[1].value()), s[2].value()
-            sums[i].append(s[0])
-            wsums[i].append(s[1])
+            re, im, w = pending[n]
+            sums[i].append(complex(re.value(), im.value()))
+            wsums[i].append(w.value())
     if errors:
         e = min(errors, key=lambda e: e[0])[1]
         if isinstance(e, SchottkyError):

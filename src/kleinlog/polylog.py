@@ -274,10 +274,13 @@ def bloch_wigner_many(z: np.ndarray) -> np.ndarray:
     np.copyto(L.imag, theta)
     t = L * L
     acc = t * _D_COEFFS[0]
+    # each product goes to the other buffer: numpy rounds a complex product
+    # written over a one-element operand without FMA, a longer one with it
+    spare = np.empty(n, dtype=complex)
     for c in _D_COEFFS[1:]:
         acc += c
-        acc *= t
-    acc *= L                                             # L t P(t)
+        acc, spare = np.multiply(acc, t, out=spare), acc
+    acc = np.multiply(acc, L, out=spare)                 # L t P(t)
     out = (lb * 0.5 + 1.0 - logw) * theta + acc.imag
     np.negative(out, out=out, where=flat.imag < 0.0)
     return out.reshape(z.shape)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._vec import fsum, project, stretch, uniform_sphere_points
+from ._vec import FSUM_BLOCK, fsum, project, stretch, uniform_sphere_points
 from .moebius import (
     INF,
     MoebiusMap,
@@ -38,9 +38,9 @@ from .moebius import (
 )
 
 MAX_WORDS = 4_000_000
-# words of a shell piece: the walk keeps a shell of up to twice this many
-# words whole and gives a longer one in pieces of this size, which is how
-# the integrand sees it (see poincare.SeriesIntegrand.eval_many)
+# the walk grows a shell of up to twice this many words whole, unless it
+# is the deepest, and a longer one from the last whole shell; which shells
+# are whole fixes the prefix every word is grown with, and so its bits
 EVAL_CHUNK = 65536
 PAIRING_RESIDUAL_TOL = 1e-9
 DELTA_MAX_ORDER = 10      # estimate_delta's default order cap
@@ -188,7 +188,7 @@ def _orbit_block(k: int, size: int, block=None) -> Orbit:
 def _projected(piece: Orbit) -> Orbit:
     """A piece of a walk of one point as that point's Orbit, its points
     projected into the piece's own rows."""
-    piece.points[0], piece.inf_mask[0] = project(piece.num[0], piece.den[0])
+    project(piece.num[0], piece.den[0], piece.points[0], piece.inf_mask[0])
     return Orbit(*(a[0] for a in piece[:4]), piece.first, piece.last)
 
 
@@ -416,10 +416,12 @@ class SchottkyGroup:
         each piece an Orbit of z alone (see _walk).  Every point's walk
         writes its whole shells to the same block (so a walk has to be done
         before the next is taken): fresh arrays for each shell of each
-        point would be returned to the system and faulted back in."""
+        point would be returned to the system and faulted back in.  The
+        deepest shell is never whole, so the block holds shells
+        1..depth - 1 only."""
         self.check_depth(depth)
         # 3k + 1 = 4 complex rows for each word of a whole shell
-        block = np.empty(4 * sum(s for s in map(self.shell_size, range(1, depth + 1))
+        block = np.empty(4 * sum(s for s in map(self.shell_size, range(1, depth))
                                  if s <= 2 * EVAL_CHUNK), dtype=complex)
         for z in zs:
             walk = self._walk([_homogeneous(as_sphere_point(z))], depth, block)
@@ -442,12 +444,13 @@ class SchottkyGroup:
         images are M_l applied to those words' images: one Moebius step per
         word and point, the depth-first walk of Mumford, Series and Wright,
         Indra's Pearls (2002), ch. 5.  Shells of at most 2 * EVAL_CHUNK words
-        are grown whole, each from the one before, into consecutive parts of
-        `block` if one is given (see _orbit_block), else into fresh arrays
-        like the pieces.  A longer shell comes in pieces of EVAL_CHUNK
-        rows, its rows with prefix p being M_p applied to rows of the last
-        whole shell.  ShellOverflowError names the first length whose
-        coordinates leave the floating-point range."""
+        but the deepest are grown whole, each from the one before, into
+        consecutive parts of `block` if one is given (see _orbit_block),
+        else into fresh arrays.  The deepest and every longer shell come in
+        fresh pieces of FSUM_BLOCK rows, which no shell grows from, their
+        rows with prefix p being M_p applied to rows of the last whole shell.
+        ShellOverflowError names the first length whose coordinates leave
+        the floating-point range."""
         self.check_depth(depth)
         k = len(starts)
         top, top_n = _orbit_block(k, 1), 0
@@ -456,25 +459,28 @@ class SchottkyGroup:
         for n in range(1, depth + 1):
             size = self.shell_size(n)
             # the trivial group's shells beyond the empty word have no piece
-            step = max(1, size) if size <= 2 * EVAL_CHUNK else EVAL_CHUNK
+            whole = n < depth and 0 < size <= 2 * EVAL_CHUNK
+            step = size if whole else FSUM_BLOCK
+            j = n - top_n
+            prefixes = [w for w in self.enumerate_words(j) if w.length == j]
             for lo in range(0, size, step):
                 out = _orbit_block(k, min(lo + step, size) - lo,
-                                   block if step == size else None)
-                piece = self._grow(top, n - top_n, lo, out)
+                                   block if whole else None)
+                piece = self._grow(top, prefixes, lo, out)
                 if not (np.isfinite(piece.num).all() and np.isfinite(piece.den).all()):
                     raise ShellOverflowError(n)
                 yield n, piece
-            if step == size:
+            if whole:
                 top, top_n = piece, n
                 block = None if block is None else block[(3 * k + 1) * size:]
 
-    def _grow(self, top: Orbit, j: int, lo: int, out: Orbit) -> Orbit:
+    def _grow(self, top: Orbit, prefixes, lo: int, out: Orbit) -> Orbit:
         """Rows lo.. of the shell j letters longer than the whole shell
-        `top`, written to `out`.  The rows with prefix p, the reduced words
-        of length j taken in enumeration order, are p's map applied to the
-        rows of top that do not start with the inverse of p's last letter."""
+        `top`, written to `out`.  The rows with prefix p, one of `prefixes`,
+        the reduced words of length j in enumeration order, are p's map
+        applied to the rows of top that do not start with the inverse of
+        p's last letter."""
         hi = lo + out.first.size
-        prefixes = [w for w in self.enumerate_words(j) if w.length == j]
         # top's rows that start with one letter are a run of `run` rows, in
         # letter order; the empty word starts with none
         run = top.first.size // len(self.letters) if top.first[0] else 0

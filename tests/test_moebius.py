@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from kleinlog._vec import chordal_many
 from kleinlog.moebius import (
+    CHORDAL_AFFINE_MAX,
     INF,
     MoebiusMap,
     NotLoxodromicError,
@@ -17,6 +17,28 @@ from kleinlog.moebius import (
     from_fixed_points_multiplier,
     phi,
 )
+
+
+def chordal_many(p, points, inf_mask) -> np.ndarray:
+    """Chordal distances from one sphere point to an array of them, by the
+    forms of chordal with numpy's hypot; pairs beyond its affine range go
+    to chordal."""
+    p = as_sphere_point(p)
+    y = np.asarray(points, dtype=complex)
+    fin = ~np.asarray(inf_mask, dtype=bool)
+    ay = np.hypot(y.real, y.imag)
+    out = np.full(y.shape, chordal(p, INF))
+    if p.is_infinity:
+        out[fin] = 2.0 / np.hypot(1.0, ay[fin])
+        return out
+    ax = abs(p.value)
+    affine = fin & (ay < CHORDAL_AFFINE_MAX) & (ax < CHORDAL_AFFINE_MAX)
+    diff = p.value - y[affine]
+    out[affine] = 2.0 * (np.hypot(diff.real, diff.imag) / np.hypot(1.0, ax)
+                         ) / np.hypot(1.0, ay[affine])
+    for i in np.flatnonzero(fin & ~affine):
+        out[i] = chordal(p, SpherePoint(y[i]))
+    return out
 
 
 def rand_map(rng) -> MoebiusMap:

@@ -212,6 +212,15 @@ def test_d_kernels_in_place_horner_bitwise(n):
     assert _bits(whole) == _bits(np.concatenate(pieces))
 
 
+def test_d_of_one_point_is_its_value_in_an_array():
+    """numpy rounds a complex product written over a one-element operand
+    without FMA, so bloch_wigner_many keeps its products out of place: a
+    point alone gets the bits it gets in a longer array."""
+    z = _d_test_points(np.random.default_rng(7), 3000)
+    alone = [bloch_wigner_many(z[i:i + 1]) for i in range(z.size)]
+    assert _bits(np.concatenate(alone)) == _bits(bloch_wigner_many(z))
+
+
 D_MANY_ERR = 6e-16  # absolute, against 40-digit mpmath
 
 

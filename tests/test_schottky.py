@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kleinlog._vec import project
+from kleinlog._vec import FSUM_BLOCK, project
 from kleinlog.moebius import (
     INF,
     MoebiusMap,
@@ -319,9 +319,10 @@ def test_walk_rows_accuracy(std_group):
                                                (make_rank3_group, 8)])
 def test_walk_pieces_are_the_shells_pieces(make_group, depth):
     """The walk goes shell by shell.  A shell of at most 2 * EVAL_CHUNK
-    words comes whole, a longer one as its rows [k * EVAL_CHUNK, (k + 1) *
-    EVAL_CHUNK) in order, and the pieces' first and last letters are the
-    shell's row by row."""
+    words comes whole unless it is the deepest; the deepest and every
+    longer shell come as their rows [k * FSUM_BLOCK, (k + 1) * FSUM_BLOCK)
+    in order, and the pieces' first and last letters are the shell's row
+    by row."""
     g = make_group()
     walk = [(n, piece.first.copy(), piece.last.copy())
             for n, piece in next(g.orbits([0.3 + 0.7j], depth))]
@@ -330,11 +331,11 @@ def test_walk_pieces_are_the_shells_pieces(make_group, depth):
         mine = [item[1:] for item in walk if item[0] == n]
         size = g.shell_size(n)
         sizes = [f.size for f, _ in mine]
-        if size <= 2 * EVAL_CHUNK:
+        if n < depth and size <= 2 * EVAL_CHUNK:
             assert sizes == [size]
         else:
-            assert sizes[:-1] == [EVAL_CHUNK] * (len(sizes) - 1)
-            assert 0 < sizes[-1] <= EVAL_CHUNK and sum(sizes) == size
+            assert sizes[:-1] == [FSUM_BLOCK] * (len(sizes) - 1)
+            assert 0 < sizes[-1] <= FSUM_BLOCK and sum(sizes) == size
         for got, want in zip(map(np.concatenate, zip(*mine)), shell_letters(g, n)):
             assert np.array_equal(got, want)
 

@@ -15,10 +15,17 @@ from kleinlog._vec import (
     fsum_c,
     hom_many,
     parallel_chunks,
+    sphere_coords_many,
     stretch,
-    to_sphere,
 )
-from kleinlog.moebius import INF, MoebiusMap, PoleError, SpherePoint, chordal
+from kleinlog.moebius import (
+    INF,
+    MoebiusMap,
+    PoleError,
+    SpherePoint,
+    as_sphere_point,
+    chordal,
+)
 from kleinlog.schottky import SchottkyError, limit_set
 from tests.conftest import make_random_group, matrix_orbit
 
@@ -214,6 +221,11 @@ def test_limit_set_matches_scalar(std_group):
         assert len(sample.points) == len(refs)
         for p, ref in zip(sample.points, refs):
             assert chordal(p, ref) <= 8 * U
+
+
+def to_sphere(p) -> np.ndarray:
+    p = as_sphere_point(p)
+    return sphere_coords_many(np.array([p.value]), np.array([p.is_infinity]))[:, 0]
 
 
 def test_sphere_round_trip():

@@ -1,5 +1,4 @@
-"""Vectorized sphere arithmetic over arrays of points, the exact sum, and
-the one thread pool.
+"""Vectorized sphere arithmetic over arrays of points, and the exact sum.
 
 Points are (complex ndarray, bool inf-mask) pairs; the formulas go through
 bounded homogeneous coordinates, so nothing overflows near infinity.  act
@@ -12,8 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,8 +26,8 @@ def fsum(x) -> float:
     """Correctly rounded sum of a 1-d real array or sequence: exactly
     math.fsum(x), bit for bit.
 
-    The result depends only on the multiset of values, never on their order,
-    on blocking or on threads.
+    The result depends only on the multiset of values, never on their order
+    or on blocking.
     """
     if len(x) < FSUM_SHORT:
         return math.fsum(x.tolist() if isinstance(x, np.ndarray) else x)
@@ -73,26 +70,29 @@ class ExactSum:
         # high 27 and low 26 bits of m over blocks of FSUM_BLOCK elements;
         # each partial sum is an integer (the low bits in units of 2**-26)
         # below 2**27 * FSUM_BLOCK <= 2**53, so the float sums are exact, and
-        # int64 accumulates the blocks without loss.  The bins then join the
-        # Python int total.
+        # int64 accumulates the blocks without loss.  A block bins only its
+        # own exponent range.  The bins then join the Python int total.
         hi_acc = np.zeros(_NBINS, dtype=np.int64)
         lo_acc = np.zeros(_NBINS, dtype=np.int64)
-        emax = 0
+        emax, used = 0, slice(_NBINS, 0)
         for start in range(0, a.size, FSUM_BLOCK):
             m, e = np.frexp(a[start:start + FSUM_BLOCK])
             m *= 2.0**27
             hi = np.floor(m)
             with np.errstate(invalid="ignore"):
                 m -= hi  # nan for nan and infinities
-            emax = max(emax, int(e.max()))
-            e += _EXP_BIAS
-            lo = np.bincount(e, weights=m, minlength=_NBINS)
+            e0, e1 = int(e.min()), int(e.max())
+            emax = max(emax, e1)
+            e -= e0
+            lo = np.bincount(e, weights=m)
             if not np.isfinite(lo).all():
                 self.special += np.unique(a[~np.isfinite(a)]).tolist()
                 return False
-            hi_acc += np.bincount(e, weights=hi, minlength=_NBINS).astype(np.int64)
-            lo_acc += (lo * 2.0**26).astype(np.int64)
-        nz = np.flatnonzero(hi_acc | lo_acc)
+            span = slice(e0 + _EXP_BIAS, e1 + _EXP_BIAS + 1)
+            hi_acc[span] += np.bincount(e, weights=hi).astype(np.int64)
+            lo_acc[span] += (lo * 2.0**26).astype(np.int64)
+            used = slice(min(used.start, span.start), max(used.stop, span.stop))
+        nz = np.flatnonzero(hi_acc[used] | lo_acc[used]) + used.start
         for b, h, lo in zip(nz.tolist(), hi_acc[nz].tolist(), lo_acc[nz].tolist()):
             self.total += ((h << 26) + lo) << b
         return emax + a.size.bit_length() <= 1023
@@ -184,33 +184,3 @@ def uniform_sphere_points(rng: np.random.Generator, n: int):
     s = np.sqrt(np.maximum(0.0, 1.0 - u * u))
     return from_sphere_many(s * np.cos(ang), s * np.sin(ang), u)
 
-
-def ordered_map(fn, items, threads: int):
-    """Yield fn(item) for each of items, in order: on this thread when
-    threads <= 1, else on a pool of `threads` threads, taking the next item
-    while they run and never holding more than threads + 1 items whose
-    results have not been yielded."""
-    if threads <= 1:
-        yield from map(fn, items)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        running = deque()
-        for item in items:
-            # ex.map over one item submits it; needing map alone keeps any
-            # executor that offers map usable here
-            running.append(ex.map(fn, (item,)))
-            if len(running) > threads:
-                yield next(running.popleft())
-        for result in running:
-            yield next(result)
-
-
-def parallel_chunks(work, n: int, threads: int, chunk: int) -> None:
-    """Call work(lo, hi) on the pieces [lo, hi) of range(n), each `chunk`
-    long but the last: in order on this thread when threads <= 1, else on
-    at most `threads` threads and never more threads than pieces.  work
-    sees the same pieces at every thread count."""
-    spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    for _ in ordered_map(lambda span: work(*span), spans,
-                         min(threads, len(spans))):
-        pass

@@ -4,8 +4,9 @@ and deterministic JSON/CSV/PPM emission.
 Exit codes: 0 success, 2 config or validation rejection, 3 numeric
 non-convergence or runtime diagnostic.  Reports are JSON objects
 {command, config_hash, results, diagnostics}; the hash covers only the
-math-relevant effective settings, never --threads or output paths, so
-runs stay byte-identical across thread counts.
+math-relevant effective settings, never output paths.  --threads is
+accepted for compatibility and has no effect: every command runs on one
+thread.
 """
 
 from __future__ import annotations
@@ -414,6 +415,8 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--depth", type=int, default=S)
     common.add_argument("--seed", type=int, default=S)
     common.add_argument("--weight", choices=WEIGHT_MODES, default=S)
+    # accepted and checked for compatibility; it has no effect and is left
+    # out of config_hash
     common.add_argument("--threads", type=int, default=S)
     # a no-op, since every sum is correctly rounded; it still enters
     # config_hash (via _overrides), so reports that pass it keep their hash
@@ -502,7 +505,7 @@ def _run(args) -> tuple[dict, int]:
     chash = config_hash(cfg, overrides)
     s = _merged(cfg, overrides)
     out_path = getattr(args, "out", None)
-    threads = _setting(vars(args), "threads", 1, 1)
+    _setting(vars(args), "threads", 1, 1)
     report = {"command": args.command, "config_hash": chash,
               "results": {}, "diagnostics": {}}
     code = EXIT_OK
@@ -588,7 +591,7 @@ def _run(args) -> tuple[dict, int]:
             z = s.get("z")
             if z is None:
                 raise ConfigError("--z", "series eval needs a point")
-            ev = evaluate(group, None, z, weight, max_len, stol, threads)
+            ev = evaluate(group, None, z, weight, max_len, stol)
             report["results"] = {
                 "value": ev.value, "tail_estimate": ev.tail_estimate,
                 "verdict": ev.verdict, "weight_mode": ev.weight_mode,
@@ -604,7 +607,7 @@ def _run(args) -> tuple[dict, int]:
             elements = [s["element"]] if "element" in s else \
                 [l for l in group.letters if l > 0]
             res = automorphy_residual(group, None, samples, elements, max_len,
-                                      weight, stol, threads)
+                                      weight, stol)
             per = {str(el): r for el, r in zip(elements, res)}
             report["results"] = {"residuals": per, "max_len": max_len,
                                  "weight_mode": weight, "n_samples": n}
@@ -620,7 +623,7 @@ def _run(args) -> tuple[dict, int]:
     elif cmd == "bers":
         n_samples = _setting(s, "samples", 10000, 1000)
         density = NayataniDensity(_measure(group, s))
-        r = bers_integral(density, None, n_samples, s.get("seed", 0), threads)
+        r = bers_integral(density, None, n_samples, s.get("seed", 0))
         report["results"] = {
             "estimate": r.estimate, "stderr": r.stderr,
             "n_samples": r.n_samples, "n_singular": r.n_singular,

@@ -172,11 +172,6 @@ class MoebiusMap:
             raise ValueError("scaling factor must be nonzero")
         return cls(k, 0, 0, 1)
 
-    @classmethod
-    def translation(cls, t) -> "MoebiusMap":
-        """The map z -> z + t."""
-        return cls(1, t, 0, 1)
-
     @property
     def trace_squared(self) -> complex:
         t = self.a + self.d

@@ -20,15 +20,12 @@ from ._vec import (
     ExactSum,
     fsum,
     fsum_c,
-    ordered_map,
-    parallel_chunks,
     uniform_sphere_points,
 )
 from .moebius import MoebiusMap, SpherePoint, as_sphere_point
 from .polylog import D_GLOBAL_BOUND, bloch_wigner, bloch_wigner_many
 from .psmeasure import MeasureError, NayataniDensity
 from .schottky import (
-    EVAL_CHUNK,
     Orbit,
     SchottkyError,
     SchottkyGroup,
@@ -65,25 +62,10 @@ class SeriesIntegrand:
         if not (self.bound > 0.0 and math.isfinite(self.bound)):
             raise ValueError(f"declared bound must be positive, got {self.bound!r}")
 
-    def eval_many(self, points: np.ndarray, inf_mask: np.ndarray,
-                  threads: int = 1) -> np.ndarray:
+    def eval_many(self, points: np.ndarray, inf_mask: np.ndarray) -> np.ndarray:
         """Values at a 1-d array of sphere points, 0 at infinity."""
         pts = np.where(inf_mask, 0.0, points) if inf_mask.any() else points
-        # bloch_wigner_many gives the same bits however its input is split; a
-        # custom evaluator_many need not, as numpy reuses temporaries of 256 KiB
-        # and more, which swaps a complex product's operands, and its FMA
-        # product rounds the two orders apart.  So up to 2 * EVAL_CHUNK points
-        # stay whole, and beyond that every thread count cuts the same pieces;
-        # the series passes the same blocks of FSUM_BLOCK points at any count.
-        if pts.size <= 2 * EVAL_CHUNK:
-            vals = np.asarray(self.evaluator_many(pts), dtype=float)
-        else:
-            vals = np.empty(pts.size)
-
-            def work(lo, hi):
-                vals[lo:hi] = self.evaluator_many(pts[lo:hi])
-
-            parallel_chunks(work, pts.size, threads, EVAL_CHUNK)
+        vals = np.asarray(self.evaluator_many(pts), dtype=float)
         vals[inf_mask] = 0.0
         self._check(float(np.max(np.abs(vals))) if vals.size else 0.0)
         return vals
@@ -151,30 +133,29 @@ def _check_admissible(group: SchottkyGroup, p: SpherePoint) -> None:
 
 def evaluate(group: SchottkyGroup, integrand: SeriesIntegrand = None, z=0j,
              weight_mode: str = "holomorphic", max_len: int = 10,
-             tol: float = 1e-8, threads: int = 1) -> SeriesEvaluation:
+             tol: float = 1e-8) -> SeriesEvaluation:
     """Sum the series over all words of length <= max_len, shell by shell.
 
     Every shell sum and the total are correctly rounded (exact sums), and
-    the integrand sees the same blocks of at most FSUM_BLOCK words at every
-    thread count, so the result does not depend on threads.
+    the integrand sees blocks of at most FSUM_BLOCK words.
 
     tail_estimate extrapolates the last weight-shell ratio geometrically with
     a 2x safety factor: 2 * bound * S_N * r/(1-r).  verdict is converged only
     when that tail is <= tol and the last three ratios are below 1.
     """
-    return _evaluate_at(group, integrand, [z], weight_mode, max_len, tol, threads)[0]
+    return _evaluate_at(group, integrand, [z], weight_mode, max_len, tol)[0]
 
 
 def _evaluate_at(group: SchottkyGroup, integrand, zs, weight_mode: str,
-                 max_len: int, tol: float, threads: int) -> list[SeriesEvaluation]:
+                 max_len: int, tol: float) -> list[SeriesEvaluation]:
     """evaluate at each of zs.  Every point is checked first, in order.
     Then the points' orbits are walked one after another, each shell by
-    shell (SchottkyGroup.orbits, which forms no word matrix), and the
-    pieces of one walk are summed on `threads` threads, FSUM_BLOCK words
-    at a time, so no temporary grows with the shell.  Every shell is summed
-    exactly and rounded once its last piece is in.  An error is raised
-    where a pass shell by shell and point by point would meet the first
-    one: at the shortest length, then at the first point."""
+    shell (SchottkyGroup.orbits, which forms no word matrix), and each
+    piece of the walk is summed FSUM_BLOCK words at a time, so no temporary
+    grows with the shell.  Every shell is summed exactly and rounded once
+    its last piece is in.  An error is raised where a pass shell by shell
+    and point by point would meet the first one: at the shortest length,
+    then at the first point."""
     if integrand is None:
         integrand = BLOCH_WIGNER_INTEGRAND
     if weight_mode not in WEIGHT_MODES:
@@ -198,79 +179,66 @@ def _evaluate_at(group: SchottkyGroup, integrand, zs, weight_mode: str,
     sums = [[complex(integrand.eval_point(p))] for p in ps]
     wsums = [[1.0] for _ in ps]
     comp = [[1.0] for _ in ps]  # comparability: the largest of these
-    # ((length, point, 0 for a SchottkyError from the walk or shell_terms
-    # else 1, piece), error) of each point's first error
-    errors = []
+    # (length, point, 0 for a SchottkyError from the walk or shell_terms
+    # else 1, piece) and the error of the first error met; within a piece a
+    # SchottkyError in any block comes before an integrand's error
+    first = None
 
-    def piece_sums(i, item):
-        """Length, ExactSums of re, im and |w|, comparability ratios and
-        error of one piece at point i, taken FSUM_BLOCK words at a time.
-        A SchottkyError from shell_terms in any block comes before an
-        integrand's error, and that before a later block's."""
-        n, piece = item
-        sums, c, err = (ExactSum(), ExactSum(), ExactSum()), [], None
+    def note(key, e):
+        nonlocal first
+        if first is None or key < first[0]:
+            first = key, e
+
+    def add_piece(i, n, k, piece, accs):
+        """Add piece k, of length n, at point i to the ExactSums of re, im
+        and |w| of its length, FSUM_BLOCK words at a time.  A function, so
+        its arrays are freed before the walk grows the next piece."""
+        re, im, w = accs
         for lo in range(0, piece.first.size, FSUM_BLOCK):
             block = Orbit(*(a[lo:lo + FSUM_BLOCK] for a in piece))
             try:
                 pts, infm, wts = group.shell_terms(block, ps[i], weight_mode)
-                if err is None:
-                    vals = integrand.eval_many(pts, infm)
+                # an integrand's error here would come too late
+                if first is not None and first[0] <= (n, i, 1, k):
+                    continue
+                vals = integrand.eval_many(pts, infm)
             except (ValueError, ArithmeticError) as e:
                 if isinstance(e, SchottkyError):
-                    return n, None, [], e
-                err = err or e
-            if err is not None:
+                    note((n, i, 0, k), e)
+                    return
+                note((n, i, 1, k), e)
                 continue
             if weight_mode == "holomorphic":
-                sums[0].add(wts.real * vals)
-                sums[1].add(wts.imag * vals)
-                c += _comparability(pts, infm, base_n[i])
+                re.add(wts.real * vals)
+                im.add(wts.imag * vals)
+                comp[i] += _comparability(pts, infm, base_n[i])
             else:
-                sums[0].add(wts * vals)
-            sums[2].add(np.abs(wts))
-        return (n, None, [], err) if err else (n, sums, c, None)
+                re.add(wts * vals)
+            w.add(np.abs(wts))
 
     # the trivial group has no words beyond the empty one
     depth = max_len if group.rank else 0
     for i, walk in enumerate(group.orbits(ps, depth)):
-        # a later point's error at the same length comes too late
-        limit = min([depth] + [key[0] - 1 for key, _ in errors])
-        found = []  # this point's errors
-
-        def pieces():
-            done = 0
-            try:
-                for n, piece in walk:
-                    if n > limit or found and n > min(key for key, _ in found)[0]:
-                        return
-                    yield n, piece
-                    done += 1
-            except ShellOverflowError as e:
-                found.append(((e.length, i, 0, done), e))
-
-        pending = {}  # length -> ExactSums of re, im and |w| so far
-        for k, (n, s, c, e) in enumerate(
-                ordered_map(lambda item: piece_sums(i, item), pieces(), threads)):
-            if e is not None:
-                found.append(((n, i, not isinstance(e, SchottkyError), k), e))
-            if found:
-                continue
-            comp[i] += c
-            if n not in pending:
-                pending[n] = s
-            else:
-                for acc, more in zip(pending[n], s):
-                    acc.merge(more)
-        if found:
-            errors.append(min(found, key=lambda f: f[0]))
-        if errors:
+        pending = {}  # length -> ExactSums of re, im and |w|
+        k = 0
+        try:
+            for n, piece in walk:
+                if first is not None and (n, i) > first[0][:2]:
+                    break
+                if n not in pending:
+                    pending[n] = ExactSum(), ExactSum(), ExactSum()
+                add_piece(i, n, k, piece, pending[n])
+                k += 1
+        except ShellOverflowError as e:
+            note((e.length, i, 0, k), e)
+        if first is not None:
             continue
         for n in range(1, depth + 1):
             re, im, w = pending[n]
             sums[i].append(complex(re.value(), im.value()))
             wsums[i].append(w.value())
-    if errors:
-        e = min(errors, key=lambda e: e[0])[1]
+    if first is not None:
+        e = first[1]
         if isinstance(e, SchottkyError):
             raise DomainError(str(e)) from e
         raise e
@@ -309,8 +277,8 @@ def _as_element(group: SchottkyGroup, element) -> MoebiusMap:
 
 def automorphy_residual(group: SchottkyGroup, integrand: SeriesIntegrand = None,
                         samples=(), elements=(1,), max_len: int = 10,
-                        weight_mode: str = "holomorphic", tol: float = 1e-8,
-                        threads: int = 1) -> list[float]:
+                        weight_mode: str = "holomorphic",
+                        tol: float = 1e-8) -> list[float]:
     """For each of `elements` (a letter, a sequence of letters or a
     MoebiusMap), max over samples of |w_g(z) * S(gz) - S(z)| / (|S(z)| + tol)
     with both series truncated at max_len; w_g is the mode's derivative
@@ -328,7 +296,7 @@ def automorphy_residual(group: SchottkyGroup, integrand: SeriesIntegrand = None,
         return worst
     evs = iter(_evaluate_at(group, integrand,
                             [q for p in ps for q in (p, *(g.apply(p) for g in gs))],
-                            weight_mode, max_len, tol, threads))
+                            weight_mode, max_len, tol))
     for p in ps:
         here = next(evs)
         for i, g in enumerate(gs):
@@ -362,8 +330,7 @@ class BersResult:
 
 
 def bers_integral(density: NayataniDensity, integrand: SeriesIntegrand = None,
-                  n_samples: int = 10000, seed: int = 0,
-                  threads: int = 1) -> BersResult:
+                  n_samples: int = 10000, seed: int = 0) -> BersResult:
     """Uniform-sphere Monte Carlo for integral of F^(2/delta) * |Phi| dA.
 
     Singular hits (sample inside an atom guard) are resampled from the same
@@ -380,7 +347,7 @@ def bers_integral(density: NayataniDensity, integrand: SeriesIntegrand = None,
         raise MeasureError("Bers integrand needs delta > 0")
     rng = np.random.default_rng(seed)
     pts, msk = uniform_sphere_points(rng, n_samples)
-    fvals, singular, rel = density.F_many(pts, msk, threads=threads)
+    fvals, singular, rel = density.F_many(pts, msk)
     n_singular = 0
     limit = max(1, int(0.01 * n_samples))
     while np.any(singular):
@@ -393,12 +360,12 @@ def bers_integral(density: NayataniDensity, integrand: SeriesIntegrand = None,
         np_, nm_ = uniform_sphere_points(rng, idx.size)
         pts[idx] = np_
         msk[idx] = nm_
-        f_new, s_new, r_new = density.F_many(np_, nm_, threads=threads)
+        f_new, s_new, r_new = density.F_many(np_, nm_)
         fvals[idx] = f_new
         singular[idx] = s_new
         rel[idx] = r_new
     p = 2.0 / d
-    phi_vals = np.abs(integrand.eval_many(pts, msk, threads))
+    phi_vals = np.abs(integrand.eval_many(pts, msk))
     vals = fvals**p * phi_vals
     total = fsum(vals)
     mean = total / n_samples

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,6 @@ from ._vec import (
     act,
     fsum,
     hom_many,
-    parallel_chunks,
     sphere_coords_many,
     sphere_embed,
     stretch,
@@ -184,8 +182,8 @@ def quasi_invariance_residual(measure: PSMeasure, group: SchottkyGroup,
 # exact sum over the points as represented by their bounded homogeneous
 # coordinates (Z, W); the rounding constants below are multiples of the unit
 # roundoff _U with generous margins.  The walk writes every per-pair
-# quantity into the _Workspace of its thread, one block, so it allocates no
-# per-pair array.  Once glibc frees a large block, it raises its mmap
+# quantity into one _Workspace per F_many call, one block, so it allocates
+# no per-pair array.  Once glibc frees a large block, it raises its mmap
 # threshold to that size and its trim threshold to twice that, so the next
 # call's block reuses resident pages: bers --depth 8 --samples 10000 takes
 # 0 minor page faults in the median command (at most about 160), against
@@ -199,13 +197,6 @@ LEAF_ATOMS = 8                    # leaves: smallest prefix blocks this large
 MAX_RHO = 2.0**-6                 # accepted nodes have all |t_i| <= MAX_RHO * phi
 PAIR_BUDGET = 1 << 20             # (point, leaf) pairs one batch can reach
 POINT_BATCH = 1024
-# the smallest batch F_many spreads over threads: smaller batches' numpy
-# calls hold the interpreter lock too often.  On a shared 2-vCPU guest, 2
-# threads walked 119-point batches (depth 10) 1.6-2x slower than 1.  While
-# the walk allocated an array per formula, 2 threads walked 512-point
-# batches 1.25x faster; with the workspace they only break even on
-# 1,024-point ones (bers --depth 8 --samples 10000: 0.108 s on 1 and on 2)
-THREAD_BATCH = POINT_BATCH // 2
 LEAF_BLOCK = 1 << 14              # elements of one leaf-kernel temporary
 ACCEPT_BLOCK = 1 << 13            # pairs _accept takes through its rows at once
 
@@ -229,8 +220,7 @@ class _Level:
 
 
 class _Workspace:
-    """The buffers one worker thread of one F_many call writes every
-    per-pair quantity into, reused over levels and batches: 19 float, 3
+    """The buffers one F_many call writes every per-pair quantity into, reused over levels and batches: 19 float, 3
     complex and 2 bool rows of ACCEPT_BLOCK pairs for _accept, then SLOTS,
     one level's per-pair arrays, with room for 8 * ACCEPT_BLOCK pairs (a
     level of a 1,024-point batch holds at most about 34,500 on the standard
@@ -373,29 +363,15 @@ class NayataniDensity:
     def delta(self) -> float:
         return self.measure.delta
 
-    def F(self, x) -> float:
-        vals, singular, _ = self.F_many(*_point_arrays([as_sphere_point(x)]))
-        _check_regular(singular)
-        return float(vals[0])
-
-    def metric_factor(self, x) -> float:
-        d = self.measure.delta
-        if d <= 0.0:
-            raise MeasureError("metric factor needs delta > 0")
-        return self.F(x) ** (2.0 / d)
-
-    def F_many(self, points, inf_mask, rel_tol: float = REL_TOL,
-               threads: int = 1):
+    def F_many(self, points, inf_mask, rel_tol: float = REL_TOL):
         """F at each point, a singular mask (point within ATOM_GUARD of an
         atom; value inf) and a certified relative error bound of each value.
 
         rel_tol bounds the relative error each accepted tree node may add;
         rel_tol=0 accepts none and sums every atom.  The points are walked in
-        batches, spread over at most `threads` threads when a batch holds at
-        least THREAD_BATCH points.  Each value depends on its own point only,
-        so splitting the points or spreading them over threads changes no
-        bit.  Each worker thread walks its batches in one _Workspace, made
-        once per call, so the walk allocates no per-pair array.
+        batches, in order, all in one _Workspace made once per call, so the
+        walk allocates no per-pair array.  Each value depends on its own
+        point only, so splitting the points changes no bit.
 
         Known weakness: for a point and an atom on opposite sides of
         |z| = 1 at chordal distance r, the kernel rounds z * (1/y), so the
@@ -408,18 +384,13 @@ class NayataniDensity:
         vals = np.empty(Z.size)
         singular = np.empty(Z.size, dtype=bool)
         rel_err = np.empty(Z.size)
-        local = threading.local()  # one _Workspace per worker thread
-
-        def work(lo, hi):
-            if not hasattr(local, "ws"):
-                local.ws = _Workspace()
-            vals[lo:hi], singular[lo:hi], rel_err[lo:hi] = self._walk(
-                Z[lo:hi], W[lo:hi], inf[lo:hi], rel_tol, local.ws)
-
+        ws = _Workspace()
         n_leaves = self._leaves.w.shape[0]
         batch = max(1, min(POINT_BATCH, PAIR_BUDGET // n_leaves))
-        parallel_chunks(work, Z.size, threads if batch >= THREAD_BATCH else 1,
-                        batch)
+        for lo in range(0, Z.size, batch):
+            hi = lo + batch
+            vals[lo:hi], singular[lo:hi], rel_err[lo:hi] = self._walk(
+                Z[lo:hi], W[lo:hi], inf[lo:hi], rel_tol, ws)
         return (vals.reshape(pts.shape), singular.reshape(pts.shape),
                 rel_err.reshape(pts.shape))
 

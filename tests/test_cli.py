@@ -250,6 +250,24 @@ def test_long_series_byte_identical_across_threads(std_config):
     assert code == 0, err
 
 
+def test_threads_flag_starts_no_thread(std_config, monkeypatch):
+    """--threads is accepted and has no effect: no command starts a thread.
+    bers --samples 3000 at depth 8 walks three 1,024-point batches of F."""
+    import threading
+
+    def refuse(self):
+        raise AssertionError(f"thread {self.name!r} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for cmd in (("series", "automorphy", "--max-len", "6", "--samples", "2"),
+                ("bers", "--depth", "8", "--samples", "3000", "--seed", "5",
+                 "--delta", "0.2984")):
+        one, four = (main_io("--config", std_config, "--threads", t, *cmd)
+                     for t in ("1", "4"))
+        assert one[0] == 0, one[2]
+        assert four == one
+
+
 def test_report_written_to_out_path(std_config, tmp_path):
     out = tmp_path / "report.json"
     r = run_cli("--config", std_config, "group", "delta", "--depth", "6",

@@ -86,7 +86,7 @@ def test_apply_pol_to_infinity():
     m = MoebiusMap(0, 1, 1, 0)  # z -> 1/z
     assert m.apply(SpherePoint(0j)).is_infinity
     assert complex(m.apply(INF)) == 0j
-    t = MoebiusMap.translation(3 + 4j)
+    t = MoebiusMap(1, 3 + 4j, 0, 1)
     assert t.apply(INF).is_infinity
     assert complex(t.apply(SpherePoint(1 + 0j))) == 4 + 4j
 
@@ -186,12 +186,12 @@ def test_from_fixed_points_rejects_unit_multiplier():
 
 def test_classify():
     assert MoebiusMap.identity().classify() == "identity"
-    assert MoebiusMap.translation(1 + 0j).classify() == "parabolic"
+    assert MoebiusMap(1, 1 + 0j, 0, 1).classify() == "parabolic"
     assert MoebiusMap.scaling(cmath.exp(0.7j)).classify() == "elliptic"
     assert MoebiusMap.scaling(3.0).classify() == "loxodromic"
     assert MoebiusMap.scaling(2.0 * cmath.exp(0.5j)).classify() == "loxodromic"
     with pytest.raises(NotLoxodromicError):
-        MoebiusMap.translation(1 + 0j).fixed_points_multiplier()
+        MoebiusMap(1, 1 + 0j, 0, 1).fixed_points_multiplier()
 
 
 @pytest.mark.parametrize("r", [1e-3, 1e-6, 1e-9])

@@ -213,29 +213,26 @@ def overflowing_group() -> SchottkyGroup:
     and the orbit coordinates of z = 0.3 + 0.7i, overflow at length 11, and
     holomorphic weights at that z much sooner."""
     g = MoebiusMap(1e30, 0, 0, 1e-30)
-    t = MoebiusMap.translation(1.0)
+    t = MoebiusMap(1, 1.0, 0, 1)
     return SchottkyGroup([g, t.compose(g).compose(t.inverse())],
                          cyclic_diagnostic=True)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_errors_in_shell_then_point_order(threads):
+def test_errors_in_shell_then_point_order():
     g = overflowing_group()
     with pytest.raises(DomainError) as err:
-        evaluate(g, None, 0.3 + 0.7j, "absolute", 12, threads=threads)
+        evaluate(g, None, 0.3 + 0.7j, "absolute", 12)
     assert str(err.value) == "orbit coordinates overflow at length 11"
     with pytest.raises(DomainError) as err:
-        evaluate(g, None, 0.3 + 0.7j, "holomorphic", 12, threads=threads)
+        evaluate(g, None, 0.3 + 0.7j, "holomorphic", 12)
     assert str(err.value) == ("holomorphic weight at an orbit pole or "
                               "overflowing at z = (0.3+0.7j)")
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_integrand_error_of_the_shorter_shell_wins(std_group, threads):
+def test_integrand_error_of_the_shorter_shell_wins(std_group):
     """An integrand that fails on the first word of shell 12 and on the
     last of shell 11 reports shell 11's failure, the one a pass shell by
-    shell meets first, also where threads sum shell 12's first piece before
-    shell 11's last is in."""
+    shell meets first."""
     z = 0.3 + 0.7j
 
     def orbit_point(n, row):
@@ -252,11 +249,10 @@ def test_integrand_error_of_the_shorter_shell_wins(std_group, threads):
 
     integrand = SeriesIntegrand(bloch_wigner, marked, D_GLOBAL_BOUND, "marked")
     with pytest.raises(IntegrandBoundError, match="'marked' reached 3.0,"):
-        evaluate(std_group, integrand, z, "absolute", 12, threads=threads)
+        evaluate(std_group, integrand, z, "absolute", 12)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_error_of_a_later_point_at_a_shorter_length_wins(std_group, threads):
+def test_error_of_a_later_point_at_a_shorter_length_wins(std_group):
     """The points are walked one after another, yet the error raised is the
     one a pass shell by shell and point by point meets first: a failure in
     shell 3 at the second point beats one in shell 4 at the first, and of
@@ -281,7 +277,7 @@ def test_error_of_a_later_point_at_a_shorter_length_wins(std_group, threads):
     for values, top in (({late: 5.0, short: 3.0}, "3.0"),
                         ({late: 5.0, short: 3.0, tie: 4.0}, "4.0")):
         with pytest.raises(IntegrandBoundError, match=f"reached {top},"):
-            _evaluate_at(std_group, marked(values), zs, "absolute", 6, 1e-8, threads)
+            _evaluate_at(std_group, marked(values), zs, "absolute", 6, 1e-8)
 
 
 def test_fundamental_domain_samples(std_group):
@@ -317,7 +313,7 @@ def test_fundamental_domain_samples_match_scalar_loop(std_group):
     from tests.conftest import make_standard_group
 
     wide = make_standard_group(0.9)
-    diagnostic = SchottkyGroup([MoebiusMap.translation(1.0)], cyclic_diagnostic=True)
+    diagnostic = SchottkyGroup([MoebiusMap(1, 1.0, 0, 1)], cyclic_diagnostic=True)
     for group in (std_group, wide, diagnostic):
         for n in (2, 4, 8, 40):
             for seed in (0, 3, 5, 7, 11, 123):

@@ -102,7 +102,7 @@ def test_fixing_infinity_needs_diagnostic_flag():
 
 
 def test_diagnostic_basepoint_skips_non_loxodromic_generators():
-    g = SchottkyGroup([MoebiusMap.translation(1.0)], cyclic_diagnostic=True)
+    g = SchottkyGroup([MoebiusMap(1, 1.0, 0, 1)], cyclic_diagnostic=True)
     assert g.default_basepoint().is_finite
 
 
@@ -397,6 +397,25 @@ def test_every_definition_in_src_is_named_somewhere():
                   if name not in named
                   and not (name.startswith("__") and name.endswith("__")))
     assert not dead, f"defined but never named: {dead}"
+
+
+def test_src_imports_no_thread_module():
+    """Every command runs on one thread: no module of kleinlog imports
+    threading or concurrent.futures."""
+    import kleinlog
+
+    banned = {"threading", "concurrent"}
+    found = []
+    for path in sorted(Path(kleinlog.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{m}" for m in mods if m.split(".")[0] in banned]
+    assert not found, found
 
 
 def test_shell_matrices_unit_determinant(std_group):

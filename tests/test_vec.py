@@ -14,7 +14,6 @@ from kleinlog._vec import (
     fsum,
     fsum_c,
     hom_many,
-    parallel_chunks,
     sphere_coords_many,
     stretch,
 )
@@ -240,48 +239,6 @@ def test_sphere_round_trip():
         assert chordal(q, p) <= 4 * U
 
 
-# threading --------------------------------------------------------------------
-
-
-class RecordingExecutor:
-    """Stands in for ThreadPoolExecutor: records max_workers, starts no
-    thread and runs the work in order."""
-
-    seen = []
-
-    def __init__(self, max_workers):
-        self.seen.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_thread_count_bounded_by_chunks(monkeypatch):
-    monkeypatch.setattr(_vec, "ThreadPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(RecordingExecutor, "seen", [])
-    spans = []
-    parallel_chunks(lambda lo, hi: spans.append((lo, hi)), 10, 10**6, 4)
-    assert spans == [(0, 4), (4, 8), (8, 10)]
-    parallel_chunks(lambda lo, hi: spans.append((lo, hi)), 3, 10**6, 4)
-    assert spans[-1] == (0, 3)
-    assert RecordingExecutor.seen == [3]
-
-
-def test_one_thread_works_through_the_same_pieces(monkeypatch):
-    monkeypatch.setattr(_vec, "ThreadPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(RecordingExecutor, "seen", [])
-    spans = []
-    parallel_chunks(lambda lo, hi: spans.append((lo, hi)), 10, 1, 4)
-    assert spans == [(0, 4), (4, 8), (8, 10)]
-    assert RecordingExecutor.seen == []
-
-
 # the running exact sum over pieces --------------------------------------------------
 
 
@@ -370,20 +327,3 @@ def test_exact_sum_rounds_where_fsum_overflows_part_way():
     acc.add(np.array([1.7976931348623157e308]))
     with pytest.raises(OverflowError):
         acc.value()
-
-
-def test_ordered_map_keeps_order_and_bounds_items_taken():
-    taken = []
-
-    def items():
-        for i in range(40):
-            taken.append(i)
-            yield i
-
-    got = []
-    for r in _vec.ordered_map(lambda i: i * i, items(), 3):
-        # at most threads + 1 items taken whose results are not yet out
-        assert len(taken) - len(got) <= 4
-        got.append(r)
-    assert got == [i * i for i in range(40)]
-    assert list(_vec.ordered_map(abs, iter([-2, 1]), 1)) == [2, 1]

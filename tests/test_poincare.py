@@ -173,6 +173,12 @@ def test_walked_shells_match_word_by_word(make_group, max_len, mode, z):
         assert abs(got - want) <= 1e-14 * math.fsum(abs(t) for t in ts)
 
 
+def use_block(monkeypatch, block):
+    """Walk and sum series in blocks of `block` words, not FSUM_BLOCK."""
+    monkeypatch.setattr(schottky, "FSUM_BLOCK", block)
+    monkeypatch.setattr(poincare, "FSUM_BLOCK", block)
+
+
 @pytest.mark.parametrize("mode", ["holomorphic", "absolute"])
 @pytest.mark.parametrize("make_group", [make_standard_group, make_random_group])
 def test_series_bits_do_not_depend_on_the_block(monkeypatch, make_group, mode):
@@ -184,8 +190,7 @@ def test_series_bits_do_not_depend_on_the_block(monkeypatch, make_group, mode):
     z = fundamental_domain_samples(g, 1, seed=5)[0]
 
     def run(block):
-        monkeypatch.setattr(schottky, "FSUM_BLOCK", block)
-        monkeypatch.setattr(poincare, "FSUM_BLOCK", block)
+        use_block(monkeypatch, block)
         ev = evaluate(g, z=z, weight_mode=mode, max_len=7)
         return repr((ev.value, ev.shells, ev.weight_shells, ev.comparability))
 
@@ -218,7 +223,10 @@ def overflowing_group() -> SchottkyGroup:
                          cyclic_diagnostic=True)
 
 
-def test_errors_in_shell_then_point_order():
+@pytest.mark.parametrize("split", [1, 2])
+def test_errors_in_shell_then_point_order(monkeypatch, split):
+    """The same errors with blocks of FSUM_BLOCK / split words."""
+    use_block(monkeypatch, FSUM_BLOCK // split)
     g = overflowing_group()
     with pytest.raises(DomainError) as err:
         evaluate(g, None, 0.3 + 0.7j, "absolute", 12)
@@ -229,10 +237,13 @@ def test_errors_in_shell_then_point_order():
                               "overflowing at z = (0.3+0.7j)")
 
 
-def test_integrand_error_of_the_shorter_shell_wins(std_group):
+@pytest.mark.parametrize("split", [1, 2])
+def test_integrand_error_of_the_shorter_shell_wins(monkeypatch, std_group, split):
     """An integrand that fails on the first word of shell 12 and on the
     last of shell 11 reports shell 11's failure, the one a pass shell by
-    shell meets first."""
+    shell meets first, also where the blocks are FSUM_BLOCK / split words
+    and shell 12 comes in twice as many pieces."""
+    use_block(monkeypatch, FSUM_BLOCK // split)
     z = 0.3 + 0.7j
 
     def orbit_point(n, row):
@@ -252,11 +263,16 @@ def test_integrand_error_of_the_shorter_shell_wins(std_group):
         evaluate(std_group, integrand, z, "absolute", 12)
 
 
-def test_error_of_a_later_point_at_a_shorter_length_wins(std_group):
+@pytest.mark.parametrize("block", [1, 2])
+def test_error_of_a_later_point_at_a_shorter_length_wins(monkeypatch, std_group,
+                                                         block):
     """The points are walked one after another, yet the error raised is the
     one a pass shell by shell and point by point meets first: a failure in
     shell 3 at the second point beats one in shell 4 at the first, and of
-    two failures in shell 3 the first point's wins."""
+    two failures in shell 3 the first point's wins.  With blocks of 1 or 2
+    words every marked point is met in a block of its own, and shell 6
+    comes in pieces of that many words."""
+    use_block(monkeypatch, block)
     zs = [0.3 + 0.7j, -0.4 + 0.9j]
 
     def orbit_point(z, n, row):

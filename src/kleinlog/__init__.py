@@ -65,7 +65,6 @@ from .schottky import (
     nielsen,
     pairing_map,
     reduce_to_fundamental_domain,
-    shell_sums,
 )
 
 __version__ = "0.1.0"

@@ -53,7 +53,7 @@ def _fsum_python(a: np.ndarray) -> float:
 
 
 class ExactSum:
-    """The exact sum of every float added or merged in, rounded once by
+    """The exact sum of every float added in, rounded once by
     value(): math.fsum over their union, bit for bit, except that where
     math.fsum would overflow part-way the exact sum is still rounded."""
 
@@ -96,10 +96,6 @@ class ExactSum:
         for b, h, lo in zip(nz.tolist(), hi_acc[nz].tolist(), lo_acc[nz].tolist()):
             self.total += ((h << 26) + lo) << b
         return emax + a.size.bit_length() <= 1023
-
-    def merge(self, other: "ExactSum") -> None:
-        self.total += other.total
-        self.special += other.special
 
     def value(self) -> float:
         if self.special:

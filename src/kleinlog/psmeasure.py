@@ -147,25 +147,28 @@ def quasi_invariance_residual(measure: PSMeasure, group: SchottkyGroup,
     time, and every sum is exact across the blocks, so the blocking changes
     no bit."""
     fns = DEFAULT_TEST_FUNCTIONS if test_functions is None else tuple(test_functions)
-    sums = [[(ExactSum(), ExactSum(), ExactSum()) for _ in fns]
-            for _ in group.generators]
+    lhs, scale = [ExactSum() for _ in fns], [ExactSum() for _ in fns]
+    rhs = [[ExactSum() for _ in fns] for _ in group.generators]
     for lo in range(0, len(measure), RESIDUAL_BLOCK):
         blk = slice(lo, lo + RESIDUAL_BLOCK)
         wts = measure.weights[blk]
         Z, W = hom_many(measure.points[blk], measure.inf_mask[blk])
         cx = sphere_embed(Z, W)[1]
-        for g, g_sums in zip(group.generators, sums):
+        for g, g_sums in zip(group.generators, rhs):
             img, img_msk, num, den = act(g.a, g.b, g.c, g.d, Z, W)
             jac = stretch(Z, W, num, den) ** measure.delta
             cy = sphere_coords_many(img, img_msk)
-            for (_, f), (lhs, rhs, scale) in zip(fns, g_sums):
-                fx = f(*cx)
-                lhs.add(wts * fx)
-                rhs.add(wts * jac * f(*cy))
-                scale.add(wts * np.abs(fx))
+            for (_, f), r_sum in zip(fns, g_sums):
+                r_sum.add(wts * jac * f(*cy))
+        for (_, f), l_sum, s_sum in zip(fns, lhs, scale):
+            fx = f(*cx)
+            l_sum.add(wts * fx)
+            s_sum.add(wts * np.abs(fx))
     worst = 0.0
-    for lhs, rhs, scale in (s for g_sums in sums for s in g_sums):
-        worst = max(worst, abs(lhs.value() - rhs.value()) / (scale.value() + RESIDUAL_EPS))
+    for g_sums in rhs:
+        for l_sum, r_sum, s_sum in zip(lhs, g_sums, scale):
+            worst = max(worst, abs(l_sum.value() - r_sum.value())
+                        / (s_sum.value() + RESIDUAL_EPS))
     return worst
 
 
@@ -181,14 +184,11 @@ def quasi_invariance_residual(measure: PSMeasure, group: SchottkyGroup,
 # the homogeneous-coordinate kernel.  All error bounds are relative to the
 # exact sum over the points as represented by their bounded homogeneous
 # coordinates (Z, W); the rounding constants below are multiples of the unit
-# roundoff _U with generous margins.  The walk writes every per-pair
-# quantity into one _Workspace per F_many call, one block, so it allocates
-# no per-pair array.  Once glibc frees a large block, it raises its mmap
-# threshold to that size and its trim threshold to twice that, so the next
-# call's block reuses resident pages: bers --depth 8 --samples 10000 takes
-# 0 minor page faults in the median command (at most about 160), against
-# about 22,000 with an array per formula and 400-1,800 with the rows and
-# slots as separate arrays.
+# roundoff _U with generous margins.  The node test runs ACCEPT_BLOCK pairs
+# at a time through scratch rows, one block made per F_many call: with an
+# array per formula, bers --depth 8 --samples 10000 took about 22,000 minor
+# page faults per command (about 1,000 with the rows) and 0.180 s against
+# 0.109 s in perfbench.
 
 REL_TOL = 1e-13
 _U = 2.0**-53
@@ -219,30 +219,13 @@ class _Level:
     eta2: np.ndarray   # bound on the error of n^T M2 n as computed
 
 
-class _Workspace:
-    """The buffers one F_many call writes every per-pair quantity into, reused over levels and batches: 19 float, 3
-    complex and 2 bool rows of ACCEPT_BLOCK pairs for _accept, then SLOTS,
-    one level's per-pair arrays, with room for 8 * ACCEPT_BLOCK pairs (a
-    level of a 1,024-point batch holds at most about 34,500 on the standard
-    group at depth 8), grown only for a level that holds more."""
-
-    SLOTS = ("hit", "val", "bnd", "kpi", "knj", "pi0", "nj0", "pi1", "nj1")
-    ROWS = 25 * ACCEPT_BLOCK + ACCEPT_BLOCK // 4  # floats of the rows
-
-    def __init__(self):
-        self.pairs = 0
-        self.get("hit", 8 * ACCEPT_BLOCK)  # makes the block
-
-    def get(self, slot: str, n: int, dtype=np.intp) -> np.ndarray:
-        """n elements of a slot; growing leaves views of the old block valid."""
-        if n > self.pairs:
-            self.pairs, B = max(n, 2 * self.pairs), ACCEPT_BLOCK
-            m = self.mem = np.empty(self.ROWS + len(self.SLOTS) * self.pairs)
-            self.f = m[:19 * B].reshape(19, B)
-            self.c = m[19 * B:25 * B].view(complex).reshape(3, B)
-            self.b = m[25 * B:self.ROWS].view(bool).reshape(2, B)
-        at = self.ROWS + self.SLOTS.index(slot) * self.pairs
-        return self.mem[at:at + n].view(dtype)
+def _accept_rows():
+    """_accept's scratch rows, 19 float, 4 complex and 2 bool rows of
+    ACCEPT_BLOCK pairs, as views of one block."""
+    B = ACCEPT_BLOCK
+    m = np.empty(27 * B + B // 4)
+    return (m[:19 * B].reshape(19, B), m[19 * B:27 * B].view(complex).reshape(4, B),
+            m[27 * B:].view(bool).reshape(2, B))
 
 
 @dataclass(frozen=True)
@@ -369,9 +352,9 @@ class NayataniDensity:
 
         rel_tol bounds the relative error each accepted tree node may add;
         rel_tol=0 accepts none and sums every atom.  The points are walked in
-        batches, in order, all in one _Workspace made once per call, so the
-        walk allocates no per-pair array.  Each value depends on its own
-        point only, so splitting the points changes no bit.
+        batches, in order, and _accept's scratch rows are made once per call.
+        Each value depends on its own point only, so splitting the points
+        changes no bit.
 
         Known weakness: for a point and an atom on opposite sides of
         |z| = 1 at chordal distance r, the kernel rounds z * (1/y), so the
@@ -384,17 +367,17 @@ class NayataniDensity:
         vals = np.empty(Z.size)
         singular = np.empty(Z.size, dtype=bool)
         rel_err = np.empty(Z.size)
-        ws = _Workspace()
+        rows = _accept_rows()
         n_leaves = self._leaves.w.shape[0]
         batch = max(1, min(POINT_BATCH, PAIR_BUDGET // n_leaves))
         for lo in range(0, Z.size, batch):
             hi = lo + batch
             vals[lo:hi], singular[lo:hi], rel_err[lo:hi] = self._walk(
-                Z[lo:hi], W[lo:hi], inf[lo:hi], rel_tol, ws)
+                Z[lo:hi], W[lo:hi], inf[lo:hi], rel_tol, rows)
         return (vals.reshape(pts.shape), singular.reshape(pts.shape),
                 rel_err.reshape(pts.shape))
 
-    def _walk(self, Z, W, inf, rel_tol, ws):
+    def _walk(self, Z, W, inf, rel_tol, rows):
         """Level-by-level walk over (point, node) pairs.  Pairs stay in
         point-major order, so bincount adds each point's terms in an order
         that depends on that point alone."""
@@ -407,19 +390,14 @@ class NayataniDensity:
         count = np.zeros(n)
         pi = np.arange(n)
         nj = np.zeros(n, dtype=np.intp)
-        for k, lv in enumerate(self._levels):
+        for lv in self._levels:
             if rel_tol > 0.0:
-                hit, val, e, pi, nj = self._accept(lv, pi, nj, pt, rel_tol, ws)
+                hit, val, e, pi, nj = self._accept(lv, pi, nj, pt, rel_tol, rows)
                 total += np.bincount(hit, val, n)
                 err += np.bincount(hit, e, n)
                 count += np.bincount(hit, minlength=n)
-            # pi, nj = np.repeat(pi, b), (nj[:, None] * b + np.arange(b)).ravel()
             b = lv.branch
-            npi, nnj = (ws.get(f"{a}{k % 2}", pi.size * b) for a in ("pi", "nj"))
-            npi.reshape(-1, b)[...] = pi[:, None]
-            np.add(np.multiply(nj[:, None], b, out=nnj.reshape(-1, b)),
-                   np.arange(b), out=nnj.reshape(-1, b))
-            pi, nj = npi, nnj
+            pi, nj = np.repeat(pi, b), (nj[:, None] * b + np.arange(b)).ravel()
         val, e, bad = self._leaf_sums(pi, nj, pt)
         total += np.bincount(pi, val, n)
         err += np.bincount(pi, e, n)
@@ -435,12 +413,14 @@ class NayataniDensity:
         rel[singular] = np.inf
         return total, singular, rel
 
-    def _accept(self, lv: _Level, pi, nj, pt, rel_tol, ws):
+    def _accept(self, lv: _Level, pi, nj, pt, rel_tol, rows):
         """The accepted pairs as (points, expansion values, absolute error
-        bounds), then the others as (pi, nj), all views of ws.  The pairs go
-        ACCEPT_BLOCK at a time through ws's rows, each formula written in
-        place under its text in the text's order (numpy rounds the complex
-        a * b and b * a apart), so the bits are those of the text."""
+        bounds), then the others as (pi, nj).  The pairs go ACCEPT_BLOCK at a
+        time through the scratch rows, each formula written in place under
+        its text in the text's order (numpy rounds the complex a * b and
+        b * a apart), but no complex product over its own operands (numpy
+        rounds one of a single element without FMA), so the bits are those
+        of the text however many pairs come."""
         Z, W, nsq, nvec, small, inf = pt
         d = self.measure.delta
         mul, div, add, sub, sq = np.multiply, np.divide, np.add, np.subtract, np.square
@@ -451,18 +431,19 @@ class NayataniDensity:
         # (1 - u)^-d = 1 + d u + d(d+1)/2 u^2 + R3 with |R3| <= c3 rho u^2
         # for |u| <= rho <= MAX_RHO, and sum w_i u_i^2 = q / phi0^2
         c3 = d * (d + 1.0) * (d + 2.0) / 6.0 * (1.0 - MAX_RHO) ** (-d - 3.0)
-        hit, kpi, knj = (ws.get(k, pi.size) for k in ("hit", "kpi", "knj"))
-        val, bnd = (ws.get(k, pi.size, float) for k in ("val", "bnd"))
+        hit, kpi, knj = (np.empty(pi.size, dtype=np.intp) for _ in range(3))
+        val, bnd = np.empty(pi.size), np.empty(pi.size)
+        rf, rc, rb = rows
         na = nk = 0
         for lo in range(0, pi.size, ACCEPT_BLOCK):
             p, j = pi[lo:lo + ACCEPT_BLOCK], nj[lo:lo + ACCEPT_BLOCK]
             (phi0, c2, eps, phi_lo, R, t, rho, n1, n2, n3, a, q, Wn, eta2, pl2,
-             bound, t0, t1, t2) = ws.f[:, :p.size]
-            (dz, z0, z1), (ok, b0) = ws.c[:, :p.size], ws.b[:, :p.size]
+             bound, t0, t1, t2) = rf[:, :p.size]
+            (dz, z0, z1, z2), (ok, b0) = rc[:, :p.size], rb[:, :p.size]
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 # dz = take(Z, pi) * take(lv.Wc, nj) - take(lv.Zc, nj) * take(W, pi)
-                sub(mul(tk(Z, p, dz), tk(lv.Wc, j, z0), dz),
-                    mul(tk(lv.Zc, j, z0), tk(W, p, z1), z0), dz)
+                mul(tk(Z, p, z0), tk(lv.Wc, j, z1), dz)
+                sub(dz, mul(tk(lv.Zc, j, z0), tk(W, p, z1), z2), dz)
                 # c2 = dz.real**2 + dz.imag**2
                 # phi0 = 2.0 * c2 / (take(nsq, pi) * take(lv.Nc, nj))
                 add(sq(dz.real, c2), sq(dz.imag, t0), c2)

@@ -130,10 +130,6 @@ class Word:
     def length(self) -> int:
         return len(self.letters)
 
-    @staticmethod
-    def is_reduced(letters) -> bool:
-        return all(letters[i] != -letters[i + 1] for i in range(len(letters) - 1))
-
 
 @dataclass(frozen=True)
 class DeltaEstimate:
@@ -267,9 +263,6 @@ class SchottkyGroup:
         i = abs(letter) - 1
         return self.circles[2 * i + 1] if letter > 0 else self.circles[2 * i]
 
-    def source_circle(self, letter: int) -> Circle:
-        return self.target_circle(-letter)
-
     def _isometric_circles(self):
         out = []
         for i, g in enumerate(self.generators, start=1):
@@ -353,7 +346,7 @@ class SchottkyGroup:
 
     def word_from_letters(self, letters) -> Word:
         letters = tuple(int(l) for l in letters)
-        if not Word.is_reduced(letters):
+        if any(a == -b for a, b in zip(letters, letters[1:])):
             raise SchottkyError(f"letters {letters} are not reduced")
         m = MoebiusMap.identity()
         for l in letters:
@@ -565,18 +558,6 @@ def power_sum(logd: np.ndarray, s: float) -> float:
     """The correctly rounded sum of exp(s * logd): at s = 0 the count of
     terms, also where a log is infinite."""
     return float(logd.size) if s == 0.0 else fsum(np.exp(s * logd))
-
-
-def shell_sums(group: SchottkyGroup, s: float, max_depth: int,
-               basepoint=None) -> list[float]:
-    """P_n(s) = sum over length-n words of (spherical derivative at basepoint)^s,
-    for n = 1..max_depth."""
-    if not (s >= 0.0):
-        raise SchottkyError(f"exponent s must be >= 0, got {s!r}")
-    if max_depth < 1:
-        raise SchottkyError("max_depth must be >= 1")
-    return [power_sum(ld, s)
-            for ld in group.shell_log_derivatives(max_depth, basepoint)]
 
 
 def _multipliers(piece: Orbit):

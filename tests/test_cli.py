@@ -12,7 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import STD_CENTERS, STD_RADIUS, make_standard_group
+from tests.conftest import (
+    STD_CENTERS,
+    STD_RADIUS,
+    make_random_group,
+    make_standard_group,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -517,6 +522,44 @@ def main_io(*argv):
         except SystemExit as e:
             code = e.code
     return code, out.getvalue(), err.getvalue()
+
+
+def random_group_config(tmp_path, seed: int, rank: int) -> str:
+    g = make_random_group(seed, rank)
+    gens = [{"matrix": [[v.real, v.imag] for v in (m.a, m.b, m.c, m.d)]}
+            for m in g.generators]
+    circles = [{"center": [c.center.real, c.center.imag], "radius": c.radius}
+               for c in g.circles]
+    cfg = tmp_path / f"random_{seed}_{rank}.json"
+    cfg.write_text(json.dumps({"group": {"generators": gens, "circles": circles}}))
+    return str(cfg)
+
+
+EVERY_COMMAND = [
+    ("group", "validate"),
+    ("group", "limitset", "--depth", "4"),
+    ("group", "delta", "--resolution", "1e-3"),
+    ("group", "nielsen", "--move", "multiply:1:2"),
+    ("measure", "build", "--depth", "4", "--delta", "0.4"),
+    ("measure", "residual", "--depth", "4", "--delta", "0.4"),
+    ("series", "eval", "--z", "0.1,0.2", "--max-len", "5"),
+    ("series", "eval", "--z", "0.1,0.2", "--max-len", "5", "--weight", "absolute"),
+    ("series", "automorphy", "--max-len", "4", "--samples", "2"),
+    ("series", "report", "--max-len", "5"),
+    ("bers", "--depth", "4", "--samples", "1000"),
+    ("bers", "--depth", "4", "--samples", "1000", "--delta", "0.4"),
+]
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("seed", range(8))
+def test_random_groups_through_every_command(tmp_path, seed, rank):
+    """On random classical groups every command ends with exit 0, 2
+    (config) or 3 (numeric), and none raises."""
+    cfg = random_group_config(tmp_path, seed, rank)
+    for args in EVERY_COMMAND:
+        code, _, err = main_io("--config", cfg, *args)
+        assert code in (0, 2, 3), (args, code, err)
 
 
 @pytest.mark.parametrize("key, value", [

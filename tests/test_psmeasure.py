@@ -289,9 +289,9 @@ def assert_same_bits(a, b):
     (8, REL_TOL, 5), (8, 0.0, 1.25), (10, REL_TOL, 5)])
 def test_f_many_workspace_leaks_no_state(std_group, sharp_delta, depth, rel_tol,
                                          batches):
-    """A call reuses one workspace over its batches: A, then B, then A
-    again, and A's batches called one by one in reverse order all give the
-    same bits.  With rel_tol=0 every pair reaches the leaves; at depth 10 a
+    """A call reuses one block of scratch rows over its batches: A, then B,
+    then A again, and A's batches called one by one in reverse order all give
+    the same bits.  With rel_tol=0 every pair reaches the leaves; at depth 10 a
     batch holds 119 points and the walk has 8 levels."""
     from kleinlog._vec import uniform_sphere_points
 
@@ -353,13 +353,14 @@ def reference_accept(den, lv, pi, nj, pt, rel_tol):
 def test_accept_in_place_matches_whole_array_text(std_group, sharp_delta, scale,
                                                   delta):
     """Every pair of every level, ACCEPT_BLOCK at a time through the
-    workspace rows, gets the bits of the whole-array formulas.  At delta 1
-    numpy's ** takes a reciprocal.  Scaled by 1/4, the group's atoms and
-    node centres move into the |z| <= 1 chart, so the complex products of
-    dz meet general values on both sides, where a * b and b * a round
-    apart."""
+    scratch rows, gets the bits of the whole-array formulas, and so does
+    every 7th pair taken alone (numpy rounds a one-element complex product
+    written over an operand without FMA).  At delta 1 numpy's ** takes a
+    reciprocal.  Scaled by 1/4, the group's atoms and node centres move into
+    the |z| <= 1 chart, so the complex products of dz meet general values on
+    both sides, where a * b and b * a round apart."""
     from kleinlog._vec import hom_many, sphere_embed, uniform_sphere_points
-    from kleinlog.psmeasure import _Workspace
+    from kleinlog.psmeasure import _accept_rows
     from kleinlog.schottky import Circle, SchottkyGroup, pairing_map
 
     c = [Circle(scale * k.center, scale * k.radius) for k in std_group.circles]
@@ -372,14 +373,18 @@ def test_accept_in_place_matches_whole_array_text(std_group, sharp_delta, scale,
     inf = np.concatenate([near_msk, far_msk])
     Z, W = hom_many(np.concatenate([near, far]), inf)
     pt = (Z, W, *sphere_embed(Z, W), W == 1.0, inf)
-    ws, accepted = _Workspace(), 0
+    rows, accepted = _accept_rows(), 0
     for lv in den._levels:
         pi = np.repeat(np.arange(Z.size), lv.W.size)
         nj = np.tile(np.arange(lv.W.size), Z.size)
         for rel_tol in (REL_TOL, 1e-6):
-            got = den._accept(lv, pi, nj, pt, rel_tol, ws)
+            got = den._accept(lv, pi, nj, pt, rel_tol, rows)
             assert_same_bits(got, reference_accept(den, lv, pi, nj, pt, rel_tol))
             accepted += got[0].size
+        for i in range(0, pi.size, 7):
+            one = pi[i:i + 1], nj[i:i + 1]
+            assert_same_bits(den._accept(lv, *one, pt, REL_TOL, rows),
+                             reference_accept(den, lv, *one, pt, REL_TOL))
     assert accepted > 0
 
 

@@ -250,15 +250,11 @@ def pieces_of(xs, seed: int, cuts: int) -> list[np.ndarray]:
 
 
 def exact_sum(pieces, seed: int) -> float:
-    """ExactSum over the pieces, added in a random order to three
-    accumulators that are then merged."""
-    rng = np.random.default_rng(seed)
-    accs = [_vec.ExactSum() for _ in range(3)]
-    for j in rng.permutation(len(pieces)):
-        accs[rng.integers(3)].add(pieces[j])
-    for other in accs[1:]:
-        accs[0].merge(other)
-    return accs[0].value()
+    """One ExactSum fed the pieces in a random order."""
+    acc = _vec.ExactSum()
+    for j in np.random.default_rng(seed).permutation(len(pieces)):
+        acc.add(pieces[j])
+    return acc.value()
 
 
 def union_outcome(xs):

@@ -26,7 +26,6 @@ from .moebius import MoebiusMap, SpherePoint, as_sphere_point
 from .polylog import D_GLOBAL_BOUND, bloch_wigner, bloch_wigner_many
 from .psmeasure import MeasureError, NayataniDensity
 from .schottky import (
-    Orbit,
     SchottkyError,
     SchottkyGroup,
     ShellOverflowError,
@@ -183,6 +182,11 @@ def _evaluate_at(group: SchottkyGroup, integrand, zs, weight_mode: str,
     # else 1, piece) and the error of the first error met; within a piece a
     # SchottkyError in any block comes before an integrand's error
     first = None
+    # the trivial group has no words beyond the empty one
+    depth = max_len if group.rank else 0
+    # every block's points are projected into these, read before the next
+    projected = [np.empty(min(FSUM_BLOCK, group.shell_size(depth)), dtype=t)
+                 for t in (complex, bool)]
 
     def note(key, e):
         nonlocal first
@@ -195,9 +199,10 @@ def _evaluate_at(group: SchottkyGroup, integrand, zs, weight_mode: str,
         its arrays are freed before the walk grows the next piece."""
         re, im, w = accs
         for lo in range(0, piece.first.size, FSUM_BLOCK):
-            block = Orbit(*(a[lo:lo + FSUM_BLOCK] for a in piece))
+            block = piece._make(a[lo:lo + FSUM_BLOCK] for a in piece)
             try:
-                pts, infm, wts = group.shell_terms(block, ps[i], weight_mode)
+                pts, infm, wts = group.shell_terms(block, ps[i], weight_mode, *(
+                    a[:block.first.size] for a in projected))
                 # an integrand's error here would come too late
                 if first is not None and first[0] <= (n, i, 1, k):
                     continue
@@ -216,8 +221,6 @@ def _evaluate_at(group: SchottkyGroup, integrand, zs, weight_mode: str,
                 re.add(wts * vals)
             w.add(np.abs(wts))
 
-    # the trivial group has no words beyond the empty one
-    depth = max_len if group.rank else 0
     for i, walk in enumerate(group.orbits(ps, depth)):
         pending = {}  # length -> ExactSums of re, im and |w|
         k = 0

@@ -96,7 +96,7 @@ def build_ps(group: SchottkyGroup, delta, depth: int = 8) -> PSMeasure:
     at = 0
     for piece in (sh for n, sh in next(group.orbits([bp], depth)) if n == depth):
         span = slice(at, at + piece.first.size)
-        pts[span], msk[span], sph[span] = group.shell_terms(piece, bp, "absolute")
+        sph[span] = group.shell_terms(piece, bp, "absolute", pts[span], msk[span])[2]
         at = span.stop
         if group.circles is None:
             continue

@@ -156,36 +156,33 @@ class LimitSetSample:
 
 class Orbit(NamedTuple):
     """Images of points under consecutive words of one shell, in
-    enumeration order: as (complex, mask) pairs, as act gives them, and as
-    homogeneous coordinates num/den; and the words' first and last letters
-    (0 for the empty word).  An Orbit from orbits() holds one point's
-    images; a piece of a walk of k points holds k rows of each but the
-    letters."""
+    enumeration order, as homogeneous coordinates num/den, and the words'
+    first and last letters (0 for the empty word): one point's images in an
+    Orbit from orbits(), k rows of num and den in a piece of a walk of k
+    points.  A piece in _walk's two regions is valid only until the next
+    piece is taken."""
 
-    points: np.ndarray
-    inf_mask: np.ndarray
     num: np.ndarray
     den: np.ndarray
     first: np.ndarray
     last: np.ndarray
 
 
-def _orbit_block(k: int, size: int, block=None) -> Orbit:
-    """An Orbit of k points and `size` words to fill, its complex rows and
-    letters (in the bytes of a last complex row) in one block: the first
-    (3k + 1) size elements of the 1-d `block`, or fresh ones if it is
-    None."""
-    block = (np.empty((3 * k + 1) * size, dtype=complex) if block is None
-             else block[:(3 * k + 1) * size]).reshape(3 * k + 1, size)
-    return Orbit(block[:k], np.empty((k, size), dtype=bool), block[k:2 * k],
-                 block[2 * k:3 * k], *block[3 * k].view(np.int64).reshape(2, size))
+def _orbit_size(k: int, size: int) -> int:
+    """Complex elements of an Orbit of k points and `size` words."""
+    return 2 * k * size + (size + 1) // 2
 
 
-def _projected(piece: Orbit) -> Orbit:
-    """A piece of a walk of one point as that point's Orbit, its points
-    projected into the piece's own rows."""
-    project(piece.num[0], piece.den[0], piece.points[0], piece.inf_mask[0])
-    return Orbit(*(a[0] for a in piece[:4]), piece.first, piece.last)
+def _orbit_block(k: int, size: int, region=None) -> Orbit:
+    """An Orbit of k points and `size` words to fill: 2k complex rows of num
+    and den, then the letters as int32 in the bytes of (size + 1) // 2 more
+    complex elements, 32k + 8 bytes a word, at the start of `region`, one of
+    _walk's two regions (see _walk), or in fresh ones if it is None."""
+    rows = 2 * k * size
+    block = np.empty(_orbit_size(k, size), dtype=complex) if region is None else region
+    num_den = block[:rows].reshape(2 * k, size)
+    return Orbit(num_den[:k], num_den[k:],
+                 *block[rows:].view(np.int32)[:2 * size].reshape(2, size))
 
 
 def _isometric_pair(g: MoebiusMap):
@@ -198,14 +195,6 @@ def _isometric_pair(g: MoebiusMap):
             Circle(-gi.d / gi.c, 1.0 / abs(gi.c)))
 
 
-def _letter_order(rank: int) -> list[int]:
-    out = []
-    for i in range(1, rank + 1):
-        out.append(i)
-        out.append(-i)
-    return out
-
-
 class SchottkyGroup:
     """Immutable marked Schottky group of rank g >= 0.
 
@@ -216,19 +205,14 @@ class SchottkyGroup:
 
     def __init__(self, generators, circles=None, *, cyclic_diagnostic=False,
                  require_classical=True):
-        gens = []
-        for g in generators:
-            if not isinstance(g, MoebiusMap):
-                raise TypeError("generators must be MoebiusMap instances")
-            gens.append(g)
-        self.generators = tuple(gens)
-        self.rank = len(gens)
+        self.generators = tuple(generators)
+        if not all(isinstance(g, MoebiusMap) for g in self.generators):
+            raise TypeError("generators must be MoebiusMap instances")
+        self.rank = len(self.generators)
         self.cyclic_diagnostic = bool(cyclic_diagnostic)
-        self.letters = tuple(_letter_order(self.rank))
-        self._maps = {}
-        for i, g in enumerate(self.generators, start=1):
-            self._maps[i] = g
-            self._maps[-i] = g.inverse()
+        self._maps = {s * i: g if s > 0 else g.inverse()
+                      for i, g in enumerate(self.generators, 1) for s in (1, -1)}
+        self.letters = tuple(self._maps)
 
         if circles is not None:
             circles = tuple(
@@ -369,8 +353,7 @@ class SchottkyGroup:
                         continue
                     m = w.map.compose(self.letter_map(l))
                     nxt.append(Word(w.letters + (l,), m))
-            for w in nxt:
-                yield w
+            yield from nxt
             shell = nxt
 
     def shell_size(self, n: int) -> int:
@@ -406,42 +389,55 @@ class SchottkyGroup:
     def orbits(self, zs, depth: int):
         """Yield, for each of zs in turn, an iterator of (n, piece) over the
         images of z under the words of lengths 1..depth, shell by shell,
-        each piece an Orbit of z alone (see _walk).  Every point's walk
-        writes its whole shells to the same block (so a walk has to be done
-        before the next is taken): fresh arrays for each shell of each
-        point would be returned to the system and faulted back in.  The
-        deepest shell is never whole, so the block holds shells
-        1..depth - 1 only."""
+        each piece an Orbit of z alone, valid until the next is taken: every
+        point's walk writes to the same two regions of one block (see
+        _walk).  Fresh arrays, or two regions apart, would be returned to
+        the system and faulted back in (29,000 minor faults a `series
+        automorphy` command, against 900)."""
         self.check_depth(depth)
-        # 3k + 1 = 4 complex rows for each word of a whole shell
-        block = np.empty(4 * sum(s for s in map(self.shell_size, range(1, depth))
-                                 if s <= 2 * EVAL_CHUNK), dtype=complex)
+        words, top_n = [0, 0], 0  # of each region, as _walk fills them
+        for n in range(1, depth + 1):
+            size, whole, r = self.shell_size(n), self._is_whole(n, depth), (top_n + 1) % 2
+            words[r] = max(words[r], size if whole else min(size, FSUM_BLOCK))
+            top_n = n if whole else top_n
+        cut = _orbit_size(1, words[0])
+        block = np.empty(cut + _orbit_size(1, words[1]), dtype=complex)
         for z in zs:
-            walk = self._walk([_homogeneous(as_sphere_point(z))], depth, block)
-            yield ((n, _projected(piece)) for n, piece in walk)
+            walk = self._walk([_homogeneous(as_sphere_point(z))], depth,
+                              (block[:cut], block[cut:]))
+            yield ((n, Orbit(piece.num[0], piece.den[0], *piece[2:]))
+                   for n, piece in walk)
 
     def _shell(self, starts, n: int):
         """num, den, first and last of the walk of `starts` at length n,
         joined from its pieces."""
-        pieces = [piece[2:] for m, piece in self._walk(starts, n) if m == n]
+        pieces = [piece for m, piece in self._walk(starts, n) if m == n]
         return [np.concatenate(a, axis=-1) for a in zip(*pieces)]
 
-    def _walk(self, starts, depth: int, block: np.ndarray | None = None):
+    def _is_whole(self, n: int, depth: int) -> bool:
+        """Whether a walk to `depth` grows shell n whole (see _walk); the
+        trivial group's shells beyond the empty word are empty, never whole."""
+        return n < depth and 0 < self.shell_size(n) <= 2 * EVAL_CHUNK
+
+    def _walk(self, starts, depth: int, regions=None):
         """Yield (n, piece) over the images of the k homogeneous points
         `starts` (pairs (Z, W)) under the words of lengths 1..depth, shell
         by shell.  A piece is an Orbit whose num and den hold one row per
-        point and whose points are not filled in.
+        point.
 
         The words of shell n that start with letter l are l followed by the
         words of shell n - 1 that do not start with -l, in order, so their
         images are M_l applied to those words' images: one Moebius step per
         word and point, the depth-first walk of Mumford, Series and Wright,
         Indra's Pearls (2002), ch. 5.  Shells of at most 2 * EVAL_CHUNK words
-        but the deepest are grown whole, each from the one before, into
-        consecutive parts of `block` if one is given (see _orbit_block),
-        else into fresh arrays.  The deepest and every longer shell come in
-        fresh pieces of FSUM_BLOCK rows, which no shell grows from, their
-        rows with prefix p being M_p applied to rows of the last whole shell.
+        but the deepest are grown whole, each from the one before.  The
+        deepest and every longer shell come in pieces of FSUM_BLOCK rows,
+        which no shell grows from, their rows with prefix p being M_p
+        applied to rows of the last whole shell.  Pieces are fresh arrays
+        if `regions` is None, else written to one of that pair of 1-d
+        complex arrays (see _orbit_block): whole shell n to region n % 2,
+        and deeper pieces, one over the other, to the region the last whole
+        shell is not in.  So a piece is valid only until the next is taken.
         ShellOverflowError names the first length whose coordinates leave
         the floating-point range."""
         self.check_depth(depth)
@@ -451,21 +447,19 @@ class SchottkyGroup:
         top.first[0], top.last[0] = 0, 0
         for n in range(1, depth + 1):
             size = self.shell_size(n)
-            # the trivial group's shells beyond the empty word have no piece
-            whole = n < depth and 0 < size <= 2 * EVAL_CHUNK
+            whole = self._is_whole(n, depth)
             step = size if whole else FSUM_BLOCK
             j = n - top_n
             prefixes = [w for w in self.enumerate_words(j) if w.length == j]
+            region = None if regions is None else regions[(top_n + 1) % 2]
             for lo in range(0, size, step):
-                out = _orbit_block(k, min(lo + step, size) - lo,
-                                   block if whole else None)
+                out = _orbit_block(k, min(lo + step, size) - lo, region)
                 piece = self._grow(top, prefixes, lo, out)
                 if not (np.isfinite(piece.num).all() and np.isfinite(piece.den).all()):
                     raise ShellOverflowError(n)
                 yield n, piece
             if whole:
                 top, top_n = piece, n
-                block = None if block is None else block[(3 * k + 1) * size:]
 
     def _grow(self, top: Orbit, prefixes, lo: int, out: Orbit) -> Orbit:
         """Rows lo.. of the shell j letters longer than the whole shell
@@ -500,12 +494,14 @@ class SchottkyGroup:
                 out.last[dst] = top.last[rows] if run else p[-1]
         return out
 
-    def shell_terms(self, orbit: Orbit, z, mode: str = "absolute"):
+    def shell_terms(self, orbit: Orbit, z, mode: str = "absolute",
+                    points=None, inf_mask=None):
         """Orbit points and derivative weights at z of the words whose
         images of z `orbit`, a piece of orbits(), holds.
 
-        Returns (points, inf_mask, weights); weights are complex gamma'(z) in
-        holomorphic mode and real spherical factors in absolute mode.
+        Returns (points, inf_mask, weights): the images (see project), into
+        `points` and `inf_mask` if they are given, and complex gamma'(z) in
+        holomorphic mode or real spherical factors in absolute mode.
         """
         p = as_sphere_point(z)
         zz, ww = _homogeneous(p)
@@ -530,7 +526,7 @@ class SchottkyGroup:
             weights = stretch(zz, ww, num, den)
         else:
             raise SchottkyError(f"unknown weight mode {mode!r}")
-        return orbit.points, orbit.inf_mask, weights
+        return (*project(num, den, points, inf_mask), weights)
 
     def shell_log_derivatives(self, max_depth: int, basepoint=None) -> list[np.ndarray]:
         """log of the spherical derivative of every shell word at the basepoint,

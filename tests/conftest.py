@@ -57,12 +57,12 @@ def make_random_group(seed: int = 3, rank: int = 2) -> SchottkyGroup:
 
 
 def matrix_orbit(group: SchottkyGroup, n: int, z) -> Orbit:
-    """The Orbit of z under the length-n words, by act on their matrices;
-    the letters are left at 0."""
+    """The Orbit of z under the length-n words, its num and den by act on
+    their matrices; the letters are left at 0."""
     m = group.shell_matrices(n)
     zz, ww = _homogeneous(as_sphere_point(z))
-    letters = np.zeros(m.shape[0], dtype=np.int64)
-    return Orbit(*act(m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1], zz, ww),
+    letters = np.zeros(m.shape[0], dtype=np.int32)
+    return Orbit(*act(m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1], zz, ww)[2:],
                  letters, letters)
 
 

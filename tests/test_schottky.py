@@ -264,6 +264,7 @@ def assert_walk_accurate(group, words, orbit, z):
     factors, so its error grows like n u."""
     mpmath = pytest.importorskip("mpmath")
     zz, ww = _homogeneous(as_sphere_point(z))
+    pts, inf_mask, _ = group.shell_terms(orbit, z)
     weights = {mode: group.shell_terms(orbit, z, mode)[2]
                for mode in ("absolute", "holomorphic")}
     worst = [0.0, 0.0, 0.0]
@@ -277,7 +278,7 @@ def assert_walk_accurate(group, words, orbit, z):
                             mpmath.mpc(m.c) * num + mpmath.mpc(m.d) * den)
             ref_abs = (abs(Z) ** 2 + abs(W) ** 2) / (abs(num) ** 2 + abs(den) ** 2)
             ref_holo = (W / den) ** 2
-            got = INF if orbit.inf_mask[k] else SpherePoint(complex(orbit.points[k]))
+            got = INF if inf_mask[k] else SpherePoint(complex(pts[k]))
             worst[0] = max(worst[0], chordal(got, SpherePoint(complex(num / den))))
             worst[1] = max(worst[1], float(abs(weights["absolute"][k] - ref_abs)
                                            / ref_abs))
@@ -298,18 +299,20 @@ def test_walk_per_word_accuracy(make_group, n, z):
     g = make_group()
     words = random_words(g, n, 300, np.random.default_rng(n))
     num, den = walked(g, words, z)
-    orbit = Orbit(*project(num, den), num, den,
-                  np.array([w[0] for w in words]), np.array([w[-1] for w in words]))
+    orbit = Orbit(num, den, np.array([w[0] for w in words]),
+                  np.array([w[-1] for w in words]))
     assert_walk_accurate(g, words, orbit, z)
 
 
 def test_walk_rows_accuracy(std_group):
     """300 random rows of the walk's shell 12, whose pieces apply the maps
     of two-letter prefixes to rows of shell 10: measured 3.1u for points
-    and 8.4u for weights."""
+    and 8.4u for weights.  A piece is valid only until the next is taken,
+    so each is copied."""
     z = 0.3 + 0.7j
     shell = Orbit(*map(np.concatenate, zip(*(
-        piece for n, piece in next(std_group.orbits([z], 12)) if n == 12))))
+        [a.copy() for a in piece] for n, piece in next(std_group.orbits([z], 12))
+        if n == 12))))
     rows = np.random.default_rng(0).choice(shell.first.size, 300, replace=False)
     assert_walk_accurate(std_group, [word_of_row(std_group, 12, r) for r in rows],
                          Orbit(*(a[rows] for a in shell)), z)
@@ -338,6 +341,29 @@ def test_walk_pieces_are_the_shells_pieces(make_group, depth):
             assert 0 < sizes[-1] <= FSUM_BLOCK and sum(sizes) == size
         for got, want in zip(map(np.concatenate, zip(*mine)), shell_letters(g, n)):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("make_group, depth", [
+    pytest.param(make_standard_group, 12, id="standard"),
+    *(pytest.param(lambda seed=seed, rank=rank: make_random_group(seed, rank), depth,
+                   id=f"rank{rank}-seed{seed}")
+      for rank, depth in ((2, 11), (3, 8)) for seed in range(4)),
+])
+def test_walk_regions_keep_every_bit(make_group, depth):
+    """orbits() writes whole shells to two regions in turn and deeper
+    pieces over the dead one, for one point after another; every piece has
+    the num and den bits and the letters of the same piece of a walk into
+    fresh arrays.  Each piece's bytes are copied before the next is taken,
+    as the contract asks.  At these depths both whole shells and deeper
+    pieces are walked."""
+    g = make_group()
+    zs = [0.3 + 0.7j, -2.9 + 3.1j]
+    for z, walk in zip(zs, g.orbits(zs, depth), strict=True):
+        ref = g._walk([_homogeneous(as_sphere_point(z))], depth)
+        for (n, piece), (m, want) in zip(walk, ref, strict=True):
+            got = [a.tobytes() for a in piece]
+            assert n == m
+            assert got == [a.tobytes() for a in (want.num[0], want.den[0], *want[2:])], n
 
 
 def test_group_keeps_no_shells(std_group):
@@ -426,11 +452,17 @@ def test_shell_matrices_unit_determinant(std_group):
 
 
 def test_shell_terms_match_word_maps(std_group):
+    """The points are num/den projected, into the arrays given if any."""
     z = SpherePoint(0.3 + 0.2j)
     words = [w for w in std_group.enumerate_words(3) if w.length == 3]
-    pts, inf_mask, weights = std_group.shell_terms(matrix_orbit(std_group, 3, z), z,
-                                                     mode="absolute")
+    orbit = matrix_orbit(std_group, 3, z)
+    pts, inf_mask, weights = std_group.shell_terms(orbit, z, mode="absolute")
     assert len(pts) == len(words)
+    out = np.full(len(words), np.nan, dtype=complex), np.ones(len(words), dtype=bool)
+    into = std_group.shell_terms(orbit, z, "absolute", *out)
+    assert into[0] is out[0] and into[1] is out[1]
+    for a, b in zip((*project(orbit.num, orbit.den), weights), into):
+        assert a.tobytes() == b.tobytes()
     for k, w in enumerate(words):
         img = w.map.apply(z)
         got = INF if inf_mask[k] else SpherePoint(complex(pts[k]))

@@ -35,6 +35,7 @@ from .poincare import (
 )
 from .polylog import (
     ODD_DENOMINATORS,
+    PolylogOverflowError,
     SingularArgumentError,
     _bloch_wigner_bounded,
     li,
@@ -678,7 +679,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"config error: {e}\n")
         return EXIT_CONFIG
     except (EstimationError, ShellOverflowError, DomainError, MeasureError,
-            IntegrandBoundError) as e:
+            IntegrandBoundError, PolylogOverflowError) as e:
         sys.stderr.write(f"numeric error: {e}\n")
         return EXIT_NUMERIC
     except (SchottkyError, SingularArgumentError, ConvergenceRegimeError) as e:

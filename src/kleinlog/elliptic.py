@@ -35,6 +35,10 @@ class EllipticParams:
         x = as_sphere_point(self.x)
         if x.is_infinity or x.value == 0:
             raise SingularArgumentError("x must be finite and nonzero")
+        ax = math.hypot(x.value.real, x.value.imag)  # abs() raises on overflow
+        if not math.isfinite(2.0 * max(ax, 1.0 / ax)):
+            raise SingularArgumentError(
+                f"2|x| and 2/|x| must be finite, got x = {x.value!r}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "x", x.value)
         if not (self.tol > 0.0):
@@ -52,21 +56,13 @@ def _d_envelope(r: float) -> float:
     return D_GLOBAL_BOUND
 
 
-def elliptic_tail_bound(q, x, terms: int) -> float:
-    """Upper bound for the mass of all |k| > terms summands of the average.
+def _tail_bound(aq: float, ax: float, terms: int) -> float:
+    """Upper bound for the mass of all |k| > terms summands of the average
+    at |q| = aq and |x| = ax, as EllipticParams checks them.
 
     Monotone non-increasing in `terms`; combines explicit envelope values in
     the transition annulus with a closed geometric form beyond it.
     """
-    aq = abs(complex(q))
-    x = as_sphere_point(x)
-    if x.is_infinity or x.value == 0:
-        raise SingularArgumentError("x must be finite and nonzero")
-    ax = abs(x.value)
-    if not (0.0 < aq < 1.0):
-        raise ConvergenceRegimeError(f"|q| must lie in (0, 1), got {aq}")
-    if terms < 0:
-        raise ValueError("terms must be >= 0")
     biglog = -math.log(aq)
 
     def one_side(a: float) -> float:
@@ -93,14 +89,12 @@ def elliptic_d2(q, x, tol: float = 1e-10) -> PolylogResult:
     params = EllipticParams(q, x, tol)
     q, x, tol = params.q, params.x, params.tol
 
-    v0, e0 = _bloch_wigner_bounded(x, 1e-14)
+    v0, eval_err = _bloch_wigner_bounded(x, 1e-14)
     values = [v0]
-    eval_err = e0
-    w_plus = x
-    w_minus = x
-    pairs = 0
+    w_plus = w_minus = x
+    aq, ax, pairs = abs(q), abs(x), 0
     while True:
-        tail = elliptic_tail_bound(q, x, pairs)
+        tail = _tail_bound(aq, ax, pairs)
         if tail <= 0.5 * tol:
             break
         if pairs >= _MAX_PAIRS:
@@ -115,8 +109,7 @@ def elliptic_d2(q, x, tol: float = 1e-10) -> PolylogResult:
             w_minus = 0j
         vp, ep = _bloch_wigner_bounded(w_plus, 1e-14)
         vm, em = _bloch_wigner_bounded(w_minus, 1e-14)
-        values.append(vp)
-        values.append(vm)
+        values += (vp, vm)
         eval_err += ep + em
     value = fsum(values)
     return PolylogResult(value, tail + eval_err, 2 * pairs + 1)

@@ -152,9 +152,9 @@ def _evaluate_at(group: SchottkyGroup, integrand, zs, weight_mode: str,
     shell (SchottkyGroup.orbits, which forms no word matrix), and each
     piece of the walk is summed FSUM_BLOCK words at a time, so no temporary
     grows with the shell.  Every shell is summed exactly and rounded once
-    its last piece is in.  An error is raised where a pass shell by shell
-    and point by point would meet the first one: at the shortest length,
-    then at the first point."""
+    its last piece is in.  Each point's walk stops at the first error it
+    meets, and the error raised is the one at the shortest length, on a
+    tie the earlier point's; a later point stops at that length."""
     if integrand is None:
         integrand = BLOCH_WIGNER_INTEGRAND
     if weight_mode not in WEIGHT_MODES:
@@ -178,41 +178,23 @@ def _evaluate_at(group: SchottkyGroup, integrand, zs, weight_mode: str,
     sums = [[complex(integrand.eval_point(p))] for p in ps]
     wsums = [[1.0] for _ in ps]
     comp = [[1.0] for _ in ps]  # comparability: the largest of these
-    # (length, point, 0 for a SchottkyError from the walk or shell_terms
-    # else 1, piece) and the error of the first error met; within a piece a
-    # SchottkyError in any block comes before an integrand's error
-    first = None
+    first = None  # the length and the error of the first error met
     # the trivial group has no words beyond the empty one
     depth = max_len if group.rank else 0
     # every block's points are projected into these, read before the next
     projected = [np.empty(min(FSUM_BLOCK, group.shell_size(depth)), dtype=t)
                  for t in (complex, bool)]
 
-    def note(key, e):
-        nonlocal first
-        if first is None or key < first[0]:
-            first = key, e
-
-    def add_piece(i, n, k, piece, accs):
-        """Add piece k, of length n, at point i to the ExactSums of re, im
-        and |w| of its length, FSUM_BLOCK words at a time.  A function, so
-        its arrays are freed before the walk grows the next piece."""
+    def add_piece(i, piece, accs):
+        """Add a walk piece at point i to the ExactSums of re, im and |w| of
+        its length, FSUM_BLOCK words at a time.  A function, so its arrays
+        are freed before the walk grows the next piece."""
         re, im, w = accs
         for lo in range(0, piece.first.size, FSUM_BLOCK):
             block = piece._make(a[lo:lo + FSUM_BLOCK] for a in piece)
-            try:
-                pts, infm, wts = group.shell_terms(block, ps[i], weight_mode, *(
-                    a[:block.first.size] for a in projected))
-                # an integrand's error here would come too late
-                if first is not None and first[0] <= (n, i, 1, k):
-                    continue
-                vals = integrand.eval_many(pts, infm)
-            except (ValueError, ArithmeticError) as e:
-                if isinstance(e, SchottkyError):
-                    note((n, i, 0, k), e)
-                    return
-                note((n, i, 1, k), e)
-                continue
+            pts, infm, wts = group.shell_terms(block, ps[i], weight_mode, *(
+                a[:block.first.size] for a in projected))
+            vals = integrand.eval_many(pts, infm)
             if weight_mode == "holomorphic":
                 re.add(wts.real * vals)
                 im.add(wts.imag * vals)
@@ -222,24 +204,21 @@ def _evaluate_at(group: SchottkyGroup, integrand, zs, weight_mode: str,
             w.add(np.abs(wts))
 
     for i, walk in enumerate(group.orbits(ps, depth)):
-        pending = {}  # length -> ExactSums of re, im and |w|
-        k = 0
+        accs = []  # ExactSums of re, im and |w| of each length
         try:
             for n, piece in walk:
-                if first is not None and (n, i) > first[0][:2]:
+                if first is not None and n >= first[0]:
                     break
-                if n not in pending:
-                    pending[n] = ExactSum(), ExactSum(), ExactSum()
-                add_piece(i, n, k, piece, pending[n])
-                k += 1
-        except ShellOverflowError as e:
-            note((e.length, i, 0, k), e)
-        if first is not None:
-            continue
-        for n in range(1, depth + 1):
-            re, im, w = pending[n]
-            sums[i].append(complex(re.value(), im.value()))
-            wsums[i].append(w.value())
+                if n > len(accs):
+                    accs.append((ExactSum(), ExactSum(), ExactSum()))
+                add_piece(i, piece, accs[-1])
+        except (ValueError, ArithmeticError) as e:
+            n = e.length if isinstance(e, ShellOverflowError) else n
+            if first is None or n < first[0]:
+                first = n, e
+        if first is None:
+            sums[i] += [complex(re.value(), im.value()) for re, im, _ in accs]
+            wsums[i] += [w.value() for _, _, w in accs]
     if first is not None:
         e = first[1]
         if isinstance(e, SchottkyError):

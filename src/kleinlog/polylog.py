@@ -36,6 +36,10 @@ class SingularArgumentError(ValueError):
     """Polylogarithm evaluated at a singular or excluded argument."""
 
 
+class PolylogOverflowError(OverflowError):
+    """A constant of the requested order leaves the floating-point range."""
+
+
 @dataclass(frozen=True)
 class PolylogResult:
     """A value together with an a-priori bound on its truncation error."""
@@ -187,14 +191,18 @@ def li(n: int, z, tol: float = 1e-12) -> PolylogResult:
             raise SingularArgumentError("Li_1 has a pole at z = 1")
         value = -cmath.log(_clean_neg(zz - 1.0))
         return PolylogResult(value, 4.0 * EPS * (1.0 + abs(value)), 1)
-    az = abs(zz)
-    if az <= 0.5:
-        return _li_series(n, zz, tol)
-    if az >= 2.0:
-        return _li_inversion(n, zz, tol)
-    if zz == 1:
-        return PolylogResult(complex(zeta_int(n)), 4.0 * EPS, 1)
-    return _li_log_band(n, zz, tol)
+    try:
+        az = abs(zz)
+        if az <= 0.5:
+            return _li_series(n, zz, tol)
+        if az >= 2.0:
+            return _li_inversion(n, zz, tol)
+        if zz == 1:
+            return PolylogResult(complex(zeta_int(n)), 4.0 * EPS, 1)
+        return _li_log_band(n, zz, tol)
+    except OverflowError:
+        raise PolylogOverflowError(f"Li_{n} overflows the float range at "
+                                   f"z = {zz!r}") from None
 
 
 def _bloch_wigner_bounded(z: complex, tol: float) -> tuple[float, float]:
@@ -329,15 +337,19 @@ def ramakrishnan_D(m: int, z, tol: float = 1e-10, odd_denominator: str = "2*m!")
     """
     if odd_denominator not in ODD_DENOMINATORS:
         raise ValueError(f"odd_denominator must be one of {ODD_DENOMINATORS}")
-    res = ramakrishnan_L(m, z, tol)
-    if m % 2 == 0:
-        return PolylogResult(res.value.imag, res.error_bound, res.terms_used)
-    logabs = math.log(abs(complex(as_sphere_point(z))))
-    if odd_denominator == "2*m!":
-        denom = 2.0 * math.factorial(m)
-    else:
-        denom = float(math.factorial(2 * m))
-    corr = logabs ** m / denom
+    try:
+        res = ramakrishnan_L(m, z, tol)
+        if m % 2 == 0:
+            return PolylogResult(res.value.imag, res.error_bound, res.terms_used)
+        logabs = math.log(abs(complex(as_sphere_point(z))))
+        if odd_denominator == "2*m!":
+            denom = 2.0 * math.factorial(m)
+        else:
+            denom = float(math.factorial(2 * m))
+        corr = logabs ** m / denom
+    except OverflowError:
+        raise PolylogOverflowError(f"D_{m} overflows the float range at "
+                                   f"z = {as_sphere_point(z).value!r}") from None
     value = res.value.real + corr
     err = res.error_bound + 4.0 * EPS * (abs(value) + abs(corr))
     return PolylogResult(value, err, res.terms_used)

@@ -637,6 +637,31 @@ def test_polylog_order_flags_enter_config_hash():
     assert len(hashes) == 5
 
 
+@pytest.mark.parametrize("flags, z, shown", [
+    (("--li", "134"), "-1,0", "Li_134"), (("--li", "171"), "3,1", "Li_171"),
+    (("--li", "1024"), "0.3,0", "Li_1024"),
+    (("--ramakrishnan", "171"), "0.3,0", "D_171"),
+    (("--ramakrishnan", "134"), "-1,0", "D_134"),
+])
+def test_overflowing_polylog_order_exits_3_naming_it(flags, z, shown):
+    """Orders whose constants (Bernoulli numbers, factorials, powers of
+    k) leave the float range exit 3, naming the order and z."""
+    z_repr = repr(complex(*map(float, z.split(","))))
+    assert main_io("polylog", *flags, f"--z={z}") == (
+        3, "", f"numeric error: {shown} overflows the float range at "
+        f"z = {z_repr}\n")
+
+
+@pytest.mark.parametrize("x, shown", [("1e-310,0", "(1e-310+0j)"),
+                                      ("1e308,0", "(1e+308+0j)"),
+                                      ("1e308,1e308", "(1e+308+1e+308j)")])
+def test_extreme_elliptic_x_exits_2_naming_it(x, shown):
+    """x where 2|x| or 2/|x| overflows is refused before any term."""
+    assert main_io("elliptic", "--q", "0.5,0", "--x", x) == (
+        2, "", "validation error: 2|x| and 2/|x| must be finite, got "
+        f"x = {shown}\n")
+
+
 @pytest.mark.parametrize("args", [
     ("series", "eval", "--z", "0.3,0.7", "--max-len", "14"),
     ("group", "delta", "--depth", "14"),

@@ -313,6 +313,38 @@ def test_error_of_a_later_point_at_a_shorter_length_wins(monkeypatch, std_group,
             _evaluate_at(std_group, marked(values), zs, "absolute", 6, 1e-8)
 
 
+def test_each_point_stops_at_its_first_error(monkeypatch, std_group):
+    """A point's walk stops at the first error it meets: an integrand that
+    fails on the first word of shell 6 wins over a SchottkyError that
+    shell_terms raises on a later block of the same shell at the same
+    point.  With blocks of 100 words, shell 6 (972 words) comes in 10."""
+    use_block(monkeypatch, 100)
+    z = 0.3 + 0.7j
+    walk = next(std_group.orbits([z], 6))
+    shell6 = np.concatenate([project(piece.num, piece.den)[0]
+                             for n, piece in walk if n == 6])
+    early, late = shell6[0], shell6[900]
+    shell_terms = SchottkyGroup.shell_terms
+
+    def marked_terms(self, *args):
+        pts, infm, wts = shell_terms(self, *args)
+        if (pts == late).any():
+            raise SchottkyError("marked block")
+        return pts, infm, wts
+
+    def marked(pts):
+        vals = bloch_wigner_many(pts)
+        vals[pts == early] = 3.0
+        return vals
+
+    monkeypatch.setattr(SchottkyGroup, "shell_terms", marked_terms)
+    integrand = SeriesIntegrand(bloch_wigner, marked, D_GLOBAL_BOUND, "marked")
+    with pytest.raises(IntegrandBoundError, match="'marked' reached 3.0,"):
+        evaluate(std_group, integrand, z, "absolute", 6)
+    with pytest.raises(DomainError, match="marked block"):
+        evaluate(std_group, None, z, "absolute", 6)
+
+
 def test_fundamental_domain_samples(std_group):
     pts = fundamental_domain_samples(std_group, 8, seed=0)
     assert len(pts) == 8

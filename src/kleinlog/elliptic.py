@@ -56,28 +56,48 @@ def _d_envelope(r: float) -> float:
     return D_GLOBAL_BOUND
 
 
-def _tail_bound(aq: float, ax: float, terms: int) -> float:
-    """Upper bound for the mass of all |k| > terms summands of the average
-    at |q| = aq and |x| = ax, as EllipticParams checks them.
+def _units(x: float) -> int:
+    """A nonnegative float as an exact integer multiple of 2**-1074."""
+    num, den = x.as_integer_ratio()
+    return num * ((1 << 1074) // den)
 
-    Monotone non-increasing in `terms`; combines explicit envelope values in
-    the transition annulus with a closed geometric form beyond it.
+
+def _tail_bounds(aq: float, ax: float):
+    """Yield, for terms = 0, 1, 2, ..., an upper bound for the mass of all
+    |k| > terms summands of the average at |q| = aq and |x| = ax, as
+    EllipticParams checks them.
+
+    Non-increasing; combines explicit envelope values in the transition
+    annulus with a closed geometric form beyond it.  The explicit values of
+    the k > terms left are one exact integer sum, which each step takes a
+    value from, rounded once: their fsum, bit for bit, in constant work a
+    step.
     """
     biglog = -math.log(aq)
+    # |w_k| = a * aq^k is <= 1/2 from k1 on
+    sides = [(a, math.ceil(math.log(2.0 * a) / biglog) if a > 0.5 else 0)
+             for a in (ax, 1.0 / ax)]
+    # the explicit values of k = terms + 1 .. k1 - 1, in units of 2**-1074
+    left = [sum(_units(_d_envelope(a * aq ** k)) for k in range(1, k1))
+            for a, k1 in sides]
 
-    def one_side(a: float) -> float:
+    def one_side(a: float, k1: int, explicit: int, terms: int) -> float:
         # bounds sum_{k > terms} |D(w_k)| with |w_k| = a * aq^k
-        k0 = terms + 1
-        if a > 0.5:
-            k0 = max(k0, math.ceil(math.log(2.0 * a) / biglog))
-        explicit = fsum([_d_envelope(a * aq ** k) for k in range(terms + 1, k0)])
+        k0 = max(terms + 1, k1)
         # for k >= k0 the modulus is <= 1/2 and |D(w)| <= 2|w|(1 + |log|w||)
         r0 = aq ** k0
         geo0 = r0 / (1.0 - aq)
         geo1 = r0 * (k0 - (k0 - 1) * aq) / (1.0 - aq) ** 2
-        return explicit + 2.0 * a * ((1.0 + abs(math.log(a))) * geo0 + biglog * geo1)
+        return explicit / (1 << 1074) + 2.0 * a * (
+            (1.0 + abs(math.log(a))) * geo0 + biglog * geo1)
 
-    return one_side(ax) + one_side(1.0 / ax)
+    terms = 0
+    while True:
+        yield one_side(*sides[0], left[0], terms) + one_side(*sides[1], left[1], terms)
+        terms += 1
+        for j, (a, k1) in enumerate(sides):
+            if terms < k1:
+                left[j] -= _units(_d_envelope(a * aq ** terms))
 
 
 def elliptic_d2(q, x, tol: float = 1e-10) -> PolylogResult:
@@ -92,9 +112,9 @@ def elliptic_d2(q, x, tol: float = 1e-10) -> PolylogResult:
     v0, eval_err = _bloch_wigner_bounded(x, 1e-14)
     values = [v0]
     w_plus = w_minus = x
-    aq, ax, pairs = abs(q), abs(x), 0
+    pairs, bounds = 0, _tail_bounds(abs(q), abs(x))
     while True:
-        tail = _tail_bound(aq, ax, pairs)
+        tail = next(bounds)
         if tail <= 0.5 * tol:
             break
         if pairs >= _MAX_PAIRS:

@@ -130,10 +130,18 @@ def _check_admissible(group: SchottkyGroup, p: SpherePoint) -> None:
             raise DomainError(str(e)) from e
 
 
+def _value(shells, weight_mode: str) -> complex:
+    """The series value: the correctly rounded sum of the shell sums, its
+    imaginary part 0 in absolute mode."""
+    value = fsum_c(shells)
+    return complex(value.real, 0.0) if weight_mode == "absolute" else value
+
+
 def evaluate(group: SchottkyGroup, integrand: SeriesIntegrand = None, z=0j,
              weight_mode: str = "holomorphic", max_len: int = 10,
              tol: float = 1e-8) -> SeriesEvaluation:
-    """Sum the series over all words of length <= max_len, shell by shell.
+    """Sum the series over all words of length <= max_len, shell by shell
+    (see _evaluate_at).
 
     Every shell sum and the total are correctly rounded (exact sums), and
     the integrand sees blocks of at most FSUM_BLOCK words.
@@ -142,30 +150,59 @@ def evaluate(group: SchottkyGroup, integrand: SeriesIntegrand = None, z=0j,
     a 2x safety factor: 2 * bound * S_N * r/(1-r).  verdict is converged only
     when that tail is <= tol and the last three ratios are below 1.
     """
-    return _evaluate_at(group, integrand, [z], weight_mode, max_len, tol)[0]
-
-
-def _evaluate_at(group: SchottkyGroup, integrand, zs, weight_mode: str,
-                 max_len: int, tol: float) -> list[SeriesEvaluation]:
-    """evaluate at each of zs.  Every point is checked first, in order.
-    Then the points' orbits are walked one after another, each shell by
-    shell (SchottkyGroup.orbits, which forms no word matrix), and each
-    piece of the walk is summed FSUM_BLOCK words at a time, so no temporary
-    grows with the shell.  Every shell is summed exactly and rounded once
-    its last piece is in.  Each point's walk stops at the first error it
-    meets, and the error raised is the one at the shortest length, on a
-    tie the earlier point's; a later point stops at that length."""
     if integrand is None:
         integrand = BLOCH_WIGNER_INTEGRAND
+    [(p, shells, weight_shells, comp)] = _evaluate_at(group, integrand, [z],
+                                                      weight_mode, max_len)
+    ratios = _ratios(weight_shells)
+    if group.rank == 0 or not ratios:
+        tail, verdict = 0.0, "converged"
+    else:
+        r_hat = ratios[-1]
+        tail = (TAIL_SAFETY * integrand.bound * weight_shells[-1] * r_hat
+                / (1.0 - r_hat) if r_hat < 1.0 else math.inf)
+        recent = ratios[-3:]
+        if tail <= tol and all(r < 1.0 for r in recent):
+            verdict = "converged"
+        elif all(r >= 1.0 for r in recent):
+            verdict = "diverging"
+        else:
+            verdict = "inconclusive"
+    return SeriesEvaluation(_value(shells, weight_mode), tuple(shells),
+                            tuple(weight_shells), tail, weight_mode, verdict,
+                            comp, p, max_len, tol)
+
+
+def _evaluate_at(group: SchottkyGroup, integrand: SeriesIntegrand, zs,
+                 weight_mode: str, max_len: int, weight_sums: bool = True):
+    """The shell sums of the series at each of zs: a list of (point, shell
+    sums, weight-shell sums, comparability), the last two left at the empty
+    word's, [1.0] and 1.0, unless `weight_sums`.
+
+    Every point is checked first, in order.  Then the points' orbits are
+    walked one after another, each shell by shell (SchottkyGroup.orbits,
+    which forms no word matrix).  The walk's pieces are projected, in
+    slices of at most FSUM_BLOCK words, into consecutive rows of one scratch
+    block of up to FSUM_BLOCK rows, so shells shorter than that share one
+    integrand call; the block is evaluated when the next slice would not
+    fit, and then each slice's terms are added to the exact sums of its
+    length.  No temporary grows with the shell.  Every shell is summed
+    exactly and rounded once its last piece is in.  Each point's walk stops
+    at the first error it meets: where a shared block's integrand call
+    fails, its slices are evaluated one at a time, and the first that fails
+    raises its own error.  The error raised is the one at the shortest
+    length, on a tie the earlier point's; a later point stops at that
+    length."""
     if weight_mode not in WEIGHT_MODES:
         raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     group.check_depth(max_len)
+    holomorphic = weight_mode == "holomorphic"
     ps, base_n = [], []
     for z in zs:
         p = as_sphere_point(z)
-        if weight_mode == "holomorphic":
+        if holomorphic:
             if p.is_infinity:
                 raise DomainError("holomorphic weights need a finite evaluation point")
             try:
@@ -181,41 +218,75 @@ def _evaluate_at(group: SchottkyGroup, integrand, zs, weight_mode: str,
     first = None  # the length and the error of the first error met
     # the trivial group has no words beyond the empty one
     depth = max_len if group.rank else 0
-    # every block's points are projected into these, read before the next
-    projected = [np.empty(min(FSUM_BLOCK, group.shell_size(depth)), dtype=t)
-                 for t in (complex, bool)]
+    # the slices of the walk, up to FSUM_BLOCK words, are projected into
+    # these, read before the next; every shell holds a word or more
+    rows = min(FSUM_BLOCK, sum(map(group.shell_size,
+                                   range(1, min(depth, FSUM_BLOCK) + 1))))
+    projected = [np.empty(rows, dtype=t) for t in (complex, bool)]
 
-    def add_piece(i, piece, accs):
-        """Add a walk piece at point i to the ExactSums of re, im and |w| of
-        its length, FSUM_BLOCK words at a time.  A function, so its arrays
-        are freed before the walk grows the next piece."""
-        re, im, w = accs
-        for lo in range(0, piece.first.size, FSUM_BLOCK):
-            block = piece._make(a[lo:lo + FSUM_BLOCK] for a in piece)
-            pts, infm, wts = group.shell_terms(block, ps[i], weight_mode, *(
-                a[:block.first.size] for a in projected))
+    def flush(i, staged, accs):
+        """The integrand at the rows of projected that `staged` holds, as
+        (length, rows, weights) of each slice, and each slice's terms added
+        to the ExactSums of re, im and |w| of its length.  None, or the
+        length and the error of the first slice whose values fail."""
+        if not staged:
+            return None
+        pts, infm = (a[:staged[-1][1].stop] for a in projected)
+        try:
             vals = integrand.eval_many(pts, infm)
-            if weight_mode == "holomorphic":
-                re.add(wts.real * vals)
-                im.add(wts.imag * vals)
-                comp[i] += _comparability(pts, infm, base_n[i])
+        except (ValueError, ArithmeticError) as e:
+            for n, at, _ in staged:
+                try:
+                    integrand.eval_many(pts[at], infm[at])
+                except (ValueError, ArithmeticError) as e1:
+                    return n, e1
+            return staged[-1][0], e
+        for n, at, wts in staged:
+            re, im, w = accs[n - 1]
+            if holomorphic:
+                re.add(wts.real * vals[at])
+                im.add(wts.imag * vals[at])
             else:
-                re.add(wts * vals)
-            w.add(np.abs(wts))
+                re.add(wts * vals[at])
+            if weight_sums:
+                w.add(np.abs(wts))
+        if weight_sums and holomorphic:
+            comp[i] += _comparability(pts, infm, base_n[i])
+        staged.clear()
+        return None
 
-    for i, walk in enumerate(group.orbits(ps, depth)):
-        accs = []  # ExactSums of re, im and |w| of each length
+    def sum_walk(i, walk, stop):
+        """The ExactSums of re, im and |w| of each length below `stop` of
+        point i's walk, and the first error met, as flush gives it."""
+        accs, staged = [], []  # (length, rows, weights) of each slice in projected
         try:
             for n, piece in walk:
-                if first is not None and n >= first[0]:
+                if n >= stop:
                     break
                 if n > len(accs):
                     accs.append((ExactSum(), ExactSum(), ExactSum()))
-                add_piece(i, piece, accs[-1])
+                for lo in range(0, piece.first.size, FSUM_BLOCK):
+                    block = piece._make(a[lo:lo + FSUM_BLOCK] for a in piece)
+                    top = staged[-1][1].stop if staged else 0
+                    if top + block.first.size > rows:
+                        err = flush(i, staged, accs)
+                        if err:
+                            return accs, err
+                        top = 0
+                    at = slice(top, top + block.first.size)
+                    wts = group.shell_terms(block, ps[i], weight_mode, *(
+                        a[at] for a in projected))[2]
+                    staged.append((n, at, wts))
         except (ValueError, ArithmeticError) as e:
-            n = e.length if isinstance(e, ShellOverflowError) else n
-            if first is None or n < first[0]:
-                first = n, e
+            # a slice staged before the error was met before it
+            return accs, flush(i, staged, accs) or (
+                e.length if isinstance(e, ShellOverflowError) else n, e)
+        return accs, flush(i, staged, accs)
+
+    for i, walk in enumerate(group.orbits(ps, depth)):
+        accs, err = sum_walk(i, walk, math.inf if first is None else first[0])
+        if err and (first is None or err[0] < first[0]):
+            first = err
         if first is None:
             sums[i] += [complex(re.value(), im.value()) for re, im, _ in accs]
             wsums[i] += [w.value() for _, _, w in accs]
@@ -224,29 +295,8 @@ def _evaluate_at(group: SchottkyGroup, integrand, zs, weight_mode: str,
         if isinstance(e, SchottkyError):
             raise DomainError(str(e)) from e
         raise e
-    out = []
-    for p, shells, weight_shells, c in zip(ps, sums, wsums, comp):
-        ratios = _ratios(weight_shells)
-        if group.rank == 0 or not ratios:
-            tail, verdict = 0.0, "converged"
-        else:
-            r_hat = ratios[-1]
-            tail = (TAIL_SAFETY * integrand.bound * weight_shells[-1] * r_hat
-                    / (1.0 - r_hat) if r_hat < 1.0 else math.inf)
-            recent = ratios[-3:]
-            if tail <= tol and all(r < 1.0 for r in recent):
-                verdict = "converged"
-            elif all(r >= 1.0 for r in recent):
-                verdict = "diverging"
-            else:
-                verdict = "inconclusive"
-        value = fsum_c(shells)
-        if weight_mode == "absolute":
-            value = complex(value.real, 0.0)
-        out.append(SeriesEvaluation(value, tuple(shells), tuple(weight_shells),
-                                    tail, weight_mode, verdict, max(c), p,
-                                    max_len, tol))
-    return out
+    return [(p, shells, weight_shells, max(c))
+            for p, shells, weight_shells, c in zip(ps, sums, wsums, comp)]
 
 
 def _as_element(group: SchottkyGroup, element) -> MoebiusMap:
@@ -269,24 +319,26 @@ def automorphy_residual(group: SchottkyGroup, integrand: SeriesIntegrand = None,
     Every element is resolved before any series is evaluated.  S is
     evaluated at samples * (1 + number of elements) points, S(z) once per
     sample and S(gz) once per sample and element, each point's orbit walked
-    once (see _evaluate_at).
+    once, and only the values are summed: no weight sums and no
+    comparability (see _evaluate_at).
     """
+    if integrand is None:
+        integrand = BLOCH_WIGNER_INTEGRAND
     gs = [_as_element(group, e) for e in elements]
     worst = [0.0] * len(gs)
     ps = [as_sphere_point(z) for z in samples]
     if not ps:
         return worst
-    evs = iter(_evaluate_at(group, integrand,
-                            [q for p in ps for q in (p, *(g.apply(p) for g in gs))],
-                            weight_mode, max_len, tol))
+    values = (_value(shells, weight_mode) for _, shells, _, _ in _evaluate_at(
+        group, integrand, [q for p in ps for q in (p, *(g.apply(p) for g in gs))],
+        weight_mode, max_len, weight_sums=False))
     for p in ps:
-        here = next(evs)
+        here = next(values)
         for i, g in enumerate(gs):
-            there = next(evs)
             w = (g.derivative if weight_mode == "holomorphic"
                  else g.spherical_derivative)(p)
-            num = abs(w * there.value - here.value)
-            worst[i] = max(worst[i], num / (abs(here.value) + tol))
+            num = abs(w * next(values) - here)
+            worst[i] = max(worst[i], num / (abs(here) + tol))
     return worst
 
 

@@ -311,21 +311,25 @@ def ramakrishnan_L(m: int, z, tol: float = 1e-10) -> PolylogResult:
     zz = p.value
     if zz == 0 or zz == 1:
         raise SingularArgumentError(f"L_m is not defined at z = {zz}")
-    neg_log = -math.log(abs(zz))
     parts = []
     err = 0.0
     used = 0
     # tol is split over the m orders; where the share of a subnormal tol
     # rounds to 0, which li refuses, each order gets tol itself
     share = tol / m or tol
-    for j in range(1, m + 1):
-        res = li(j, zz, share)
-        coef = neg_log ** (m - j) / math.factorial(m - j)
-        parts.append(coef * res.value)
-        err += abs(coef) * res.error_bound
-        used += res.terms_used
-    value = fsum_c(parts)
-    err += 4.0 * EPS * fsum([abs(t) for t in parts])
+    try:
+        neg_log = -math.log(abs(zz))
+        for j in range(1, m + 1):
+            res = li(j, zz, share)
+            coef = neg_log ** (m - j) / math.factorial(m - j)
+            parts.append(coef * res.value)
+            err += abs(coef) * res.error_bound
+            used += res.terms_used
+        value = fsum_c(parts)
+        err += 4.0 * EPS * fsum([abs(t) for t in parts])
+    except OverflowError:
+        raise PolylogOverflowError(f"L_{m} overflows the float range at "
+                                   f"z = {zz!r}") from None
     return PolylogResult(value, err, used)
 
 

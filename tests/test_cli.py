@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -660,6 +661,18 @@ def test_extreme_elliptic_x_exits_2_naming_it(x, shown):
     assert main_io("elliptic", "--q", "0.5,0", "--x", x) == (
         2, "", "validation error: 2|x| and 2/|x| must be finite, got "
         f"x = {shown}\n")
+
+
+def test_far_elliptic_x_runs_in_well_under_a_second():
+    """x = 1e300 at q = 0.9 needs 6,878 pairs; with a tail bound whose work
+    grew with the square of the pairs it took about 9 s, with one whose work
+    a pair is constant about 0.1 s on a 2-vCPU x86-64 guest."""
+    start = time.perf_counter()
+    code, out, err = main_io("elliptic", "--q", "0.9,0", "--x", "1e300,0")
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]["terms_used"] == 13757
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("args", [

@@ -132,6 +132,28 @@ def test_automorphy_many_elements_equal_single_calls(std_group):
         automorphy_residual(std_group, samples=samples, elements=[1, (1, -1)])
 
 
+@pytest.mark.parametrize("mode", ["holomorphic", "absolute"])
+@pytest.mark.parametrize("seed, rank", [(3, 2), (11, 2), (1, 3)])
+def test_automorphy_residuals_are_those_of_the_evaluated_values(seed, rank, mode):
+    """automorphy_residual sums only the series values, no weight sums and
+    no comparability; its residuals are bit for bit those formed from
+    evaluate(...).value at each sample and its images."""
+    g = make_random_group(seed, rank)
+    samples = fundamental_domain_samples(g, 2, seed=seed)
+    elements, tol = (1, (2, -1)), 1e-8
+    want = []
+    for m in (g.letter_map(1), g.word_from_letters((2, -1)).map):
+        worst = 0.0
+        for p in samples:
+            here = evaluate(g, None, p, mode, 5, tol).value
+            there = evaluate(g, None, m.apply(p), mode, 5, tol).value
+            w = (m.derivative if mode == "holomorphic" else m.spherical_derivative)(p)
+            worst = max(worst, abs(w * there - here) / (abs(here) + tol))
+        want.append(worst)
+    got = automorphy_residual(g, None, samples, elements, 5, mode, tol)
+    assert repr(got) == repr(want)
+
+
 def test_domain_errors(std_group):
     with pytest.raises(DomainError):
         evaluate(std_group, z=2.0 + 0j, max_len=4)  # orbit of infinity
@@ -279,7 +301,7 @@ def test_integrand_error_of_the_shorter_shell_wins(monkeypatch, std_group, split
         evaluate(std_group, integrand, z, "absolute", 12)
 
 
-@pytest.mark.parametrize("block", [1, 2])
+@pytest.mark.parametrize("block", [1, 2, FSUM_BLOCK])
 def test_error_of_a_later_point_at_a_shorter_length_wins(monkeypatch, std_group,
                                                          block):
     """The points are walked one after another, yet the error raised is the
@@ -287,7 +309,9 @@ def test_error_of_a_later_point_at_a_shorter_length_wins(monkeypatch, std_group,
     shell 3 at the second point beats one in shell 4 at the first, and of
     two failures in shell 3 the first point's wins.  With blocks of 1 or 2
     words every marked point is met in a block of its own, and shell 6
-    comes in pieces of that many words."""
+    comes in pieces of that many words; with blocks of FSUM_BLOCK words
+    shells 1-6 of each point, 1,456 words, share one integrand call, whose
+    largest value is shell 4's."""
     use_block(monkeypatch, block)
     zs = [0.3 + 0.7j, -0.4 + 0.9j]
 
@@ -310,7 +334,7 @@ def test_error_of_a_later_point_at_a_shorter_length_wins(monkeypatch, std_group,
     for values, top in (({late: 5.0, short: 3.0}, "3.0"),
                         ({late: 5.0, short: 3.0, tie: 4.0}, "4.0")):
         with pytest.raises(IntegrandBoundError, match=f"reached {top},"):
-            _evaluate_at(std_group, marked(values), zs, "absolute", 6, 1e-8)
+            _evaluate_at(std_group, marked(values), zs, "absolute", 6)
 
 
 def test_each_point_stops_at_its_first_error(monkeypatch, std_group):
@@ -342,6 +366,35 @@ def test_each_point_stops_at_its_first_error(monkeypatch, std_group):
     with pytest.raises(IntegrandBoundError, match="'marked' reached 3.0,"):
         evaluate(std_group, integrand, z, "absolute", 6)
     with pytest.raises(DomainError, match="marked block"):
+        evaluate(std_group, None, z, "absolute", 6)
+
+
+def test_staged_shell_error_beats_a_deeper_shell_terms_error(monkeypatch,
+                                                              std_group):
+    """Shells 1-5 (484 words) share one integrand call, made when the walk
+    has gone past them.  An integrand that fails on shell 3 still wins over
+    a SchottkyError that shell_terms raises on shell 5, met before that
+    call: the error raised is the one a pass shell by shell meets first."""
+    z = 0.3 + 0.7j
+    walk = next(std_group.orbits([z], 3))
+    in3 = [project(piece.num, piece.den)[0] for n, piece in walk if n == 3][0][5]
+    shell_terms = SchottkyGroup.shell_terms
+
+    def marked_terms(self, orbit, *args):
+        if orbit.first.size == std_group.shell_size(5):
+            raise SchottkyError("marked shell")
+        return shell_terms(self, orbit, *args)
+
+    def marked(pts):
+        vals = bloch_wigner_many(pts)
+        vals[pts == in3] = 3.0
+        return vals
+
+    monkeypatch.setattr(SchottkyGroup, "shell_terms", marked_terms)
+    integrand = SeriesIntegrand(bloch_wigner, marked, D_GLOBAL_BOUND, "marked")
+    with pytest.raises(IntegrandBoundError, match="'marked' reached 3.0,"):
+        evaluate(std_group, integrand, z, "absolute", 6)
+    with pytest.raises(DomainError, match="marked shell"):
         evaluate(std_group, None, z, "absolute", 6)
 
 

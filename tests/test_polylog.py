@@ -14,6 +14,7 @@ from kleinlog.polylog import (
     D_GLOBAL_BOUND,
     D_SERIES_K,
     D_SERIES_TAIL,
+    PolylogOverflowError,
     SingularArgumentError,
     bernoulli_number,
     bloch_wigner,
@@ -351,6 +352,17 @@ def test_ramakrishnan_singularities():
         ramakrishnan_L(2, 1.0)
     with pytest.raises(ValueError):
         ramakrishnan_L(0, 0.5)
+
+
+@pytest.mark.parametrize("m", [172, 400])
+def test_ramakrishnan_L_overflow_names_the_order(m):
+    """From order 172 on, (m - 1)! leaves the float range: L_m raises
+    PolylogOverflowError naming m and z, as li and ramakrishnan_D do."""
+    with pytest.raises(PolylogOverflowError,
+                       match=rf"^L_{m} overflows the float range at z = \(0\.3\+0j\)$"):
+        ramakrishnan_L(m, 0.3)
+    # 170! is the last factorial below the float maximum
+    assert cmath.isfinite(ramakrishnan_L(171, 0.3).value)
 
 
 def test_ramakrishnan_subnormal_tolerance():

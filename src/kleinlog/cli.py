@@ -17,6 +17,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -403,10 +404,11 @@ def _write_bytes(data: bytes, out_path) -> None:
 
 # dispatch ---------------------------------------------------------------------
 
+@cache
 def _parser() -> argparse.ArgumentParser:
-    # shared flags are accepted both before and after the subcommand; the
-    # SUPPRESS default keeps the subparser from clobbering a value that was
-    # already parsed at the top level
+    # built once, on first use; each parse_args gives a fresh Namespace.
+    # Shared flags are accepted before and after the subcommand; SUPPRESS
+    # defaults keep unset flags out, and top-level values unclobbered
     common = argparse.ArgumentParser(add_help=False)
     S = argparse.SUPPRESS
     common.add_argument("--config", default=S, help="JSON config path")

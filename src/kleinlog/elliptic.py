@@ -62,10 +62,11 @@ def _units(x: float) -> int:
     return num * ((1 << 1074) // den)
 
 
-def _tail_bounds(aq: float, ax: float):
+def _tail_bounds(aq: float, ax: float, tol: float = math.inf):
     """Yield, for terms = 0, 1, 2, ..., an upper bound for the mass of all
     |k| > terms summands of the average at |q| = aq and |x| = ax, as
-    EllipticParams checks them.
+    EllipticParams checks them; refuse at once one that no _MAX_PAIRS
+    terms bring down to 0.5 tol.
 
     Non-increasing; combines explicit envelope values in the transition
     annulus with a closed geometric form beyond it.  The explicit values of
@@ -77,6 +78,12 @@ def _tail_bounds(aq: float, ax: float):
     # |w_k| = a * aq^k is <= 1/2 from k1 on
     sides = [(a, math.ceil(math.log(2.0 * a) / biglog) if a > 0.5 else 0)
              for a in (ax, 1.0 / ax)]
+    for a, k1 in sides:
+        # while terms < k1 - 1 the bound holds k1 - 1's explicit value
+        if k1 - 1 > _MAX_PAIRS and _d_envelope(a * aq ** (k1 - 1)) > 0.5 * tol:
+            raise ConvergenceRegimeError(
+                f"tail bound cannot reach tol {tol} within {_MAX_PAIRS} pairs: "
+                f"the terms fall to modulus 1/2 only at |k| = {k1}")
     # the explicit values of k = terms + 1 .. k1 - 1, in units of 2**-1074
     left = [sum(_units(_d_envelope(a * aq ** k)) for k in range(1, k1))
             for a, k1 in sides]
@@ -112,7 +119,7 @@ def elliptic_d2(q, x, tol: float = 1e-10) -> PolylogResult:
     v0, eval_err = _bloch_wigner_bounded(x, 1e-14)
     values = [v0]
     w_plus = w_minus = x
-    pairs, bounds = 0, _tail_bounds(abs(q), abs(x))
+    pairs, bounds = 0, _tail_bounds(abs(q), abs(x), tol)
     while True:
         tail = next(bounds)
         if tail <= 0.5 * tol:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -433,7 +434,8 @@ class SchottkyGroup:
         but the deepest are grown whole, each from the one before.  The
         deepest and every longer shell come in pieces of FSUM_BLOCK rows,
         which no shell grows from, their rows with prefix p being M_p
-        applied to rows of the last whole shell.  Pieces are fresh arrays
+        applied to rows of the last whole shell, the prefixes of each length
+        enumerated once a walk.  Pieces are fresh arrays
         if `regions` is None, else written to one of that pair of 1-d
         complex arrays (see _orbit_block): whole shell n to region n % 2,
         and deeper pieces, one over the other, to the region the last whole
@@ -445,16 +447,16 @@ class SchottkyGroup:
         top, top_n = _orbit_block(k, 1), 0
         top.num[:, 0], top.den[:, 0] = np.transpose(starts)
         top.first[0], top.last[0] = 0, 0
+        prefixes = cache(lambda j: [w for w in self.enumerate_words(j) if w.length == j])
         for n in range(1, depth + 1):
             size = self.shell_size(n)
             whole = self._is_whole(n, depth)
             step = size if whole else FSUM_BLOCK
             j = n - top_n
-            prefixes = [w for w in self.enumerate_words(j) if w.length == j]
             region = None if regions is None else regions[(top_n + 1) % 2]
             for lo in range(0, size, step):
                 out = _orbit_block(k, min(lo + step, size) - lo, region)
-                piece = self._grow(top, prefixes, lo, out)
+                piece = self._grow(top, prefixes(j), lo, out)
                 if not (np.isfinite(piece.num).all() and np.isfinite(piece.den).all()):
                     raise ShellOverflowError(n)
                 yield n, piece
@@ -587,13 +589,17 @@ def _multiplier_shells(group: SchottkyGroup, max_depth: int):
             parts, words = [], 0
 
 
-def _determinant(terms, s: float, total=fsum) -> float:
-    """sum_{n<=N} c_n(s), N = len(terms), where n c_n = -sum_{k<=n} a_k
-    c_{n-k} and the trace a_n(s) = sum_w |k_w|^s / |1 - k_w|^2 is summed
-    by `total` over terms[n-1], _multipliers of shell n."""
-    a = [total(np.exp(s * logk) * w) for logk, w in terms]
-    c = [1.0]
-    for n in range(1, len(a) + 1):
+def _trace(shell, s: float, total=fsum) -> float:
+    """a_n(s) = sum_w |k_w|^s / |1 - k_w|^2 over `shell`, the _multipliers
+    of shell n, summed by `total`."""
+    return total(np.exp(s * shell[0]) * shell[1])
+
+
+def _determinant(a, c) -> float:
+    """sum_{n<=N} c_n, N = len(a), where n c_n = -sum_{k<=n} a_k c_{n-k}
+    for the traces a_n of shells 1..N; `c` holds c_0.. from a prefix of a
+    and is extended in place."""
+    for n in range(len(c), len(a) + 1):
         c.append(-fsum([a[k - 1] * c[n - k] for k in range(1, n + 1)]) / n)
     return fsum(c)
 
@@ -650,8 +656,10 @@ def estimate_delta(group: SchottkyGroup, resolution: float = 0.01,
     root is skipped.  By default max_depth is the largest order up to
     DELTA_MAX_ORDER whose shells hold at most MAX_WORDS words.  The first
     N whose root is within resolution / 2 of the previous order's gives
-    the result; EstimationError if none does.  A rank-1 group with a
-    loxodromic generator has delta = 0 exactly.
+    the result; EstimationError if none does.  Every order scans the same
+    grid, so each shell's scan trace, and each c_n of the scan, is taken
+    once a grid exponent.  A rank-1 group with a loxodromic generator has
+    delta = 0 exactly.
     """
     if group.rank == 0:
         raise SchottkyError("the trivial group has no critical exponent")
@@ -669,7 +677,13 @@ def estimate_delta(group: SchottkyGroup, resolution: float = 0.01,
             raise EstimationError(f"generator {i} is {kind}, not loxodromic")
     if group.rank == 1:
         return DeltaEstimate(0.0, (0.0, math.ulp(0.0)), (), max_depth)
-    terms, orders = [], []
+    terms, orders, scanned = [], [], {}
+
+    def scan(s):
+        a, c = scanned.setdefault(s, ([], [1.0]))
+        a += [_trace(t, s, np.sum) for t in terms[len(a):]]
+        return _determinant(a, c)
+
     for n, shell_terms in enumerate(_multiplier_shells(group, max_depth), 1):
         if not all(np.isfinite(t).all() for t in shell_terms):
             raise EstimationError(f"a word of length {n} is not loxodromic, or "
@@ -679,8 +693,8 @@ def estimate_delta(group: SchottkyGroup, resolution: float = 0.01,
         if n % 2:
             continue
         # numpy's sums locate the root and the correctly rounded ones refine it
-        root = _largest_root(lambda s: _determinant(terms, s),
-                             lambda s: _determinant(terms, s, np.sum))
+        root = _largest_root(
+            lambda s: _determinant([_trace(t, s) for t in terms], [1.0]), scan)
         if root is None:
             continue
         orders.append((n, root))

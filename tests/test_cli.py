@@ -563,6 +563,41 @@ def test_random_groups_through_every_command(tmp_path, seed, rank):
         assert code in (0, 2, 3), (args, code, err)
 
 
+def test_parser_is_built_once_and_carries_nothing_over(std_config, tmp_path):
+    """The parser is built on first use and kept.  Commands that differ in
+    --strict, --seed, --weight, --threads and --config each give, after
+    the others in either order, the bytes they give with a fresh parser."""
+    from kleinlog.cli import _parser
+
+    other = random_group_config(tmp_path, 1, 2)
+    series = ("series", "eval", "--z", "0.3,0.7", "--max-len", "6", "--tol", "1e-4")
+    bers = ("bers", "--depth", "4", "--samples", "1000", "--delta", "0.4")
+    commands = [
+        ("--config", std_config, *series),
+        ("--config", std_config, *series, "--strict"),
+        ("--strict", "--config", std_config, *series, "--weight", "absolute"),
+        ("--config", std_config, *series, "--weight", "none"),
+        ("--config", std_config, *bers, "--seed", "7"),
+        ("--config", std_config, *bers),
+        ("--config", std_config, "group", "delta", "--threads", "0"),
+        ("--config", std_config, "group", "delta", "--resolution", "1e-3"),
+        ("--config", other, "group", "delta", "--resolution", "1e-3"),
+        ("group", "delta", "--resolution", "1e-3"),
+    ]
+    first = {}
+    for args in commands:
+        _parser.cache_clear()
+        first[args] = main_io(*args)
+    assert _parser() is _parser()
+    codes = [first[args][0] for args in commands]
+    assert codes == [0, 0, 0, 2, 0, 0, 2, 0, 0, 2]
+    # each flag shows in the bytes, so a value carried over would too
+    assert len({first[args] for args in commands}) == len(commands)
+    for order in (commands, commands[::-1]):
+        for args in order:
+            assert main_io(*args) == first[args], args
+
+
 @pytest.mark.parametrize("key, value", [
     ("odd_denominator", 5), ("delta", True), ("tol", 10**400), ("n", 3),
     ("m", 3), ("z", [1, 2, 3]), ("move", {"kind": "swap", "i": 1}),
@@ -673,6 +708,21 @@ def test_far_elliptic_x_runs_in_well_under_a_second():
     assert (code, err) == (0, "")
     assert json.loads(out)["results"]["terms_used"] == 13757
     assert elapsed < 1.0
+
+
+def test_hopeless_elliptic_x_refused_before_any_work():
+    """At q = 0.9999 and x = 1e300 the terms reach modulus 1/2 only at
+    |k| = 6,914,342, far past the 500,000 pairs allowed, so no tail bound
+    can meet tol: the command exits 2 at once, where running the loop to
+    its end took about 14 s on a 2-vCPU x86-64 guest."""
+    start = time.perf_counter()
+    code, out, err = main_io("elliptic", "--q", "0.9999,0", "--x", "1e300,0")
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (2, "")
+    assert err == ("validation error: tail bound cannot reach tol 1e-10 within "
+                   "500000 pairs: the terms fall to modulus 1/2 only at "
+                   "|k| = 6914342\n")
+    assert elapsed < 0.5
 
 
 @pytest.mark.parametrize("args", [

@@ -1,5 +1,6 @@
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from kleinlog import elliptic
 from kleinlog._vec import fsum
 from kleinlog.elliptic import ConvergenceRegimeError, EllipticParams, elliptic_d2
-from kleinlog.polylog import bloch_wigner
+from kleinlog.polylog import PolylogResult, _bloch_wigner_bounded, bloch_wigner
 
 
 def brute_bilateral(q: complex, x: complex, tol: float = 1e-13) -> float:
@@ -156,3 +157,63 @@ def test_far_x_takes_each_envelope_value_twice(monkeypatch):
     pairs = (res.terms_used - 1) // 2
     assert pairs == 6878
     assert calls[0] <= 2 * pairs
+
+
+def unguarded_d2(q, x, tol, max_pairs):
+    """elliptic_d2's loop alone, which refuses once max_pairs pairs leave
+    the tail bound above 0.5 tol.  Run it with _MAX_PAIRS past every k1,
+    so that _tail_bounds refuses nothing before the loop."""
+    params = EllipticParams(q, x, tol)
+    q, x = params.q, params.x
+    v0, eval_err = _bloch_wigner_bounded(x, 1e-14)
+    values, w_plus, w_minus = [v0], x, x
+    pairs, bounds = 0, elliptic._tail_bounds(abs(q), abs(x), tol)
+    while (tail := next(bounds)) > 0.5 * tol:
+        if pairs >= max_pairs:
+            raise ConvergenceRegimeError(
+                f"tail bound {tail} did not reach tol {tol} within "
+                f"{max_pairs} pairs")
+        pairs += 1
+        w_plus, w_minus = w_plus * q, w_minus / q
+        if not (math.isfinite(w_minus.real) and math.isfinite(w_minus.imag)):
+            w_minus = 0j
+        vp, ep = _bloch_wigner_bounded(w_plus, 1e-14)
+        vm, em = _bloch_wigner_bounded(w_minus, 1e-14)
+        values += (vp, vm)
+        eval_err += ep + em
+    return PolylogResult(fsum(values), tail + eval_err, 2 * pairs + 1)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ConvergenceRegimeError as e:
+        return str(e)
+
+
+def test_hopeless_inputs_refused_exactly_where_the_loop_refuses(monkeypatch):
+    """With _MAX_PAIRS = 200, the refusal before any work fires only where
+    the loop would refuse after 200 pairs, and every other input gets the
+    loop's own result, bit for bit."""
+    kinds = Counter()
+    for aq in (0.5, 0.9, 0.97, 0.99):
+        q = aq * cmath.exp(0.3j)
+        # |x| = aq^-(k - 1/2) / 2 puts k1 at k: below the guard's edge, and
+        # at it (k1 - 1 = _MAX_PAIRS, and one more)
+        edge = [0.5 * aq ** (0.5 - k) for k in (170, 201, 202)]
+        for x in (0.3 + 0.2j, 40.0, 1e10, 1e-10j, 3e13, 1e30, *edge):
+            for tol in (1e-12, 1e-6, 1.0, 2.0, 2.5, 1e4):
+                monkeypatch.setattr(elliptic, "_MAX_PAIRS", 200)
+                got = outcome(elliptic_d2, q, x, tol)
+                monkeypatch.setattr(elliptic, "_MAX_PAIRS", 10**9)
+                ref = outcome(unguarded_d2, q, x, tol, 200)
+                if isinstance(ref, str):
+                    assert isinstance(got, str), (q, x, tol)
+                    kinds["early" if got != ref else "loop"] += 1
+                    if got != ref:
+                        assert "fall to modulus 1/2 only at |k| = " in got
+                else:
+                    assert got == ref, (q, x, tol)
+                    kinds["value"] += 1
+    # the grid holds all three outcomes
+    assert min(kinds["early"], kinds["loop"], kinds["value"]) >= 5, kinds

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kleinlog._vec import FSUM_BLOCK, project
+from kleinlog import schottky
+from kleinlog._vec import FSUM_BLOCK, fsum, project
 from kleinlog.moebius import (
     INF,
     MoebiusMap,
@@ -560,6 +561,84 @@ def test_delta_is_each_orders_largest_root():
     for s, grows in ((est.delta - 0.01, True), (est.delta + 0.01, False)):
         sums = [power_sum(ld, s) for ld in g.shell_log_derivatives(8)]
         assert (sums[-1] / sums[-2] > 1.0) == grows
+
+
+def per_order_scan_deltas(group: SchottkyGroup, resolutions):
+    """estimate_delta's result, or its EstimationError's message, at each
+    resolution, with every order's scan summing every shell's trace afresh
+    (the scan before it kept traces across orders); one walk serves all
+    resolutions."""
+
+    def determinant(terms, s, total):
+        a = [total(np.exp(s * logk) * w) for logk, w in terms]
+        c = [1.0]
+        for n in range(1, len(a) + 1):
+            c.append(-fsum([a[k - 1] * c[n - k] for k in range(1, n + 1)]) / n)
+        return fsum(c)
+
+    max_depth = next(n for n in range(schottky.DELTA_MAX_ORDER, 4, -1)
+                     if group.fits_depth(n))
+    terms, roots = [], []
+    for n, shell in enumerate(schottky._multiplier_shells(group, max_depth), 1):
+        terms.append(shell)
+        if n % 2 == 0:
+            roots.append((n, schottky._largest_root(
+                lambda s: determinant(terms, s, fsum),
+                lambda s: determinant(terms, s, np.sum))))
+    out = []
+    for resolution in resolutions:
+        orders, result = [], None
+        for n, root in roots:
+            if root is None:
+                continue
+            orders.append((n, root))
+            change = abs(root - orders[-2][1]) if len(orders) > 1 else math.inf
+            if 2.0 * change <= resolution:
+                err = max(change, math.ulp(root))
+                result = schottky.DeltaEstimate(
+                    root, (max(0.0, root - err), root + err), tuple(orders),
+                    max_depth)
+                break
+        out.append(repr(result) if result else
+                   f"delta did not settle to resolution {resolution!r} by order "
+                   f"{orders[-1][0]}: " + ", ".join(f"delta_{n} = {d!r}"
+                                                     for n, d in orders[-2:]))
+    return out
+
+
+DELTA_GROUPS = {"standard": lambda: make_standard_group(),
+                "radius_0.25": lambda: make_standard_group(0.25),
+                "radius_0.9": lambda: make_standard_group(0.9),
+                **{f"random_{seed}_rank_{rank}": (
+                    lambda seed=seed, rank=rank: make_random_group(seed, rank))
+                   for rank in (2, 3) for seed in range(8)}}
+
+
+@pytest.mark.parametrize("name", sorted(DELTA_GROUPS))
+def test_delta_matches_the_per_order_scan_bit_for_bit(name, monkeypatch):
+    """Keeping each shell's numpy-summed scan trace across orders moves no
+    bit of any DeltaEstimate or EstimationError, and sums each (shell,
+    grid exponent) pair at most once a call."""
+    group = DELTA_GROUPS[name]()
+    resolutions = (1e-3, 1e-5)
+    summed = Counter()
+    trace = schottky._trace
+
+    def counting(shell, s, total=fsum):
+        if total is np.sum:
+            summed[id(shell[0]), s] += 1
+        return trace(shell, s, total)
+
+    monkeypatch.setattr(schottky, "_trace", counting)
+    got = []
+    for resolution in resolutions:
+        summed.clear()
+        try:
+            got.append(repr(estimate_delta(group, resolution)))
+        except EstimationError as e:
+            got.append(str(e))
+        assert summed and max(summed.values()) == 1
+    assert got == per_order_scan_deltas(group, resolutions)
 
 
 def test_delta_of_rank_one_group_is_zero():

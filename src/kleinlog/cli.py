@@ -645,7 +645,7 @@ def _run(args) -> tuple[dict, int]:
 def _measure(group: SchottkyGroup, s: dict):
     """The measure read from measure_csv if given.  Else build_ps at --depth
     (default 8) with --delta, or with delta estimated to --resolution
-    (default 0.01) at estimate_delta's default order cap; --depth is the
+    (default 0.01) at estimate_delta's default level cap; --depth is the
     depth of the measure only."""
     if "measure_csv" in s:
         try:

@@ -65,28 +65,18 @@ def _units(x: float) -> int:
 def _tail_bounds(aq: float, ax: float, tol: float = math.inf):
     """Yield, for terms = 0, 1, 2, ..., an upper bound for the mass of all
     |k| > terms summands of the average at |q| = aq and |x| = ax, as
-    EllipticParams checks them; refuse at once one that no _MAX_PAIRS
-    terms bring down to 0.5 tol.
+    EllipticParams checks them.  The bound does not increase, so refuse at
+    once when its value at terms = _MAX_PAIRS exceeds 0.5 tol.
 
-    Non-increasing; combines explicit envelope values in the transition
-    annulus with a closed geometric form beyond it.  The explicit values of
-    the k > terms left are one exact integer sum, which each step takes a
-    value from, rounded once: their fsum, bit for bit, in constant work a
-    step.
+    It combines explicit envelope values in the transition annulus with a
+    closed geometric form beyond it.  The explicit values of the k > terms
+    left are one exact integer sum, which each step takes a value from,
+    rounded once: their fsum, bit for bit, in constant work a step.
     """
     biglog = -math.log(aq)
     # |w_k| = a * aq^k is <= 1/2 from k1 on
     sides = [(a, math.ceil(math.log(2.0 * a) / biglog) if a > 0.5 else 0)
              for a in (ax, 1.0 / ax)]
-    for a, k1 in sides:
-        # while terms < k1 - 1 the bound holds k1 - 1's explicit value
-        if k1 - 1 > _MAX_PAIRS and _d_envelope(a * aq ** (k1 - 1)) > 0.5 * tol:
-            raise ConvergenceRegimeError(
-                f"tail bound cannot reach tol {tol} within {_MAX_PAIRS} pairs: "
-                f"the terms fall to modulus 1/2 only at |k| = {k1}")
-    # the explicit values of k = terms + 1 .. k1 - 1, in units of 2**-1074
-    left = [sum(_units(_d_envelope(a * aq ** k)) for k in range(1, k1))
-            for a, k1 in sides]
 
     def one_side(a: float, k1: int, explicit: int, terms: int) -> float:
         # bounds sum_{k > terms} |D(w_k)| with |w_k| = a * aq^k
@@ -97,6 +87,22 @@ def _tail_bounds(aq: float, ax: float, tol: float = math.inf):
         geo1 = r0 * (k0 - (k0 - 1) * aq) / (1.0 - aq) ** 2
         return explicit / (1 << 1074) + 2.0 * a * (
             (1.0 + abs(math.log(a))) * geo0 + biglog * geo1)
+
+    for a, k1 in sides:
+        # while terms < k1 - 1 the bound holds k1 - 1's explicit value
+        if k1 - 1 > _MAX_PAIRS and _d_envelope(a * aq ** (k1 - 1)) > 0.5 * tol:
+            raise ConvergenceRegimeError(
+                f"tail bound cannot reach tol {tol} within {_MAX_PAIRS} pairs: "
+                f"the terms fall to modulus 1/2 only at |k| = {k1}")
+    last = sum(one_side(a, k1, sum(_units(_d_envelope(a * aq ** k))
+                                   for k in range(_MAX_PAIRS + 1, k1)), _MAX_PAIRS)
+               for a, k1 in sides)
+    if last > 0.5 * tol:
+        raise ConvergenceRegimeError(
+            f"tail bound {last} did not reach tol {tol} within {_MAX_PAIRS} pairs")
+    # the explicit values of k = terms + 1 .. k1 - 1, in units of 2**-1074
+    left = [sum(_units(_d_envelope(a * aq ** k)) for k in range(1, k1))
+            for a, k1 in sides]
 
     terms = 0
     while True:
@@ -120,14 +126,7 @@ def elliptic_d2(q, x, tol: float = 1e-10) -> PolylogResult:
     values = [v0]
     w_plus = w_minus = x
     pairs, bounds = 0, _tail_bounds(abs(q), abs(x), tol)
-    while True:
-        tail = next(bounds)
-        if tail <= 0.5 * tol:
-            break
-        if pairs >= _MAX_PAIRS:
-            raise ConvergenceRegimeError(
-                f"tail bound {tail} did not reach tol {tol} within {_MAX_PAIRS} pairs"
-            )
+    while (tail := next(bounds)) > 0.5 * tol:
         pairs += 1
         w_plus = w_plus * q
         w_minus = w_minus / q

@@ -441,7 +441,7 @@ class ConvergenceReport:
 def convergence_report(group: SchottkyGroup, z=None, max_len: int = 10,
                        resolution: float = 1e-3) -> ConvergenceReport:
     """Side-by-side shell behavior at s = delta, (1+delta)/2, and 1, with
-    delta estimated to `resolution` at estimate_delta's default order cap,
+    delta bracketed to `resolution` at estimate_delta's default level cap,
     whatever max_len is."""
     group.check_depth(max_len)
     est = estimate_delta(group, resolution)

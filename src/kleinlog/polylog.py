@@ -71,24 +71,26 @@ def bernoulli_number(m: int) -> float:
 
 @lru_cache(maxsize=None)
 def zeta_int(k: int) -> float:
-    """Riemann zeta at an integer argument != 1."""
+    """Riemann zeta at an integer argument != 1: within 1.5 ulps for k <= 0
+    (two roundings), correctly rounded for k >= 2: 1.0 from k = 54, where
+    zeta(k) - 1 < 2^-53, and below by Euler-Maclaurin in exact rationals,
+    whose remainder, below 1e-30 relatively, does not change the rounding
+    (a test checks every k against mpmath)."""
     if k == 1:
         raise ValueError("zeta has a pole at 1")
     if k <= 0:
         n = -k
         return (-1.0) ** n * bernoulli_number(n + 1) / (n + 1)
-    if k >= 64:
-        return 1.0 + 2.0 ** (-k) + 3.0 ** (-k)
-    # Euler-Maclaurin with cutoff N; correction terms decay like (k/ (2 pi N))^{2r}
-    n_cut = 24
-    acc = sum(j ** (-float(k)) for j in range(1, n_cut))
-    acc += n_cut ** (1.0 - k) / (k - 1.0)
-    acc += 0.5 * n_cut ** (-float(k))
-    factor = k * n_cut ** (-float(k) - 1.0)
+    if k > 53:
+        return 1.0
+    n = 24
+    acc = sum(Fraction(1, j ** k) for j in range(1, n)) + Fraction(1, (k - 1) * n ** (k - 1))
+    acc += Fraction(1, 2 * n ** k)
+    factor = Fraction(k, n ** (k + 1))
     for r in range(1, 13):
-        acc += bernoulli_number(2 * r) / math.factorial(2 * r) * factor
-        factor *= (k + 2 * r - 1) * (k + 2 * r) / (n_cut * n_cut)
-    return acc
+        acc += _bernoulli_fraction(2 * r) / math.factorial(2 * r) * factor
+        factor *= Fraction((k + 2 * r - 1) * (k + 2 * r), n * n)
+    return float(acc)
 
 
 def _harmonic(n: int) -> float:
@@ -146,7 +148,7 @@ def _li_log_band(n: int, z: complex, tol: float) -> PolylogResult:
     amu = abs(mu)
     rho = amu / TWO_PI
     prefac = 0.549 * amu ** (n - 1) / (1.0 - rho * rho)
-    terms = []
+    terms, slack = [], []  # slack: each zeta constant's rounding, scaled
     k = 0
     mupow = 1 + 0j
     fact = 1.0
@@ -159,6 +161,7 @@ def _li_log_band(n: int, z: complex, tol: float) -> PolylogResult:
             zv = zeta_int(n - k)
             if zv != 0.0:
                 terms.append(zv * mupow / fact * (1 + 0j))
+                slack.append((0.5 if n > k else 1.5) * math.ulp(zv) * abs(mupow) / fact)
                 used += 1
         k += 1
         mupow *= mu
@@ -170,7 +173,7 @@ def _li_log_band(n: int, z: complex, tol: float) -> PolylogResult:
             if tail <= 0.5 * tol or k >= 600:
                 break
     value = fsum_c(terms)
-    rounding = 4.0 * EPS * fsum([abs(t) for t in terms])
+    rounding = 4.0 * EPS * fsum([abs(t) for t in terms]) + fsum(slack)
     return PolylogResult(value, tail + rounding, used)
 
 
@@ -198,7 +201,8 @@ def li(n: int, z, tol: float = 1e-12) -> PolylogResult:
         if az >= 2.0:
             return _li_inversion(n, zz, tol)
         if zz == 1:
-            return PolylogResult(complex(zeta_int(n)), 4.0 * EPS, 1)
+            return PolylogResult(complex(zeta_int(n)),
+                                 4.0 * EPS + 0.5 * math.ulp(zeta_int(n)), 1)
         return _li_log_band(n, zz, tol)
     except OverflowError:
         raise PolylogOverflowError(f"Li_{n} overflows the float range at "

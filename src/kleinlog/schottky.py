@@ -1,6 +1,6 @@
 """Schottky groups: validation, word and orbit enumeration, limit-set sampling,
-fundamental-domain reduction, Nielsen moves, and the critical exponent from
-the dynamical determinant.
+fundamental-domain reduction, Nielsen moves, and the critical exponent in a
+proven bracket from cylinder disks.
 
 Generator i pairs the circles stored at indices 2(i-1) and 2(i-1)+1: it maps
 the exterior of the first onto the interior of the second.  Letters are the
@@ -14,7 +14,8 @@ words, so the new letter goes in front.  Every consumer walks points
 through it: series evaluation its point, measures and convergence reports
 the basepoint, limit_set the generators' fixed points, and the word
 matrices, whose columns are the images of infinity and 0, come from the
-walk of those two.
+walk of those two.  estimate_delta grows the words' cylinder disks by the
+same recursion, disk for point, in the same order.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cache
+from fractions import Fraction
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -44,8 +46,6 @@ MAX_WORDS = 4_000_000
 # are whole fixes the prefix every word is grown with, and so its bits
 EVAL_CHUNK = 65536
 PAIRING_RESIDUAL_TOL = 1e-9
-DELTA_MAX_ORDER = 10      # estimate_delta's default order cap
-DELTA_GRID = 16           # cells of [0, 2] scanned for the largest root
 SAMPLE_MARGIN = 0.05      # fundamental_domain_samples' distance from the disks
 
 
@@ -62,7 +62,7 @@ class ValidationFailure(SchottkyError):
 
 
 class EstimationError(SchottkyError):
-    """Critical-exponent estimation failed; the message names the orders."""
+    """The critical exponent has no certificate; the message names the cause."""
 
 
 class ShellOverflowError(SchottkyError):
@@ -134,14 +134,13 @@ class Word:
 
 @dataclass(frozen=True)
 class DeltaEstimate:
-    """The critical exponent as delta_N, the root of the order-N dynamical
-    determinant.  bracket is delta_N +- max(|delta_N - delta_{N-2}|, 1 ulp),
-    cut off at 0: an estimate of the error, not a proven bound.  orders
-    holds (N, delta_N) for every even order computed."""
+    """The critical exponent: bracket is a proven [lo, hi] around it, from
+    the level-`level` cylinder matrices (see estimate_delta), and delta is
+    the bracket's midpoint."""
 
     delta: float
     bracket: tuple[float, float]
-    orders: tuple[tuple[int, float], ...]
+    level: int
     max_depth: int
 
 
@@ -558,159 +557,200 @@ def power_sum(logd: np.ndarray, s: float) -> float:
     return float(logd.size) if s == 0.0 else fsum(np.exp(s * logd))
 
 
-def _multipliers(piece: Orbit):
-    """log|k_w| and 1/|1 - k_w|^2 over the cyclically reduced words w of
-    `piece`, a piece of the walk of infinity and 0, those whose last letter
-    does not cancel the first; k_w = lambda_w^-2 is w's multiplier at its
-    attracting fixed point, lambda_w the larger root of lambda^2 - T lambda
-    + 1, T = tr w = a + d: a is the first coordinate of infinity's image
-    (a, c), d the second of 0's image (b, d)."""
-    keep = piece.last != -piece.first
-    # 1/lambda_w = u / (1 + sqrt(1 - u^2)) with u = 2/T: the principal root
-    # has a nonnegative real part, so 1 + sqrt does not cancel, and a large
-    # trace does not overflow
-    u = 2.0 / (piece.num[0, keep] + piece.den[1, keep])
-    mu = u / (1.0 + np.sqrt(1.0 - u * u))
-    # a word that is not loxodromic (mu^2 = 1 or T = 0) or whose trace
-    # overflows gives a non-finite term, which estimate_delta reports
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return 2.0 * np.log(np.abs(mu)), 1.0 / np.abs(1.0 - mu * mu) ** 2
+def _gap(z, r, w, t) -> Fraction:
+    """|z - w|^2 - (r + t)^2, exactly, for complex z and w or exact pairs."""
+    (x, y), (v, s) = (c if isinstance(c, tuple) else (Fraction(c.real), Fraction(c.imag))
+                      for c in (z, w))
+    return (x - v) ** 2 + (y - s) ** 2 - (Fraction(r) + Fraction(t)) ** 2
 
 
-def _multiplier_shells(group: SchottkyGroup, max_depth: int):
-    """_multipliers of shells 1..max_depth in order, from one walk of
-    infinity and 0, each joined from its pieces once its last piece is in."""
-    parts, words = [], 0
-    for n, piece in group._walk(np.eye(2), max_depth):
-        parts.append(_multipliers(piece))
-        words += piece.first.size
-        if words == group.shell_size(n):
-            yield tuple(map(np.concatenate, zip(*parts)))
-            parts, words = [], 0
+@lru_cache(maxsize=64)  # the letters of the last few groups
+def _letter(a: complex, b: complex, c: complex, d: complex):
+    """(az + b)/(cz + d), c != 0, as a/c - k/(z - p): the exact pole p = -d/c,
+    then a/c, p and k = det/c^2, each part rounded once (within u = 2^-53
+    relatively), and |k| (within 2u)."""
+    (ar, ai), (br, bi), (cr, ci), (dr, di) = ((Fraction(z.real), Fraction(z.imag))
+                                              for z in (a, b, c, d))
+    n = cr * cr + ci * ci
+    over_c = lambda x, y: ((x * cr + y * ci) / n, (y * cr - x * ci) / n)
+    p = over_c(-dr, -di)
+    k = over_c(*over_c(ar * dr - ai * di - br * cr + bi * ci,
+                       ar * di + ai * dr - br * ci - bi * cr))
+    return (p, *(complex(*map(float, z)) for z in (over_c(ar, ai), p, k)),
+            math.sqrt(float(k[0] ** 2 + k[1] ** 2)))
 
 
-def _trace(shell, s: float, total=fsum) -> float:
-    """a_n(s) = sum_w |k_w|^s / |1 - k_w|^2 over `shell`, the _multipliers
-    of shell n, summed by `total`."""
-    return total(np.exp(s * shell[0]) * shell[1])
+def image_disk(g: MoebiusMap, centre, radius):
+    """(centre, radius, log_sup, log_inf) of the image under g = a/c - k/(z -
+    p) of the disks |z - centre| <= r, arrays or one: with q = centre - p,
+    centre a/c - k conj(q)/(|q|^2 - r^2) and radius |k| r/||q|^2 - r^2|,
+    the image of the complement where p is inside.  Twice the first-order
+    bound of the rounding of + - * / and sqrt pads the radius, so that the
+    disk holds the exact image; that needs |q|^2 - r^2 within a quarter of
+    itself, else EstimationError.  Where p is outside every disk, the logs
+    bound log|g'| = log|k| - 2 log|z - p| over each through |q| -+ r,
+    padded alike and for a 4-ulp math.log and numpy log; else None."""
+    u = 2.0 ** -53
+    _, A, p, k, kabs = _letter(g.a, g.b, g.c, g.d)
+    q = np.asarray(centre, dtype=complex) - p
+    r = np.asarray(radius, dtype=float)
+    q1 = abs(q.real) + abs(q.imag)
+    eq = u * (q1 + abs(p.real) + abs(p.imag))  # bounds |q - exact q|
+    sq = q.real * q.real + q.imag * q.imag
+    n = sq - r * r
+    rel = (u * (2.0 * sq + r * r + abs(n)) + 2.0 * q1 * eq) / abs(n)  # of n
+    wx, wy = q.real / n, -q.imag / n  # conj(q) / n
+    cx, cy = A.real - (k.real * wx - k.imag * wy), A.imag - (k.real * wy + k.imag * wx)
+    rad = kabs * r / abs(n)
+    rad = rad + 2.0 * (rad * (4.0 * u + rel) + u * (abs(cx) + abs(cy) + abs(A.real) + abs(
+        A.imag)) + (abs(k.real) + abs(k.imag)) * (q1 * (4.0 * u + rel) + eq) / abs(n))
+    aq, inside = np.sqrt(sq), np.all(n < 0.0)
+    pad = 2.0 * (3.0 * u * aq + u * r + eq)
+    if not (np.all(rel < 0.25) and (inside or np.all(aq - r - pad > 0.0))):
+        raise EstimationError("a cylinder disk reaches a generator's pole within rounding")
+    if inside:
+        return cx + 1j * cy, rad, None, None
+    lk = math.log(kabs)
+    return cx + 1j * cy, rad, *(lk - 2.0 * ld + side * 2.0 * u * (
+        2.0 + 8.0 * (abs(lk) + 2.0 * abs(ld)) + abs(lk - 2.0 * ld)) for side, ld in (
+            (1.0, np.log(aq - r - pad)), (-1.0, np.log(aq + r + pad))))
 
 
-def _determinant(a, c) -> float:
-    """sum_{n<=N} c_n, N = len(a), where n c_n = -sum_{k<=n} a_k c_{n-k}
-    for the traces a_n of shells 1..N; `c` holds c_0.. from a prefix of a
-    and is extended in place."""
-    for n in range(len(c), len(a) + 1):
-        c.append(-fsum([a[k - 1] * c[n - k] for k in range(1, n + 1)]) / n)
-    return fsum(c)
+def _cylinder_levels(group: SchottkyGroup):
+    """Yield, for m = 1, 2, ..., the centres and radii of the cylinder disks
+    D(l.v) of the words l.v of length m + 1, in order, and log sup and log
+    inf of |g_l'| over D(v): row l.v' of the level-m matrices holds its 2g -
+    1 columns v'.l''.  D(l.v) = g_l(D(v)), as the walk grows, from E_l =
+    g_l(outside of D_-l), D_l the target circle of l, once exact checks find
+    the pole of g_l inside D_-l, the E_l apart and E_l' apart from D_-l for
+    l' != -l: then g_l maps E_l' into E_l, and each disk holds the limit
+    points coded by its word."""
+    if group.circles is None:
+        raise EstimationError(f"delta needs defining circles, and this rank-"
+                              f"{group.rank} cyclic_diagnostic group has none")
+    letters, maps = group.letters, [group.letter_map(l) for l in group.letters]
+    holes = [group.target_circle(-l) for l in letters]
+    for l, g, h in zip(letters, maps, holes):
+        if g.c == 0 or _gap(_letter(g.a, g.b, g.c, g.d)[0], 0.0, h.center, h.radius) >= 0:
+            raise EstimationError(f"no delta certificate: the pole of letter {l} "
+                                  f"is not inside the circle of letter {-l}")
+    disks = [image_disk(g, h.center, h.radius)[:2] for g, h in zip(maps, holes)]
+    for i, l in enumerate(letters):
+        for j, m in enumerate(letters):
+            if j > i and _gap(*disks[i], *disks[j]) <= 0:
+                raise EstimationError(f"no delta certificate: the level-1 disks "
+                                      f"of letters {l} and {m} meet")
+            if m != -l and _gap(*disks[j], holes[i].center, holes[i].radius) <= 0:
+                raise EstimationError(f"no delta certificate: the level-1 disk of "
+                                      f"letter {m} meets the circle of letter {-l}")
+    centres, radii = map(np.array, zip(*disks))
+    while True:  # letter i's words skip those starting with letter i ^ 1
+        run = centres.size // len(letters)
+        centres, radii, ls, li = map(np.concatenate, zip(*(image_disk(g, *(
+            np.delete(a, slice((i ^ 1) * run, ((i ^ 1) + 1) * run)) for a in (centres, radii)))
+            for i, g in enumerate(maps))))
+        yield centres, radii, ls, li
 
 
-def _root(f, lo: float, hi: float, flo: float, fhi: float) -> float:
-    """The root of f between lo and hi, where f changes sign (flo = f(lo),
-    fhi = f(hi)), by the Illinois variant of regula falsi.  It stops when
-    the next point rounds to an end of the bracket, and returns that end."""
-    side = 0
-    while True:
-        x = lo + (hi - lo) * (flo / (flo - fhi))
-        if not lo < x < hi:
-            return min(max(x, lo), hi)
-        fx = f(x)
-        # an end kept twice in a row has its value halved
-        if (fx > 0.0) == (flo > 0.0):
-            lo, flo = x, fx
-            if side < 0:
-                fhi *= 0.5
-            side = -1
-        else:
-            hi, fhi = x, fx
-            if side > 0:
-                flo *= 0.5
-            side = 1
+def _bracket_end(logs, cols, s0: float, s1: float, x, sign: int):
+    """(s, x) at one end of a level's bracket: for sign -1 and sup logs the
+    least s found where every Collatz-Wielandt ratio (M x)_i / x_i of M =
+    exp(s logs) is below 1 - eta, which proves delta < s; for sign +1 and
+    inf logs the largest where every one is above 1 + eta, proving delta >
+    s.  Secant steps from s0 and s1 aim at 1 -+ 2 eta, power steps take x
+    towards M's Perron vector.  Else delta's trivial bound, 2 or 0."""
+    u, b, top = 2.0 ** -53, logs.shape[1], abs(logs).max()
 
+    def trial(s, x):
+        a = np.exp(s * logs)
+        # a ratio's relative rounding: s * logs, exp (4 ulps), the products,
+        # the row sum and the division, doubled
+        eta = 2.0 * u * (s * top + b + 9.0)
+        for _ in range(64):
+            y = (a * x.reshape(-1, b)[cols]).sum(axis=1)
+            ratio = y / x
+            hi, lo = ratio.max(), ratio.min()
+            x = y / y.max()
+            r = hi if sign < 0 else lo
+            f = math.log(r) - math.log1p(2.0 * sign * eta)
+            # rho(M) is in [lo, hi]: step until that is within eta, or a
+            # quarter of r's distance from the aim
+            if hi - lo <= max(eta, 0.25 * abs(f)) * lo:
+                break
+        return f, sign * (r - 1.0) > eta, eta, x
 
-def _largest_root(f, scan):
-    """The largest root of f on [0, 2], or None if it keeps its sign on the
-    grid of DELTA_GRID cells.  `scan`, a cheaper f, is evaluated down from 2
-    to the first cell where it changes sign, and _root refines the root
-    there with f."""
-    hi, fhi = 2.0, scan(2.0)
-    for k in range(DELTA_GRID - 1, -1, -1):
-        lo = 2.0 * k / DELTA_GRID
-        flo = scan(lo)
-        if (flo > 0.0) != (fhi > 0.0):
-            return _root(f, lo, hi, flo, fhi)
-        hi, fhi = lo, flo
-    return None
+    f0, _, _, x = trial(s0, x)
+    f1, ok, eta, x = trial(s1, x)
+    for _ in range(64):
+        if f1 == f0 or ok and abs(s1 - s0) <= eta:
+            break
+        s0, s1, f0 = s1, min(2.0, max(0.0, s1 - f1 * (s1 - s0) / (f1 - f0))), f1
+        f1, ok, eta, x = trial(s1, x)
+    return (s1 if ok else 1.0 - sign), x
 
 
 def estimate_delta(group: SchottkyGroup, resolution: float = 0.01,
                    max_depth: int | None = None) -> DeltaEstimate:
-    """The critical exponent delta from the dynamical determinant of the
-    transfer operator (Jenkinson and Pollicott, Amer. J. Math. 124, 2002).
+    """The critical exponent delta in a proven bracket (McMullen, "Hausdorff
+    dimension and conformal dynamics III", Amer. J. Math. 120, 1998).
 
-    delta_N is the largest root on [0, 2] of the order-N determinant (see
-    _determinant), which converges to delta super-exponentially in N.  The
-    full determinant is positive above delta; low orders can have spurious
-    roots below it, so each order's root is searched for afresh rather
-    than tracked from the one before.  Only even orders N <= max_depth are
-    used, since odd ones can lack a sign change, and an order without a
-    root is skipped.  By default max_depth is the largest order up to
-    DELTA_MAX_ORDER whose shells hold at most MAX_WORDS words.  The first
-    N whose root is within resolution / 2 of the previous order's gives
-    the result; EstimationError if none does.  Every order scans the same
-    grid, so each shell's scan trace, and each c_n of the scan, is taken
-    once a grid exponent.  A rank-1 group with a loxodromic generator has
-    delta = 0 exactly.
+    The delta-conformal measure gives the limit points coded l.v the mass
+    x_lv = sum over l' of the integral of |g_l'|^delta over those coded
+    v.l', inside D(v.l').  So rho(M_inf(s)) <= e^P(s) <= rho(M_sup(s)) for
+    the matrices of the inf and sup of |g_l'|^s over each D(v.l'), at every
+    s, where the pressure P is strictly decreasing with P(delta) = 0
+    (Bowen); no |g_l'| < 1 is needed.  Ratios of any positive vector bound
+    rho, so _bracket_end's ends are proven.
+
+    Levels m = 2, 3, then where level 3's width reaches resolution if each
+    level divides it as level 3 did level 2's, then one at a time until the
+    bracket is at most resolution wide; delta is its midpoint.  max_depth
+    caps m, by default at the deepest m whose words of length m + 1
+    fits_depth allows.  EstimationError names the level and bracket where
+    the cap is reached or a level does not narrow the bracket.  A rank-1
+    group with a loxodromic generator has delta = 0.
     """
     if group.rank == 0:
         raise SchottkyError("the trivial group has no critical exponent")
     if not (0.0 < resolution <= 1.0):
         raise SchottkyError(f"resolution must be in (0, 1], got {resolution!r}")
     if max_depth is None:
-        max_depth = next((n for n in range(DELTA_MAX_ORDER, 4, -1)
-                          if group.fits_depth(n)), 4)
+        max_depth = next((n for n in range(64, 4, -1) if group.fits_depth(n + 1)), 4)
     if max_depth < 4:
         raise SchottkyError(f"estimate_delta needs max_depth >= 4, got {max_depth}")
-    group.check_depth(max_depth)
+    group.check_depth(max_depth + 1)
     for i, g in enumerate(group.generators, start=1):
         kind = g.classify()
         if kind != "loxodromic":
             raise EstimationError(f"generator {i} is {kind}, not loxodromic")
     if group.rank == 1:
-        return DeltaEstimate(0.0, (0.0, math.ulp(0.0)), (), max_depth)
-    terms, orders, scanned = [], [], {}
-
-    def scan(s):
-        a, c = scanned.setdefault(s, ([], [1.0]))
-        a += [_trace(t, s, np.sum) for t in terms[len(a):]]
-        return _determinant(a, c)
-
-    for n, shell_terms in enumerate(_multiplier_shells(group, max_depth), 1):
-        if not all(np.isfinite(t).all() for t in shell_terms):
-            raise EstimationError(f"a word of length {n} is not loxodromic, or "
-                                  "its trace overflows: its multiplier term "
-                                  "is not finite")
-        terms.append(shell_terms)
-        if n % 2:
-            continue
-        # numpy's sums locate the root and the correctly rounded ones refine it
-        root = _largest_root(
-            lambda s: _determinant([_trace(t, s) for t in terms], [1.0]), scan)
-        if root is None:
-            continue
-        orders.append((n, root))
-        if len(orders) > 1:
-            change = abs(root - orders[-2][1])
-            if 2.0 * change <= resolution:
-                err = max(change, math.ulp(root))
-                return DeltaEstimate(root, (max(0.0, root - err), root + err),
-                                     tuple(orders), max_depth)
-    if not orders:
-        raise EstimationError(f"no determinant up to order {max_depth} has a "
-                              "root in [0, 2]")
-    raise EstimationError(
-        f"delta did not settle to resolution {resolution!r} by order "
-        f"{orders[-1][0]}: " + ", ".join(f"delta_{n} = {d!r}"
-                                          for n, d in orders[-2:]))
+        return DeltaEstimate(0.0, (0.0, math.ulp(0.0)), 0, max_depth)
+    b, levels = 2 * group.rank - 1, _cylinder_levels(group)
+    next(levels)
+    m, target, lo, hi, width = 1, 2, 0.0, 1.0, math.inf
+    x_sup = x_inf = np.ones(2 * group.rank)
+    while True:
+        while m < target:
+            *_, ls, li = next(levels)
+            m += 1
+        # row l.v's columns v.l' are block a2 b^(m-2) + (row mod b^(m-2)) of
+        # x.reshape(-1, b), a2 the index of v's first letter
+        n, p = ls.size // b, b ** (m - 2)
+        row = np.arange(n)
+        r2 = row // p % b
+        cols = (r2 + (r2 >= (row // (p * b) ^ 1))) * p + row % p
+        up, x_sup = _bracket_end(ls.reshape(n, b), cols, lo, hi,
+                                 np.repeat(x_sup, n // x_sup.size), -1)
+        lo, x_inf = _bracket_end(li.reshape(n, b), cols, lo, hi,
+                                 np.repeat(x_inf, n // x_inf.size), 1)
+        hi, last, width = up, width, up - lo
+        if width <= resolution:
+            return DeltaEstimate(0.5 * (lo + hi), (lo, hi), m, max_depth)
+        if m == max_depth or width >= last:
+            raise EstimationError(f"delta did not settle to resolution {resolution!r} "
+                                  f"by level {m}: bracket [{lo!r}, {hi!r}]")
+        target = m + 1 if m != 3 else min(max_depth, 3 + math.ceil(
+            math.log(width / resolution) / math.log(last / width)))
 
 
 def limit_set(group: SchottkyGroup, depth: int) -> LimitSetSample:

@@ -129,25 +129,38 @@ def test_group_validate_and_delta(std_config):
     assert 0.25 < d < 0.35
 
 
-def test_group_delta_reports_orders(std_config):
+def test_group_delta_reports_level(std_config):
     outs = {main_io("--config", std_config, "--threads", t, "group", "delta",
                     "--depth", "12", "--resolution", "1e-5") for t in ("1", "4")}
     assert len(outs) == 1
     ((code, out, err),) = outs
     assert code == 0, err
     res = json.loads(out)["results"]
-    assert set(res) == {"delta", "bracket", "orders", "max_depth"}
+    assert set(res) == {"delta", "bracket", "level", "max_depth"}
     lo, hi = res["bracket"]
     assert lo < res["delta"] < hi and hi - lo <= 1e-5
-    assert abs(res["delta"] - 0.29840310166) <= 1e-10
-    assert [n for n, _ in res["orders"]] == [2, 4, 6, 8]
-    assert res["orders"][-1][1] == res["delta"]
+    assert res["delta"] == 0.5 * (lo + hi) and res["level"] == 4
+    # the proven bracket holds the dynamical determinant's delta_8
+    assert lo <= 0.29840310166 <= hi
+
+
+def test_group_delta_settles_where_the_determinant_did_not(tmp_path):
+    """On random rank 3, seed 1, the dynamical determinant's delta_6 and
+    delta_8 differ by 1.3e-5, so it refused resolution 1e-5 with exit 3;
+    the level-5 cylinder bracket is 1.6e-6 wide."""
+    cfg = random_group_config(tmp_path, 1, 3)
+    code, out, err = main_io("--config", cfg, "group", "delta", "--resolution", "1e-5")
+    assert code == 0, err
+    res = json.loads(out)["results"]
+    lo, hi = res["bracket"]
+    assert res["level"] == 5 and hi - lo <= 1e-5
+    assert lo <= 0.4832562233746294 <= hi  # the determinant's delta_8
 
 
 @pytest.mark.parametrize("args, code, cause", [
     (("--depth", "3"), 2, "config error: --depth: must be >= 4, got 3"),
-    (("--depth", "6", "--resolution", "1e-9"), 3,
-     "numeric error: delta did not settle to resolution 1e-09 by order 6"),
+    (("--depth", "5", "--resolution", "1e-9"), 3,
+     "numeric error: delta did not settle to resolution 1e-09 by level 5: bracket ["),
 ])
 def test_group_delta_rejections_name_their_cause(std_config, args, code, cause):
     got, out, err = main_io("--config", std_config, "group", "delta", *args)
@@ -408,12 +421,13 @@ def test_overflowing_group_exits_3_naming_the_first_error(tmp_path, threads):
     ("group", "delta", "--depth", "12"),
     ("series", "report", "--max-len", "12", "--z", "0.3,0.7"),
 ])
-def test_parabolic_word_exits_3_naming_its_length(tmp_path, args):
-    """The overflowing group's length-2 words include a parabolic one, so
-    the delta estimate that both commands start with has no determinant."""
+def test_delta_of_a_group_without_circles_exits_3_naming_the_cause(tmp_path, args):
+    """The overflowing group is a rank-2 cyclic_diagnostic group: it has no
+    defining circles to grow cylinder disks from, so the delta bracket that
+    both commands start with has no certificate."""
     assert main_io("--config", str(overflowing_config(tmp_path)), *args) == (
-        3, "", "numeric error: a word of length 2 is not loxodromic, or its "
-               "trace overflows: its multiplier term is not finite\n")
+        3, "", "numeric error: delta needs defining circles, and this rank-2 "
+               "cyclic_diagnostic group has none\n")
 
 
 def test_deep_rank1_shells_refused_or_finite(tmp_path):
@@ -722,6 +736,19 @@ def test_hopeless_elliptic_x_refused_before_any_work():
     assert err == ("validation error: tail bound cannot reach tol 1e-10 within "
                    "500000 pairs: the terms fall to modulus 1/2 only at "
                    "|k| = 6914342\n")
+    assert elapsed < 0.5
+
+
+def test_hopeless_elliptic_q_refused_before_any_pair():
+    """At q = 0.99999 the geometric part of the tail bound alone stays far
+    above tol after 500,000 pairs, which ran for about 23 s before the loop
+    refused; the bound at 500,000 pairs is taken first."""
+    start = time.perf_counter()
+    code, out, err = main_io("elliptic", "--q", "0.99999,0", "--x", "0.5,0.5")
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (2, "")
+    assert err.startswith("validation error: tail bound "), err
+    assert err.endswith(" did not reach tol 1e-10 within 500000 pairs\n"), err
     assert elapsed < 0.5
 
 

@@ -396,3 +396,35 @@ def test_cli_bloch_wigner_bound_covers_its_error(z):
     with mpmath.workdps(40):
         exact = mp_D(complex(*map(float, z.split(","))))
     assert res["error_bound"] >= abs(res["value"] - exact)
+
+
+def test_zeta_int_is_correctly_rounded():
+    with mpmath.workdps(60):
+        for k in range(2, 64):
+            assert zeta_int(k) == float(mpmath.zeta(k)), k
+
+
+def li_bound_points(seed=0):
+    """500 seeded points where li's bounds were tight: 300 with |z| log-uniform
+    in [1e-3, 1e3], 100 within about 1e-3 of 1, 100 within 1e-6 of the unit
+    circle."""
+    rng = np.random.default_rng(seed)
+    angle = rng.uniform(-math.pi, math.pi, 500)
+    mod = np.concatenate([10.0 ** rng.uniform(-3, 3, 300), np.ones(200)])
+    mod[300:400] += rng.uniform(-1e-3, 1e-3, 100)
+    angle[300:400] *= 1e-3 / math.pi
+    mod[400:] += rng.uniform(-1e-6, 1e-6, 100)
+    return mod * np.exp(1j * angle)
+
+
+def test_li_bounds_cover_the_zeta_constants():
+    """Li_5 near 1 and the unit circle sums correctly rounded zeta values;
+    its bound holds at 40 digits there, and so does li(n, 1)'s."""
+    with mpmath.workdps(40):
+        for z in li_bound_points():
+            res = li(5, complex(z), 1e-12)
+            exact = mpmath.polylog(5, mpmath.mpc(z.real, z.imag))
+            assert abs(mpmath.mpc(res.value) - exact) <= res.error_bound, z
+        for n in range(2, 9):
+            res = li(n, 1.0)
+            assert abs(mpmath.mpf(res.value.real) - mpmath.zeta(n)) <= res.error_bound, n

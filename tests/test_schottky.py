@@ -5,11 +5,12 @@ import weakref
 from collections import Counter
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from kleinlog import schottky
-from kleinlog._vec import FSUM_BLOCK, fsum, project
+from kleinlog._vec import FSUM_BLOCK, project
 from kleinlog.moebius import (
     INF,
     MoebiusMap,
@@ -488,8 +489,7 @@ def test_delta_estimate_standard(std_group):
     assert lo <= est.delta <= hi
     assert 0.0 < est.delta < 1.0
     assert abs(est.delta - STD_DELTA_REF) < 0.01
-    (_, before), (_, last) = est.orders[-2:]
-    assert 2.0 * abs(last - before) <= 0.01
+    assert est.delta == 0.5 * (lo + hi) and 2 <= est.level <= 10
 
 
 def test_delta_sharpens_consistently(std_group, sharp_delta):
@@ -520,17 +520,6 @@ def test_estimate_rejects_noncontracting():
         estimate_delta(SchottkyGroup([]), 0.01, 6)
 
 
-def test_delta_orders_agree_to_nine_digits(std_group):
-    # 2 |delta_8 - delta_6| is about 1e-7, so this resolution reaches order 10
-    est = estimate_delta(std_group, resolution=1e-8, max_depth=10)
-    assert [n for n, _ in est.orders] == [2, 4, 6, 8, 10]
-    (_, d8), (_, d10) = est.orders[-2:]
-    assert est.delta == d10
-    assert abs(d10 - d8) <= 1e-9 * d10
-    lo, hi = est.bracket
-    assert lo < est.delta < hi and hi - lo <= 1e-8
-
-
 def test_delta_invariant_under_nielsen_moves(std_group):
     ref = estimate_delta(std_group, resolution=1e-8, max_depth=10).delta
     for move in (("invert", 1), ("invert", 2), ("swap", 1, 2), ("cyclic",)):
@@ -544,101 +533,161 @@ def test_delta_settles_by_order_12(radius):
     est = estimate_delta(make_standard_group(radius), resolution=1e-6,
                          max_depth=12)
     lo, hi = est.bracket
-    assert est.orders[-1][0] <= 12
+    assert est.level <= 12
     assert lo < est.delta < hi and hi - lo <= 1e-6
     assert 0.0 < est.delta < 1.0
 
 
-def test_delta_is_each_orders_largest_root():
-    # order 2's only root, about 0.07, is spurious; from order 4 on the
-    # roots sit where the shell sums turn from growing to shrinking
+def test_delta_is_where_the_shell_sums_turn():
+    # a rank-3 group of unequal disks: the shell sums grow at delta - 0.01
+    # and shrink at delta + 0.01
     c = [Circle(complex(x, y), r) for x, y, r in (
         (2.54, -0.44, 0.14), (1.46, -2.03, 0.98), (-0.99, 1.1, 0.42),
         (-2.37, 3.7, 0.47), (-1.55, -1.95, 0.15), (-2.44, -2.9, 0.52))]
     g = SchottkyGroup([pairing_map(c[i], c[i + 1]) for i in (0, 2, 4)], c)
     est = estimate_delta(g, resolution=1e-4)
-    assert est.orders[0][1] < 0.1 < est.delta
     for s, grows in ((est.delta - 0.01, True), (est.delta + 0.01, False)):
         sums = [power_sum(ld, s) for ld in g.shell_log_derivatives(8)]
         assert (sums[-1] / sums[-2] > 1.0) == grows
 
 
-def per_order_scan_deltas(group: SchottkyGroup, resolutions):
-    """estimate_delta's result, or its EstimationError's message, at each
-    resolution, with every order's scan summing every shell's trace afresh
-    (the scan before it kept traces across orders); one walk serves all
-    resolutions."""
-
-    def determinant(terms, s, total):
-        a = [total(np.exp(s * logk) * w) for logk, w in terms]
-        c = [1.0]
-        for n in range(1, len(a) + 1):
-            c.append(-fsum([a[k - 1] * c[n - k] for k in range(1, n + 1)]) / n)
-        return fsum(c)
-
-    max_depth = next(n for n in range(schottky.DELTA_MAX_ORDER, 4, -1)
-                     if group.fits_depth(n))
-    terms, roots = [], []
-    for n, shell in enumerate(schottky._multiplier_shells(group, max_depth), 1):
-        terms.append(shell)
-        if n % 2 == 0:
-            roots.append((n, schottky._largest_root(
-                lambda s: determinant(terms, s, fsum),
-                lambda s: determinant(terms, s, np.sum))))
-    out = []
-    for resolution in resolutions:
-        orders, result = [], None
-        for n, root in roots:
-            if root is None:
-                continue
-            orders.append((n, root))
-            change = abs(root - orders[-2][1]) if len(orders) > 1 else math.inf
-            if 2.0 * change <= resolution:
-                err = max(change, math.ulp(root))
-                result = schottky.DeltaEstimate(
-                    root, (max(0.0, root - err), root + err), tuple(orders),
-                    max_depth)
-                break
-        out.append(repr(result) if result else
-                   f"delta did not settle to resolution {resolution!r} by order "
-                   f"{orders[-1][0]}: " + ", ".join(f"delta_{n} = {d!r}"
-                                                     for n, d in orders[-2:]))
-    return out
-
-
 DELTA_GROUPS = {"standard": lambda: make_standard_group(),
-                "radius_0.25": lambda: make_standard_group(0.25),
-                "radius_0.9": lambda: make_standard_group(0.9),
+                **{f"radius_{r}": (lambda r=r: make_standard_group(r))
+                   for r in (0.25, 0.7, 0.9)},
                 **{f"random_{seed}_rank_{rank}": (
                     lambda seed=seed, rank=rank: make_random_group(seed, rank))
                    for rank in (2, 3) for seed in range(8)}}
 
+# delta from the dynamical determinant at resolutions 1e-3 and 1e-5, at
+# commit d0b1f57, the last with it; None where it exited 3
+DETERMINANT_DELTA = {
+    "standard": (0.29840315251523136, 0.2984031016572498),
+    "radius_0.25": (0.21661441033129336, 0.21661441020862915),
+    "radius_0.7": (0.3654255741984291, 0.3654255741984291),
+    "radius_0.9": (0.4390097537626685, 0.4390098620462895),
+    "random_0_rank_2": (0.281631334577418, 0.281631334577418),
+    "random_1_rank_2": (0.3485593083631314, 0.3485571276034776),
+    "random_2_rank_2": (0.4283375305978842, 0.4283376638066564),
+    "random_3_rank_2": (0.3147672463443779, 0.3147672463443779),
+    "random_4_rank_2": (0.35243371243976934, None),
+    "random_5_rank_2": (0.31139493871328877, 0.3113914853124568),
+    "random_6_rank_2": (0.25804374703198824, 0.25804374703198824),
+    "random_7_rank_2": (0.28408682227610355, 0.28408682227610355),
+    "random_0_rank_3": (0.4494003552536182, None),
+    "random_1_rank_3": (0.4832562233746294, None),
+    "random_2_rank_3": (0.38213874121449715, 0.3821361427772496),
+    "random_3_rank_3": (0.4455569557346607, None),
+    "random_4_rank_3": (0.5046987730045213, None),
+    "random_5_rank_3": (0.39910098807969774, 0.39910098128991844),
+    "random_6_rank_3": (0.5415905032391695, 0.5415923945871138),
+    "random_7_rank_3": (0.39596396640359816, None),
+}
+
+
+def level_brackets(group: SchottkyGroup, top: int):
+    """The proven bracket of every level 2..top, each warm-started from the
+    one before, as estimate_delta steps one level at a time."""
+    b, levels = 2 * group.rank - 1, schottky._cylinder_levels(group)
+    next(levels)
+    lo, hi, x_sup = 0.0, 1.0, np.ones(2 * group.rank)
+    x_inf, out = x_sup, []
+    for m in range(2, top + 1):
+        *_, ls, li = next(levels)
+        n, p = ls.size // b, b ** (m - 2)
+        row = np.arange(n)
+        r2 = row // p % b
+        cols = (r2 + (r2 >= (row // (p * b) ^ 1))) * p + row % p
+        up, x_sup = schottky._bracket_end(ls.reshape(n, b), cols, lo, hi,
+                                          np.repeat(x_sup, n // x_sup.size), -1)
+        lo, x_inf = schottky._bracket_end(li.reshape(n, b), cols, lo, hi,
+                                          np.repeat(x_inf, n // x_inf.size), 1)
+        hi = up
+        out.append((lo, hi))
+    return out
+
 
 @pytest.mark.parametrize("name", sorted(DELTA_GROUPS))
-def test_delta_matches_the_per_order_scan_bit_for_bit(name, monkeypatch):
-    """Keeping each shell's numpy-summed scan trace across orders moves no
-    bit of any DeltaEstimate or EstimationError, and sums each (shell,
-    grid exponent) pair at most once a call."""
+def test_delta_brackets_nest_and_hold_the_determinants_delta(name):
+    """The level brackets nest, and the bracket at resolutions 1e-3 and
+    1e-5 holds the determinant's delta wherever that settled; where it
+    exited 3, the bracket settles now."""
     group = DELTA_GROUPS[name]()
-    resolutions = (1e-3, 1e-5)
-    summed = Counter()
-    trace = schottky._trace
+    brackets = level_brackets(group, 5 if group.rank == 2 else 4)
+    for (lo, hi), (lo2, hi2) in zip(brackets, brackets[1:]):
+        assert lo <= lo2 < hi2 <= hi
+    for resolution, old in zip((1e-3, 1e-5), DETERMINANT_DELTA[name]):
+        est = estimate_delta(group, resolution)
+        lo, hi = est.bracket
+        assert hi - lo <= resolution and est.delta == 0.5 * (lo + hi)
+        assert old is None or lo <= old <= hi, (resolution, est, old)
 
-    def counting(shell, s, total=fsum):
-        if total is np.sum:
-            summed[id(shell[0]), s] += 1
-        return trace(shell, s, total)
 
-    monkeypatch.setattr(schottky, "_trace", counting)
-    got = []
-    for resolution in resolutions:
-        summed.clear()
-        try:
-            got.append(repr(estimate_delta(group, resolution)))
-        except EstimationError as e:
-            got.append(str(e))
-        assert summed and max(summed.values()) == 1
-    assert got == per_order_scan_deltas(group, resolutions)
+def test_delta_brackets_nest_to_nine_digits(std_group):
+    """On the standard group the brackets nest down to a width below 1e-9 at
+    level 6, and each holds the determinant's delta_10 (d0b1f57), which
+    differed from delta_8 by 2.2e-11."""
+    brackets = level_brackets(std_group, 6)
+    for (lo, hi), (lo2, hi2) in zip(brackets, brackets[1:]):
+        assert lo <= lo2 < hi2 <= hi
+    assert all(lo <= 0.2984031016794595 <= hi for lo, hi in brackets)
+    assert brackets[-1][1] - brackets[-1][0] <= 1e-9
+
+
+def mp_image(g: MoebiusMap, z):
+    a, b, c, d = (mpmath.mpc(v) for v in (g.a, g.b, g.c, g.d))
+    return (a * z + b) / (c * z + d)
+
+
+@pytest.mark.parametrize("name", ["standard", "radius_0.9", "random_4_rank_2",
+                                  "random_1_rank_3"])
+def test_cylinder_disks_hold_exact_images_and_orbit_points(name):
+    """E_l, and sampled cylinder disks D(l.v) = g_l(D(v)) up to length 4,
+    hold the 50-digit images of points on the boundary of the disk they
+    come from; every cylinder disk holds the walk's image of infinity
+    under its word."""
+    group = DELTA_GROUPS[name]()
+    letters, rng = group.letters, np.random.default_rng(0)
+    levels = schottky._cylinder_levels(group)
+    with mpmath.workdps(50):
+        def holds(g, centre, radius, image):
+            for t in range(0, 64, 4 if image is not None else 1):
+                z = mpmath.mpc(centre) + mpmath.mpf(radius) * mpmath.expjpi(
+                    mpmath.mpf(t) / 32)
+                assert abs(mp_image(g, z) - mpmath.mpc(image[0])) <= image[1]
+
+        disks = []
+        for l in letters:
+            g, hole = group.letter_map(l), group.target_circle(-l)
+            disks.append(schottky.image_disk(g, hole.center, hole.radius)[:2])
+            holds(g, hole.center, hole.radius, disks[-1])
+        centres, radii = map(np.array, zip(*disks))
+        for m in range(2, 5):
+            c, r, _, _ = next(levels)
+            run = centres.size // len(letters)
+            for idx in rng.choice(c.size, 12, replace=False):
+                i, j = divmod(int(idx), centres.size - run)
+                v = j + run if j >= (i ^ 1) * run else j
+                holds(group.letter_map(letters[i]), centres[v], radii[v], (c[idx], r[idx]))
+            num, den, _, _ = group._shell([(1.0, 0.0)], m)
+            assert np.all(abs(num[0] / den[0] - c) <= r)
+            centres, radii = c, r
+
+
+def test_level_one_checks_name_the_failure(std_group):
+    c = list(std_group.circles)
+    gens = std_group.generators
+    cases = [
+        (SchottkyGroup(gens, [c[0], c[1], c[3], c[2]], require_classical=False),
+         "the pole of letter 2 is not inside the circle of letter -2"),
+        # E_1 = g_1(outside of circle 0) grows to radius 2.78 and reaches E_2
+        (SchottkyGroup(gens, [Circle(-2.0, 0.09), *c[1:]], require_classical=False),
+         "the level-1 disks of letters 1 and 2 meet"),
+        (nielsen(std_group, ("multiply", 1, 2)),
+         "the level-1 disk of letter -2 meets the circle of letter -1"),
+    ]
+    for group, cause in cases:
+        with pytest.raises(EstimationError, match=f"^no delta certificate: {cause}$"):
+            estimate_delta(group, 1e-3)
 
 
 def test_delta_of_rank_one_group_is_zero():
@@ -651,22 +700,23 @@ def test_delta_of_rank_one_group_is_zero():
 
 
 def test_delta_default_order_cap_fits_the_shell_cache(std_group):
-    assert estimate_delta(std_group).max_depth == 10
-    # rank 3: shells through 10 hold 14.6M words, through 9 2.9M
+    # level m grows the words of length m + 1: rank 2's shells through 13
+    # hold 3.2M words, rank 3's through 10 14.6M and through 9 2.9M
+    assert estimate_delta(std_group).max_depth == 12
     c = [Circle(3.0 * cmath.exp(1j * math.pi * k / 3), 0.4)
          for k in (0, 3, 1, 4, 2, 5)]
     g = SchottkyGroup([pairing_map(c[i], c[i + 1]) for i in (0, 2, 4)], c)
     est = estimate_delta(g)
-    assert est.max_depth == 9
+    assert est.max_depth == 8
     assert 0.0 < est.delta < 1.0
 
 
 def test_delta_rejects_low_order_and_unreachable_resolution(std_group):
     with pytest.raises(SchottkyError, match="max_depth >= 4"):
         estimate_delta(std_group, 0.01, 3)
-    # |delta_6 - delta_4| is about 1.3e-4
-    with pytest.raises(EstimationError, match="by order 6: delta_4 = .*, delta_6"):
-        estimate_delta(std_group, 1e-6, 7)
+    # the level-5 bracket is about 2.8e-8 wide
+    with pytest.raises(EstimationError, match=r"by level 5: bracket \[0\.29840"):
+        estimate_delta(std_group, 1e-10, 5)
 
 
 def test_shell_sums_monotone_in_s(std_group):

@@ -20,11 +20,11 @@ same recursion, disk for point, in the same order.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -99,9 +99,6 @@ class Circle:
         d = abs(p.value - self.center)
         return d <= self.radius if closed else d < self.radius
 
-    def boundary_point(self, angle: float) -> complex:
-        return self.center + self.radius * cmath.exp(1j * angle)
-
 
 def pairing_map(source: Circle, target: Circle) -> MoebiusMap:
     """The canonical Moebius map sending the exterior of `source` onto the
@@ -150,8 +147,6 @@ class LimitSetSample:
 
     points: tuple[SpherePoint, ...]
     depth: int
-    provenance: tuple[tuple[int, SpherePoint], ...]
-    first_letters: tuple[int, ...]
 
 
 class Orbit(NamedTuple):
@@ -260,50 +255,31 @@ class SchottkyGroup:
         return tuple(out)
 
     def validate(self) -> ValidationReport:
-        """Re-check loxodromy, disk disjointness, and boundary pairing."""
-        violations = []
-        for i, g in enumerate(self.generators, start=1):
-            kind = g.classify()
-            if kind != "loxodromic":
-                violations.append(f"generator {i} is {kind}, not loxodromic")
+        """Re-check loxodromy, disk disjointness, and the pairing: E_i, holding
+        generator i's image of the outside of circle 2i - 2 (_level_one_disk),
+        has its circle within h = |c_E - c_D| + |r_E - r_D| of circle D = 2i - 1,
+        both at least m from 0: within chordal min(2, 2h / (1 + m^2))."""
+        violations = _not_loxodromic(self.generators)
         if self.circles is None:
             if self.rank > 0:
                 violations.append("no defining circles (diagnostic mode)")
             return ValidationReport(tuple(violations))
-        n = len(self.circles)
-        for a in range(n):
-            for b in range(a + 1, n):
-                ca, cb = self.circles[a], self.circles[b]
-                gap = abs(ca.center - cb.center) - (ca.radius + cb.radius)
-                if gap <= 1e-9:
-                    violations.append(
-                        f"disks {a} and {b} overlap or touch "
-                        f"(separation {gap:.3e})"
-                    )
-        for i, g in enumerate(self.generators, start=1):
-            src = self.circles[2 * (i - 1)]
-            tgt = self.circles[2 * (i - 1) + 1]
-            worst = 0.0
-            for k in range(16):
-                img = g.apply(src.boundary_point(2.0 * math.pi * k / 16))
-                if img.is_infinity:
-                    worst = math.inf
-                    break
-                ray = img.value - tgt.center
-                r = abs(ray)
-                nearest = tgt.center + (tgt.radius * ray / r if r > 0 else tgt.radius)
-                worst = max(worst, chordal(img, nearest))
-            if worst >= PAIRING_RESIDUAL_TOL:
-                violations.append(
-                    f"generator {i} does not map circle {2 * (i - 1)} onto "
-                    f"circle {2 * (i - 1) + 1} (chordal residual {worst:.3e})"
-                )
-            probe = g.apply(src.center + 3.0 * src.radius)
-            if not tgt.contains(probe):
-                violations.append(
-                    f"generator {i} maps an exterior point of circle {2 * (i - 1)} "
-                    f"outside its partner disk {2 * (i - 1) + 1}"
-                )
+        for (a, ca), (b, cb) in combinations(enumerate(self.circles), 2):
+            gap = abs(ca.center - cb.center) - (ca.radius + cb.radius)
+            if gap <= 1e-9:
+                violations.append(f"disks {a} and {b} overlap or touch "
+                                  f"(separation {gap:.3e})")
+        for i in range(1, self.rank + 1):
+            if (disk := _level_one_disk(self, i)) is None:
+                violations.append(f"generator {i} maps an exterior point of circle "
+                                  f"{2 * i - 2} outside its partner disk {2 * i - 1}")
+                continue
+            (c, r), d = disk, self.circles[2 * i - 1]
+            h = abs(c - d.center) + abs(r - d.radius)
+            m = max(0.0, min(abs(c) - r, abs(d.center) - d.radius))
+            if (residual := min(2.0, 2.0 * h / (1.0 + m * m))) >= PAIRING_RESIDUAL_TOL:
+                violations.append(f"generator {i} does not map circle {2 * i - 2} onto "
+                                  f"circle {2 * i - 1} (chordal residual {residual:.3e})")
         return ValidationReport(tuple(violations))
 
     def default_basepoint(self) -> SpherePoint:
@@ -557,6 +533,13 @@ def power_sum(logd: np.ndarray, s: float) -> float:
     return float(logd.size) if s == 0.0 else fsum(np.exp(s * logd))
 
 
+def _not_loxodromic(generators) -> list[str]:
+    """'generator i is <kind>, not loxodromic' for each generator i that is not."""
+    kinds = (g.classify() for g in generators)
+    return [f"generator {i} is {kind}, not loxodromic"
+            for i, kind in enumerate(kinds, start=1) if kind != "loxodromic"]
+
+
 def _gap(z, r, w, t) -> Fraction:
     """|z - w|^2 - (r + t)^2, exactly, for complex z and w or exact pairs."""
     (x, y), (v, s) = (c if isinstance(c, tuple) else (Fraction(c.real), Fraction(c.imag))
@@ -616,25 +599,40 @@ def image_disk(g: MoebiusMap, centre, radius):
             (1.0, np.log(aq - r - pad)), (-1.0, np.log(aq + r + pad))))
 
 
+def _level_one_disk(group: SchottkyGroup, l: int):
+    """E_l = g_l(outside of D_-l) as (centre, radius) from image_disk, D_l the
+    target circle of l; None where g_l fixes infinity, where the exact test
+    does not find its pole inside D_-l, or where image_disk finds the pole
+    within rounding of D_-l or a part of g_l overflows a float."""
+    g, h = group.letter_map(l), group.target_circle(-l)
+    try:
+        with np.errstate(all="ignore"):
+            if g.c != 0 and _gap(_letter(g.a, g.b, g.c, g.d)[0], 0.0, h.center, h.radius) < 0:
+                return image_disk(g, h.center, h.radius)[:2]
+    except (EstimationError, OverflowError):
+        pass
+    return None
+
+
 def _cylinder_levels(group: SchottkyGroup):
     """Yield, for m = 1, 2, ..., the centres and radii of the cylinder disks
     D(l.v) of the words l.v of length m + 1, in order, and log sup and log
     inf of |g_l'| over D(v): row l.v' of the level-m matrices holds its 2g -
     1 columns v'.l''.  D(l.v) = g_l(D(v)), as the walk grows, from E_l =
-    g_l(outside of D_-l), D_l the target circle of l, once exact checks find
-    the pole of g_l inside D_-l, the E_l apart and E_l' apart from D_-l for
-    l' != -l: then g_l maps E_l' into E_l, and each disk holds the limit
-    points coded by its word."""
+    g_l(outside of D_-l) (see _level_one_disk), once exact checks find the
+    pole of g_l inside D_-l, the E_l apart and E_l' apart from D_-l for l'
+    != -l: then g_l maps E_l' into E_l, and each disk holds the limit points
+    coded by its word."""
     if group.circles is None:
         raise EstimationError(f"delta needs defining circles, and this rank-"
                               f"{group.rank} cyclic_diagnostic group has none")
     letters, maps = group.letters, [group.letter_map(l) for l in group.letters]
     holes = [group.target_circle(-l) for l in letters]
-    for l, g, h in zip(letters, maps, holes):
-        if g.c == 0 or _gap(_letter(g.a, g.b, g.c, g.d)[0], 0.0, h.center, h.radius) >= 0:
+    disks = [_level_one_disk(group, l) for l in letters]
+    for l, disk in zip(letters, disks):
+        if disk is None:
             raise EstimationError(f"no delta certificate: the pole of letter {l} "
                                   f"is not inside the circle of letter {-l}")
-    disks = [image_disk(g, h.center, h.radius)[:2] for g, h in zip(maps, holes)]
     for i, l in enumerate(letters):
         for j, m in enumerate(letters):
             if j > i and _gap(*disks[i], *disks[j]) <= 0:
@@ -652,6 +650,12 @@ def _cylinder_levels(group: SchottkyGroup):
         yield centres, radii, ls, li
 
 
+def _eta(s: float, top: float, b: int) -> float:
+    """A ratio's relative rounding at s, for logs of modulus at most top in rows
+    of b: s * logs, exp (4 ulps), the products, the row sum, the division, doubled."""
+    return 2.0 * 2.0 ** -53 * (s * top + b + 9.0)
+
+
 def _bracket_end(logs, cols, s0: float, s1: float, x, sign: int):
     """(s, x) at one end of a level's bracket: for sign -1 and sup logs the
     least s found where every Collatz-Wielandt ratio (M x)_i / x_i of M =
@@ -659,13 +663,11 @@ def _bracket_end(logs, cols, s0: float, s1: float, x, sign: int):
     inf logs the largest where every one is above 1 + eta, proving delta >
     s.  Secant steps from s0 and s1 aim at 1 -+ 2 eta, power steps take x
     towards M's Perron vector.  Else delta's trivial bound, 2 or 0."""
-    u, b, top = 2.0 ** -53, logs.shape[1], abs(logs).max()
+    b, top = logs.shape[1], abs(logs).max()
 
     def trial(s, x):
         a = np.exp(s * logs)
-        # a ratio's relative rounding: s * logs, exp (4 ulps), the products,
-        # the row sum and the division, doubled
-        eta = 2.0 * u * (s * top + b + 9.0)
+        eta = _eta(s, top, b)
         for _ in range(64):
             y = (a * x.reshape(-1, b)[cols]).sum(axis=1)
             ratio = y / x
@@ -707,7 +709,8 @@ def estimate_delta(group: SchottkyGroup, resolution: float = 0.01,
     bracket is at most resolution wide; delta is its midpoint.  max_depth
     caps m, by default at the deepest m whose words of length m + 1
     fits_depth allows.  EstimationError names the level and bracket where
-    the cap is reached or a level does not narrow the bracket.  A rank-1
+    the cap is reached or a level narrows the bracket by less than eta and
+    than the width still to go, at its floor near 5e-15.  A rank-1
     group with a loxodromic generator has delta = 0.
     """
     if group.rank == 0:
@@ -719,10 +722,8 @@ def estimate_delta(group: SchottkyGroup, resolution: float = 0.01,
     if max_depth < 4:
         raise SchottkyError(f"estimate_delta needs max_depth >= 4, got {max_depth}")
     group.check_depth(max_depth + 1)
-    for i, g in enumerate(group.generators, start=1):
-        kind = g.classify()
-        if kind != "loxodromic":
-            raise EstimationError(f"generator {i} is {kind}, not loxodromic")
+    if bad := _not_loxodromic(group.generators):
+        raise EstimationError(bad[0])
     if group.rank == 1:
         return DeltaEstimate(0.0, (0.0, math.ulp(0.0)), 0, max_depth)
     b, levels = 2 * group.rank - 1, _cylinder_levels(group)
@@ -746,7 +747,8 @@ def estimate_delta(group: SchottkyGroup, resolution: float = 0.01,
         hi, last, width = up, width, up - lo
         if width <= resolution:
             return DeltaEstimate(0.5 * (lo + hi), (lo, hi), m, max_depth)
-        if m == max_depth or width >= last:
+        if m == max_depth or last - width < min(_eta(hi, abs(ls).max(), b),
+                                                width - resolution):
             raise EstimationError(f"delta did not settle to resolution {resolution!r} "
                                   f"by level {m}: bracket [{lo!r}, {hi!r}]")
         target = m + 1 if m != 3 else min(max_depth, 3 + math.ceil(
@@ -764,25 +766,21 @@ def limit_set(group: SchottkyGroup, depth: int) -> LimitSetSample:
         raise SchottkyError("depth must be >= 1")
     if group.rank == 0:
         raise SchottkyError("the trivial group has no limit set")
-    for i, g in enumerate(group.generators, start=1):
-        kind = g.classify()
-        if kind != "loxodromic":
-            raise SchottkyError(f"generator {i} is {kind}, not loxodromic")
+    if bad := _not_loxodromic(group.generators):
+        raise SchottkyError(bad[0])
     seeds = []
     for i, g in enumerate(group.generators, start=1):
         fp = g.fixed_points_multiplier()
         seeds.append((i, fp.fix_attracting))
         seeds.append((-i, fp.fix_repelling))
-    num, den, first, last = group._shell([_homogeneous(seed) for _, seed in seeds],
-                                         depth)
+    num, den, _, last = group._shell([_homogeneous(seed) for _, seed in seeds], depth)
     # one row per seed, one column per word; the kept entries, read
     # row-major, are seed-major and word-lexicographic within
     keep = np.stack([last != -direction for direction, _ in seeds])
     pts, inf_mask = project(num[keep], den[keep])
     points = [INF if m else SpherePoint(q)
               for q, m in zip(pts.tolist(), inf_mask.tolist())]
-    firsts = np.broadcast_to(first, keep.shape)[keep].tolist()
-    return LimitSetSample(tuple(points), depth, tuple(seeds), tuple(firsts))
+    return LimitSetSample(tuple(points), depth)
 
 
 def reduce_to_fundamental_domain(group: SchottkyGroup, z, max_steps: int = 200):
@@ -801,8 +799,7 @@ def reduce_to_fundamental_domain(group: SchottkyGroup, z, max_steps: int = 200):
     for _ in range(max_steps):
         moved = False
         for l in group.letters:
-            tgt = group.target_circle(l)
-            if cur.is_finite and abs(cur.value - tgt.center) < tgt.radius:
+            if group.target_circle(l).contains(cur, closed=False):
                 cur = group.letter_map(-l).apply(cur)
                 letters.insert(0, -l)
                 moved = True

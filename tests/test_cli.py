@@ -161,11 +161,32 @@ def test_group_delta_settles_where_the_determinant_did_not(tmp_path):
     (("--depth", "3"), 2, "config error: --depth: must be >= 4, got 3"),
     (("--depth", "5", "--resolution", "1e-9"), 3,
      "numeric error: delta did not settle to resolution 1e-09 by level 5: bracket ["),
+    # below the floor near 5e-15, where eta (2.9e-15) dominates, level 11
+    # narrows level 10's 5.6e-15 by 2e-16, far short of 1e-15: refused
+    # there, before the cap's level 12 (2.1 million matrix entries)
+    (("--resolution", "1e-15"), 3,
+     "numeric error: delta did not settle to resolution 1e-15 by level 11: bracket ["),
 ])
 def test_group_delta_rejections_name_their_cause(std_config, args, code, cause):
     got, out, err = main_io("--config", std_config, "group", "delta", *args)
     assert got == code and out == ""
     assert err.startswith(cause), err
+
+
+@pytest.mark.parametrize("matrix, source", [
+    ([[2, 0], [0, 0], [0, 0], [0.5, 0]], [-2, 0]),    # 4z, affine
+    ([[2, 0], [4.25, 0], [1, 0], [2, 0]], [-2.5, 0]),  # pole -2 on circle 0
+    ([[3, 0], [0, 0], [1e-170, 0], [1 / 3, 0]], [-2, 0]),  # det / c^2 overflows
+], ids=["affine", "pole_on_circle", "far_pole"])
+def test_group_validate_without_a_pole_inside_exits_2(tmp_path, matrix, source):
+    cfg = tmp_path / "group.json"
+    cfg.write_text(json.dumps({"group": {
+        "generators": [{"matrix": matrix}],
+        "circles": [{"center": source, "radius": 0.5},
+                    {"center": [2, 0], "radius": 0.5}]}}))
+    assert main_io("--config", str(cfg), "group", "validate") == (
+        2, "", "config error: group: generator 1 maps an exterior point of circle 0 "
+        "outside its partner disk 1\n")
 
 
 def test_group_built_and_validated_once(std_config, monkeypatch):

@@ -62,7 +62,7 @@ def test_pairing_map_geometry(std_group):
         src = std_group.target_circle(-letter)
         dst = std_group.target_circle(letter)
         for k in range(12):
-            w = g.apply(SpherePoint(src.boundary_point(2 * math.pi * k / 12)))
+            w = g.apply(SpherePoint(src.center + src.radius * cmath.exp(2j * math.pi * k / 12)))
             assert abs(abs(complex(w) - dst.center) - dst.radius) < 1e-9
         assert complex(g.apply(INF)) - dst.center == pytest.approx(0, abs=dst.radius)
 
@@ -93,6 +93,95 @@ def test_overlapping_circles_rejected():
         SchottkyGroup([g1, g2], circles)
     assert not ei.value.report.ok
     assert ei.value.report.violations
+
+
+def shrunk_standard_group(shrink: float) -> SchottkyGroup:
+    """The standard group with circle 1's radius shrunk by `shrink`."""
+    g = make_standard_group()
+    c = list(g.circles)
+    c[1] = Circle(c[1].center, c[1].radius - shrink)
+    return SchottkyGroup(g.generators, c, require_classical=False)
+
+
+def sampled_residual(group: SchottkyGroup, i: int) -> float:
+    """The pairing residual that validate once sampled: the largest chordal
+    distance of generator i's images of 16 points of circle 2i - 2 from
+    circle 2i - 1, each to the point of that circle on the ray from its
+    centre."""
+    g, src, dst = group.generators[i - 1], *group.circles[2 * i - 2:2 * i]
+    worst = 0.0
+    for k in range(16):
+        w = complex(g.apply(src.center + src.radius * cmath.exp(2j * math.pi * k / 16)))
+        ray = w - dst.center
+        worst = max(worst, chordal(w, dst.center + dst.radius * ray / abs(ray)))
+    return worst
+
+
+def closed_form_residual(group: SchottkyGroup, i: int) -> float:
+    """validate's pairing residual of generator i, 2h / (1 + m^2) up to 2."""
+    (c, r), d = schottky._level_one_disk(group, i), group.circles[2 * i - 1]
+    m = max(0.0, min(abs(c) - r, abs(d.center) - d.radius))
+    return min(2.0, 2.0 * (abs(c - d.center) + abs(r - d.radius)) / (1.0 + m * m))
+
+
+def test_pairing_residual_of_a_shrunk_circle():
+    """Circle 1 shrunk by 5e-10 still validates, and shrunk by 2e-9 fails
+    with the residual the 16 samples gave; delta's bracket on the first
+    still holds the unperturbed group's delta."""
+    ok, bad = shrunk_standard_group(5e-10), shrunk_standard_group(2e-9)
+    assert ok.validation.ok
+    assert bad.validation.violations == ("generator 1 does not map circle 0 onto "
+                                         "circle 1 (chordal residual 1.231e-09)",)
+    for group in (ok, bad):
+        assert closed_form_residual(group, 1) >= sampled_residual(group, 1)
+    std = estimate_delta(make_standard_group(), 1e-12).delta
+    for resolution in (1e-6, 1e-9, 1e-12):
+        lo, hi = estimate_delta(ok, resolution).bracket
+        assert lo <= std <= hi, resolution
+
+
+PAIRED_GROUPS = [make_standard_group, make_rank3_group] + [
+    lambda s=s, rank=rank: make_random_group(s, rank) for s in range(8) for rank in (2, 3)]
+
+
+def test_pairing_residual_bounds_the_sampled_one():
+    """The closed-form residual stays below 1e-14 (9.4e-15 at most) on the
+    classical groups, and is at least the 16-point one less 2e-14 there and
+    with circle 2i - 1 shrunk, grown or moved by 1e-13 to 1e-3.  The
+    allowance is rounding, measured up to 9.6e-15 (random rank 3, seed 2,
+    circle 3 grown by 1e-13): the samples round in g.apply, and E_i's
+    outward pad puts its circle a few ulps outside the exact image's, so
+    nearer to a grown circle 2i - 1."""
+    for make in PAIRED_GROUPS:
+        group = make()
+        for i in range(1, group.rank + 1):
+            new = closed_form_residual(group, i)
+            assert new < 1e-14 and new >= sampled_residual(group, i) - 2e-14
+            for e in (1e-13, 1e-10, 1e-6, 1e-3):
+                for dc, dr in ((0.0, -e), (0.0, e), (e, 0.0), (1j * e, 0.0)):
+                    c = list(group.circles)
+                    c[2 * i - 1] = Circle(c[2 * i - 1].center + dc, c[2 * i - 1].radius + dr)
+                    moved = SchottkyGroup(group.generators, c, require_classical=False)
+                    assert closed_form_residual(moved, i) >= sampled_residual(moved, i) - 2e-14
+
+
+# an affine generator, and one whose pole lies on its source circle
+NO_LEVEL_ONE_DISK = {"affine": (MoebiusMap.scaling(4.0), Circle(-2.0, 0.5)),
+                     "pole_on_circle": (pairing_map(Circle(-2.0, 0.5), Circle(2.0, 0.5)),
+                                        Circle(-2.5, 0.5))}
+
+
+@pytest.mark.parametrize("name", sorted(NO_LEVEL_ONE_DISK))
+def test_pairing_without_a_pole_inside_maps_outside(name):
+    """Without its pole inside circle 0, generator 1 has no disk E_1:
+    validate reports that it maps an exterior point outside its partner
+    disk, also on nielsen's result, which need not be classical."""
+    g, src = NO_LEVEL_ONE_DISK[name]
+    group = SchottkyGroup([g], [src, Circle(2.0, 0.5)], require_classical=False)
+    assert schottky._level_one_disk(group, 1) is None
+    for h in (group, nielsen(group, ("cyclic",))):
+        assert h.validation.violations == (
+            "generator 1 maps an exterior point of circle 0 outside its partner disk 1",)
 
 
 def test_fixing_infinity_needs_diagnostic_flag():
@@ -728,12 +817,20 @@ def test_shell_sums_monotone_in_s(std_group):
     assert b[-1] / b[-2] < 1.0
 
 
+def limit_set_first_letters(group: SchottkyGroup, depth: int) -> list[int]:
+    """The first letter of the word of each point of limit_set(group, depth):
+    seed-major, the seeds in the order (1, -1, 2, -2, ...), and within a seed
+    the words of length depth whose last letter is not the seed's inverse."""
+    words = [w.letters for w in group.enumerate_words(depth) if w.length == depth]
+    return [w[0] for seed in group.letters for w in words if w[-1] != -seed]
+
+
 def test_limit_set_points_inside_disks(std_group):
     for depth in (1, 4, 6):
         sample = limit_set(std_group, depth)
         g = std_group.rank
         assert len(sample.points) == 2 * g * (2 * g - 1) ** depth
-        for p, first in zip(sample.points, sample.first_letters):
+        for p, first in zip(sample.points, limit_set_first_letters(std_group, depth)):
             disk = std_group.target_circle(first)
             assert disk.contains(complex(p))
     # deeper samples concentrate: nearest-disk radii shrink

@@ -210,13 +210,12 @@ def test_limit_set_matches_scalar(std_group):
         maps = shell_maps(group, depth)
         words = [w for w in group.enumerate_words(depth) if w.length == depth]
         sample = limit_set(group, depth)
-        refs, firsts = [], []
-        for direction, seed in sample.provenance:
-            for m, w in zip(maps, words):
-                if w.letters[-1] != -direction:
-                    refs.append(m.apply(seed))
-                    firsts.append(w.letters[0])
-        assert sample.first_letters == tuple(firsts)
+        refs = []
+        for i, g in enumerate(group.generators, start=1):
+            fp = g.fixed_points_multiplier()
+            for direction, seed in ((i, fp.fix_attracting), (-i, fp.fix_repelling)):
+                refs += [m.apply(seed) for m, w in zip(maps, words)
+                         if w.letters[-1] != -direction]
         assert len(sample.points) == len(refs)
         for p, ref in zip(sample.points, refs):
             assert chordal(p, ref) <= 8 * U

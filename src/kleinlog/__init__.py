@@ -11,7 +11,6 @@ from .moebius import (
     as_sphere_point,
     chordal,
     from_fixed_points_multiplier,
-    phi,
 )
 from .poincare import (
     BLOCH_WIGNER_INTEGRAND,
@@ -52,7 +51,6 @@ from .schottky import (
     Circle,
     DeltaEstimate,
     EstimationError,
-    LimitSetSample,
     SchottkyError,
     SchottkyGroup,
     ShellOverflowError,

@@ -72,7 +72,6 @@ class ConfigError(ValueError):
 
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
-        self.path = path
 
 
 def _want(obj, path, kind):
@@ -378,10 +377,9 @@ def emit_report(report: dict, out_path) -> None:
 def render_limit_set_ppm(group: SchottkyGroup, depth: int, window: float,
                          width: int, height: int) -> bytes:
     """P6 raster of the limit-set sample in the window [-R, R]^2."""
-    sample = limit_set(group, depth)
     img = np.zeros((height, width, 3), dtype=np.uint8)
     R = window
-    for p in sample.points:
+    for p in limit_set(group, depth):
         if p.is_infinity:
             continue
         x, y = p.value.real, p.value.imag
@@ -551,7 +549,7 @@ def _run(args) -> tuple[dict, int]:
                                             s.get("height", 512))
                 _write_bytes(data, out_path)
                 return None, EXIT_OK
-            pts = limit_set(group, depth).points
+            pts = limit_set(group, depth)
             report["results"] = {"depth": depth, "count": len(pts), "points": pts}
         elif args.action == "delta":
             depth = _setting(s, "depth", None, 4) if "depth" in s else None

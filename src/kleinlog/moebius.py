@@ -45,14 +45,6 @@ class SpherePoint:
             raise ValueError(f"finite sphere point has non-finite value {z!r}")
         object.__setattr__(self, "value", z)
 
-    @classmethod
-    def infinity(cls) -> "SpherePoint":
-        return cls(0j, True)
-
-    @property
-    def is_finite(self) -> bool:
-        return not self.is_infinity
-
     def __complex__(self) -> complex:
         if self.is_infinity:
             raise ValueError("cannot convert the point at infinity to complex")
@@ -62,7 +54,7 @@ class SpherePoint:
         return "SpherePoint(inf)" if self.is_infinity else f"SpherePoint({self.value!r})"
 
 
-INF = SpherePoint.infinity()
+INF = SpherePoint(0j, True)
 
 
 def as_sphere_point(z) -> SpherePoint:
@@ -117,11 +109,6 @@ def chordal(x, y) -> float:
     num = 2.0 * abs(zx * wy - zy * wx)
     den = math.sqrt((abs(zx) ** 2 + abs(wx) ** 2) * (abs(zy) ** 2 + abs(wy) ** 2))
     return num / den
-
-
-def phi(x, y) -> float:
-    """Half the squared chordal distance, 1 - cos(spherical distance)."""
-    return 0.5 * chordal(x, y) ** 2
 
 
 @dataclass(frozen=True)
@@ -193,9 +180,6 @@ class MoebiusMap:
             return INF
         return SpherePoint(q)
 
-    def __call__(self, z) -> SpherePoint:
-        return self.apply(z)
-
     def compose(self, other: "MoebiusMap") -> "MoebiusMap":
         """self after other: (self.compose(other))(z) = self(other(z))."""
         # det(AB) = det(A) det(B) = 1, no renormalization needed
@@ -206,17 +190,14 @@ class MoebiusMap:
             self.c * other.b + self.d * other.d,
         )
 
-    def __matmul__(self, other: "MoebiusMap") -> "MoebiusMap":
-        return self.compose(other)
-
     def inverse(self) -> "MoebiusMap":
         # adjugate of a det-1 matrix, det unchanged
         return MoebiusMap._from_normalized(self.d, -self.b, -self.c, self.a)
 
-    def is_identity(self, tol: float = CLASSIFY_TOL) -> bool:
+    def is_identity(self) -> bool:
         return (
-            max(abs(self.b), abs(self.c), abs(self.a - self.d)) <= tol
-            and abs(self.trace_squared - 4.0) <= 4 * tol
+            max(abs(self.b), abs(self.c), abs(self.a - self.d)) <= CLASSIFY_TOL
+            and abs(self.trace_squared - 4.0) <= 4 * CLASSIFY_TOL
         )
 
     def classify(self) -> str:

@@ -30,7 +30,6 @@ from .schottky import (
     SchottkyGroup,
     ShellOverflowError,
     estimate_delta,
-    power_sum,
     reduce_to_fundamental_domain,
 )
 
@@ -97,9 +96,6 @@ class SeriesEvaluation:
     weight_mode: str
     verdict: str
     comparability: float
-    z: SpherePoint
-    max_len: int
-    tol: float
 
 
 def _ratios(sums) -> list[float]:
@@ -152,7 +148,7 @@ def evaluate(group: SchottkyGroup, integrand: SeriesIntegrand = None, z=0j,
     """
     if integrand is None:
         integrand = BLOCH_WIGNER_INTEGRAND
-    [(p, shells, weight_shells, comp)] = _evaluate_at(group, integrand, [z],
+    [(_, shells, weight_shells, comp)] = _evaluate_at(group, integrand, [z],
                                                       weight_mode, max_len)
     ratios = _ratios(weight_shells)
     if group.rank == 0 or not ratios:
@@ -169,8 +165,7 @@ def evaluate(group: SchottkyGroup, integrand: SeriesIntegrand = None, z=0j,
         else:
             verdict = "inconclusive"
     return SeriesEvaluation(_value(shells, weight_mode), tuple(shells),
-                            tuple(weight_shells), tail, weight_mode, verdict,
-                            comp, p, max_len, tol)
+                            tuple(weight_shells), tail, weight_mode, verdict, comp)
 
 
 def _evaluate_at(group: SchottkyGroup, integrand: SeriesIntegrand, zs,
@@ -358,7 +353,6 @@ class BersResult:
     n_singular: int
     decile_shares: tuple[float, ...]
     heavy_tail: bool
-    seed: int
     density_rel_err: float
     estimate_rel_err: float
 
@@ -418,10 +412,13 @@ def bers_integral(density: NayataniDensity, integrand: SeriesIntegrand = None,
     # every sampled term is F^p |Phi| >= 0, so the worst relative error of
     # F^p over the samples bounds that of the mean
     eps = float(np.max(rel))
-    est_rel = max(math.expm1(p * math.log1p(eps)),
-                  -math.expm1(p * math.log1p(-eps)) if eps < 1.0 else math.inf)
-    return BersResult(estimate, stderr, n_samples, n_singular, shares, heavy,
-                      seed, eps, est_rel)
+    try:
+        up = math.expm1(p * math.log1p(eps))
+    except OverflowError:  # at a tiny delta the bound passes the float range
+        up = math.inf
+    est_rel = max(up, -math.expm1(p * math.log1p(-eps)) if eps < 1.0 else math.inf)
+    return BersResult(estimate, stderr, n_samples, n_singular, shares, heavy, eps,
+                      est_rel)
 
 
 @dataclass(frozen=True)
@@ -434,8 +431,6 @@ class ConvergenceReport:
     ratios: tuple[tuple[float, ...], ...]
     delta: float
     delta_bracket: tuple[float, float]
-    z: SpherePoint
-    max_len: int
 
 
 def convergence_report(group: SchottkyGroup, z=None, max_len: int = 10,
@@ -449,7 +444,9 @@ def convergence_report(group: SchottkyGroup, z=None, max_len: int = 10,
     _check_admissible(group, p)
     exps = (est.delta, 0.5 * (1.0 + est.delta), 1.0)
     logs = group.shell_log_derivatives(max_len, p)
-    sums = [[power_sum(ld, s) for ld in logs] for s in exps]
+    # at s = 0 each sum is the count of terms, also where a log is infinite
+    sums = [[float(ld.size) if s == 0.0 else fsum(np.exp(s * ld)) for ld in logs]
+            for s in exps]
     return ConvergenceReport(exps, tuple(map(tuple, sums)),
                              tuple(tuple(_ratios(row)) for row in sums),
-                             est.delta, est.bracket, p, max_len)
+                             est.delta, est.bracket)

@@ -225,14 +225,14 @@ def _bloch_wigner_bounded(z: complex, tol: float) -> tuple[float, float]:
     return value, err
 
 
-def bloch_wigner(z, tol: float = 1e-14) -> float:
+def bloch_wigner(z) -> float:
     """The single-valued dilogarithm Im(Li_2(z)) + arg(1-z) log|z|.
 
     Vanishes identically on the real axis and at 0, 1, infinity; antisymmetric
     under conjugation by construction.
     """
     p = as_sphere_point(z)
-    return 0.0 if p.is_infinity else _bloch_wigner_bounded(p.value, tol)[0]
+    return 0.0 if p.is_infinity else _bloch_wigner_bounded(p.value, 1e-14)[0]
 
 
 # vectorized evaluation -------------------------------------------------------

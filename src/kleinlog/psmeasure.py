@@ -125,7 +125,7 @@ def _tf_const(n1, n2, n3):
     return np.ones_like(n1)
 
 
-DEFAULT_TEST_FUNCTIONS = (
+TEST_FUNCTIONS = (
     ("1", _tf_const),
     ("n1", lambda n1, n2, n3: n1),
     ("n2", lambda n1, n2, n3: n2),
@@ -138,17 +138,15 @@ DEFAULT_TEST_FUNCTIONS = (
 )
 
 
-def quasi_invariance_residual(measure: PSMeasure, group: SchottkyGroup,
-                              test_functions=None) -> float:
+def quasi_invariance_residual(measure: PSMeasure, group: SchottkyGroup) -> float:
     """max over generators g and test functions f of
     |sum w f(x) - sum w s_g(x)^delta f(gx)| / (sum w |f(x)| + eps).
 
     The test functions act elementwise.  The atoms go RESIDUAL_BLOCK at a
     time, and every sum is exact across the blocks, so the blocking changes
     no bit."""
-    fns = DEFAULT_TEST_FUNCTIONS if test_functions is None else tuple(test_functions)
-    lhs, scale = [ExactSum() for _ in fns], [ExactSum() for _ in fns]
-    rhs = [[ExactSum() for _ in fns] for _ in group.generators]
+    lhs, scale = ([ExactSum() for _ in TEST_FUNCTIONS] for _ in range(2))
+    rhs = [[ExactSum() for _ in TEST_FUNCTIONS] for _ in group.generators]
     for lo in range(0, len(measure), RESIDUAL_BLOCK):
         blk = slice(lo, lo + RESIDUAL_BLOCK)
         wts = measure.weights[blk]
@@ -158,9 +156,9 @@ def quasi_invariance_residual(measure: PSMeasure, group: SchottkyGroup,
             img, img_msk, num, den = act(g.a, g.b, g.c, g.d, Z, W)
             jac = stretch(Z, W, num, den) ** measure.delta
             cy = sphere_coords_many(img, img_msk)
-            for (_, f), r_sum in zip(fns, g_sums):
+            for (_, f), r_sum in zip(TEST_FUNCTIONS, g_sums):
                 r_sum.add(wts * jac * f(*cy))
-        for (_, f), l_sum, s_sum in zip(fns, lhs, scale):
+        for (_, f), l_sum, s_sum in zip(TEST_FUNCTIONS, lhs, scale):
             fx = f(*cx)
             l_sum.add(wts * fx)
             s_sum.add(wts * np.abs(fx))
@@ -341,10 +339,6 @@ class NayataniDensity:
         levels, leaves = _build_tree(self.measure)
         object.__setattr__(self, "_levels", levels)
         object.__setattr__(self, "_leaves", leaves)
-
-    @property
-    def delta(self) -> float:
-        return self.measure.delta
 
     def F_many(self, points, inf_mask, rel_tol: float = REL_TOL):
         """F at each point, a singular mask (point within ATOM_GUARD of an

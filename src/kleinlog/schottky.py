@@ -8,14 +8,16 @@ signed integers +-1..+-g ordered (1, -1, 2, -2, ...); words are tuples of
 letters with the leftmost letter outermost, i.e. word (l1, l2) acts as
 m(l1) o m(l2).
 
-Words are enumerated once, by SchottkyGroup._walk: shell by shell, it
-applies each letter's matrix to the homogeneous images of the shorter
-words, so the new letter goes in front.  Every consumer walks points
-through it: series evaluation its point, measures and convergence reports
-the basepoint, limit_set the generators' fixed points, and the word
-matrices, whose columns are the images of infinity and 0, come from the
-walk of those two.  estimate_delta grows the words' cylinder disks by the
-same recursion, disk for point, in the same order.
+Every word enumeration puts the new letter in front of the shorter words
+that do not start with its inverse.  SchottkyGroup._walk does so shell by
+shell for the homogeneous images of points: series evaluation walks its
+point, measures and convergence reports the basepoint, limit_set the
+generators' fixed points, and the word matrices, whose columns are the
+images of infinity and 0, are the walk of those two.  Past its last whole
+shell, _walk applies the maps of 1-3-letter prefixes, which it takes from
+the scalar enumerate_words.  _cylinder_levels grows estimate_delta's
+cylinder disks by the same rule in its own loop, disk for point, in the
+same order.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._vec import FSUM_BLOCK, fsum, project, stretch, uniform_sphere_points
+from ._vec import FSUM_BLOCK, project, stretch, uniform_sphere_points
 from .moebius import (
     INF,
     MoebiusMap,
@@ -141,14 +143,6 @@ class DeltaEstimate:
     max_depth: int
 
 
-@dataclass(frozen=True)
-class LimitSetSample:
-    """Limit-set points obtained by propagating fixed-point seeds."""
-
-    points: tuple[SpherePoint, ...]
-    depth: int
-
-
 class Orbit(NamedTuple):
     """Images of points under consecutive words of one shell, in
     enumeration order, as homogeneous coordinates num/den, and the words'
@@ -257,7 +251,8 @@ class SchottkyGroup:
     def validate(self) -> ValidationReport:
         """Re-check loxodromy, disk disjointness, and the pairing: E_i, holding
         generator i's image of the outside of circle 2i - 2 (_level_one_disk),
-        has its circle within h = |c_E - c_D| + |r_E - r_D| of circle D = 2i - 1,
+        has the exact image's circle within pad / 2 of (c_E, r_E - pad), so
+        within h = |c_E - c_D| + |r_E - pad - r_D| + pad of circle D = 2i - 1,
         both at least m from 0: within chordal min(2, 2h / (1 + m^2))."""
         violations = _not_loxodromic(self.generators)
         if self.circles is None:
@@ -274,8 +269,8 @@ class SchottkyGroup:
                 violations.append(f"generator {i} maps an exterior point of circle "
                                   f"{2 * i - 2} outside its partner disk {2 * i - 1}")
                 continue
-            (c, r), d = disk, self.circles[2 * i - 1]
-            h = abs(c - d.center) + abs(r - d.radius)
+            (c, r, *_, pad), d = disk, self.circles[2 * i - 1]
+            h = abs(c - d.center) + abs(r - pad - d.radius) + pad
             m = max(0.0, min(abs(c) - r, abs(d.center) - d.radius))
             if (residual := min(2.0, 2.0 * h / (1.0 + m * m))) >= PAIRING_RESIDUAL_TOL:
                 violations.append(f"generator {i} does not map circle {2 * i - 2} onto "
@@ -527,12 +522,6 @@ class SchottkyGroup:
         return [np.concatenate(parts) for parts in out[1:]]
 
 
-def power_sum(logd: np.ndarray, s: float) -> float:
-    """The correctly rounded sum of exp(s * logd): at s = 0 the count of
-    terms, also where a log is infinite."""
-    return float(logd.size) if s == 0.0 else fsum(np.exp(s * logd))
-
-
 def _not_loxodromic(generators) -> list[str]:
     """'generator i is <kind>, not loxodromic' for each generator i that is not."""
     kinds = (g.classify() for g in generators)
@@ -564,15 +553,16 @@ def _letter(a: complex, b: complex, c: complex, d: complex):
 
 
 def image_disk(g: MoebiusMap, centre, radius):
-    """(centre, radius, log_sup, log_inf) of the image under g = a/c - k/(z -
-    p) of the disks |z - centre| <= r, arrays or one: with q = centre - p,
-    centre a/c - k conj(q)/(|q|^2 - r^2) and radius |k| r/||q|^2 - r^2|,
-    the image of the complement where p is inside.  Twice the first-order
-    bound of the rounding of + - * / and sqrt pads the radius, so that the
-    disk holds the exact image; that needs |q|^2 - r^2 within a quarter of
-    itself, else EstimationError.  Where p is outside every disk, the logs
-    bound log|g'| = log|k| - 2 log|z - p| over each through |q| -+ r,
-    padded alike and for a 4-ulp math.log and numpy log; else None."""
+    """(centre, radius, log_sup, log_inf, pad) of the image under g = a/c -
+    k/(z - p) of the disks |z - centre| <= r, arrays or one: with q = centre
+    - p, centre a/c - k conj(q)/(|q|^2 - r^2) and radius |k| r/||q|^2 -
+    r^2|, the image of the complement where p is inside.  The radius is
+    padded by pad, twice the first-order bound of the rounding of + - * /
+    and sqrt in the centre and radius, so that the disk holds the exact
+    image; that needs |q|^2 - r^2 within a quarter of itself, else
+    EstimationError.  Where p is outside every disk, the logs bound log|g'|
+    = log|k| - 2 log|z - p| over each through |q| -+ r, padded alike and
+    for a 4-ulp math.log and numpy log; else None."""
     u = 2.0 ** -53
     _, A, p, k, kabs = _letter(g.a, g.b, g.c, g.d)
     q = np.asarray(centre, dtype=complex) - p
@@ -585,30 +575,30 @@ def image_disk(g: MoebiusMap, centre, radius):
     wx, wy = q.real / n, -q.imag / n  # conj(q) / n
     cx, cy = A.real - (k.real * wx - k.imag * wy), A.imag - (k.real * wy + k.imag * wx)
     rad = kabs * r / abs(n)
-    rad = rad + 2.0 * (rad * (4.0 * u + rel) + u * (abs(cx) + abs(cy) + abs(A.real) + abs(
+    pad = 2.0 * (rad * (4.0 * u + rel) + u * (abs(cx) + abs(cy) + abs(A.real) + abs(
         A.imag)) + (abs(k.real) + abs(k.imag)) * (q1 * (4.0 * u + rel) + eq) / abs(n))
     aq, inside = np.sqrt(sq), np.all(n < 0.0)
-    pad = 2.0 * (3.0 * u * aq + u * r + eq)
-    if not (np.all(rel < 0.25) and (inside or np.all(aq - r - pad > 0.0))):
+    eaq = 2.0 * (3.0 * u * aq + u * r + eq)
+    if not (np.all(rel < 0.25) and (inside or np.all(aq - r - eaq > 0.0))):
         raise EstimationError("a cylinder disk reaches a generator's pole within rounding")
     if inside:
-        return cx + 1j * cy, rad, None, None
+        return cx + 1j * cy, rad + pad, None, None, pad
     lk = math.log(kabs)
-    return cx + 1j * cy, rad, *(lk - 2.0 * ld + side * 2.0 * u * (
+    return cx + 1j * cy, rad + pad, *(lk - 2.0 * ld + side * 2.0 * u * (
         2.0 + 8.0 * (abs(lk) + 2.0 * abs(ld)) + abs(lk - 2.0 * ld)) for side, ld in (
-            (1.0, np.log(aq - r - pad)), (-1.0, np.log(aq + r + pad))))
+            (1.0, np.log(aq - r - eaq)), (-1.0, np.log(aq + r + eaq)))), pad
 
 
 def _level_one_disk(group: SchottkyGroup, l: int):
-    """E_l = g_l(outside of D_-l) as (centre, radius) from image_disk, D_l the
-    target circle of l; None where g_l fixes infinity, where the exact test
+    """E_l = g_l(outside of D_-l) as image_disk gives it, D_l the target
+    circle of l; None where g_l fixes infinity, where the exact test
     does not find its pole inside D_-l, or where image_disk finds the pole
     within rounding of D_-l or a part of g_l overflows a float."""
     g, h = group.letter_map(l), group.target_circle(-l)
     try:
         with np.errstate(all="ignore"):
             if g.c != 0 and _gap(_letter(g.a, g.b, g.c, g.d)[0], 0.0, h.center, h.radius) < 0:
-                return image_disk(g, h.center, h.radius)[:2]
+                return image_disk(g, h.center, h.radius)
     except (EstimationError, OverflowError):
         pass
     return None
@@ -628,11 +618,12 @@ def _cylinder_levels(group: SchottkyGroup):
                               f"{group.rank} cyclic_diagnostic group has none")
     letters, maps = group.letters, [group.letter_map(l) for l in group.letters]
     holes = [group.target_circle(-l) for l in letters]
-    disks = [_level_one_disk(group, l) for l in letters]
-    for l, disk in zip(letters, disks):
-        if disk is None:
+    disks = []
+    for l in letters:
+        if (disk := _level_one_disk(group, l)) is None:
             raise EstimationError(f"no delta certificate: the pole of letter {l} "
                                   f"is not inside the circle of letter {-l}")
+        disks.append(disk[:2])
     for i, l in enumerate(letters):
         for j, m in enumerate(letters):
             if j > i and _gap(*disks[i], *disks[j]) <= 0:
@@ -645,8 +636,8 @@ def _cylinder_levels(group: SchottkyGroup):
     while True:  # letter i's words skip those starting with letter i ^ 1
         run = centres.size // len(letters)
         centres, radii, ls, li = map(np.concatenate, zip(*(image_disk(g, *(
-            np.delete(a, slice((i ^ 1) * run, ((i ^ 1) + 1) * run)) for a in (centres, radii)))
-            for i, g in enumerate(maps))))
+            np.delete(a, slice((i ^ 1) * run, ((i ^ 1) + 1) * run))
+            for a in (centres, radii)))[:4] for i, g in enumerate(maps))))
         yield centres, radii, ls, li
 
 
@@ -704,14 +695,15 @@ def estimate_delta(group: SchottkyGroup, resolution: float = 0.01,
     (Bowen); no |g_l'| < 1 is needed.  Ratios of any positive vector bound
     rho, so _bracket_end's ends are proven.
 
-    Levels m = 2, 3, then where level 3's width reaches resolution if each
-    level divides it as level 3 did level 2's, then one at a time until the
-    bracket is at most resolution wide; delta is its midpoint.  max_depth
-    caps m, by default at the deepest m whose words of length m + 1
-    fits_depth allows.  EstimationError names the level and bracket where
-    the cap is reached or a level narrows the bracket by less than eta and
-    than the width still to go, at its floor near 5e-15.  A rank-1
-    group with a loxodromic generator has delta = 0.
+    Levels m = 2, 3, then where level 3's width reaches resolution, or the
+    rounding floor eta if that is larger, if each level divides it as level
+    3 did level 2's, then one at a time until the bracket is at most
+    resolution wide; delta is its midpoint.  max_depth caps m, by default at
+    the deepest m whose words of length m + 1 fits_depth allows.
+    EstimationError names the level and bracket where the cap is reached or
+    a level narrows the bracket by less than eta and than the width still
+    to go, at its floor near 5e-15.  A rank-1 group with a loxodromic
+    generator has delta = 0.
     """
     if group.rank == 0:
         raise SchottkyError("the trivial group has no critical exponent")
@@ -747,15 +739,15 @@ def estimate_delta(group: SchottkyGroup, resolution: float = 0.01,
         hi, last, width = up, width, up - lo
         if width <= resolution:
             return DeltaEstimate(0.5 * (lo + hi), (lo, hi), m, max_depth)
-        if m == max_depth or last - width < min(_eta(hi, abs(ls).max(), b),
-                                                width - resolution):
+        eta = _eta(hi, abs(ls).max(), b)
+        if m == max_depth or last - width < min(eta, width - resolution):
             raise EstimationError(f"delta did not settle to resolution {resolution!r} "
                                   f"by level {m}: bracket [{lo!r}, {hi!r}]")
-        target = m + 1 if m != 3 else min(max_depth, 3 + math.ceil(
-            math.log(width / resolution) / math.log(last / width)))
+        target = m + 1 if m != 3 else min(max_depth, 3 + math.ceil(math.log(
+            width / max(resolution, eta)) / math.log(last / width)))
 
 
-def limit_set(group: SchottkyGroup, depth: int) -> LimitSetSample:
+def limit_set(group: SchottkyGroup, depth: int) -> tuple[SpherePoint, ...]:
     """Images of generator fixed points under all admissible depth-`depth` words.
 
     A seed carries the direction letter whose map it attracts under; a word is
@@ -778,9 +770,8 @@ def limit_set(group: SchottkyGroup, depth: int) -> LimitSetSample:
     # row-major, are seed-major and word-lexicographic within
     keep = np.stack([last != -direction for direction, _ in seeds])
     pts, inf_mask = project(num[keep], den[keep])
-    points = [INF if m else SpherePoint(q)
-              for q, m in zip(pts.tolist(), inf_mask.tolist())]
-    return LimitSetSample(tuple(points), depth)
+    return tuple(INF if m else SpherePoint(q)
+                 for q, m in zip(pts.tolist(), inf_mask.tolist()))
 
 
 def reduce_to_fundamental_domain(group: SchottkyGroup, z, max_steps: int = 200):

@@ -166,6 +166,10 @@ def test_group_delta_settles_where_the_determinant_did_not(tmp_path):
     # there, before the cap's level 12 (2.1 million matrix entries)
     (("--resolution", "1e-15"), 3,
      "numeric error: delta did not settle to resolution 1e-15 by level 11: bracket ["),
+    # far below the floor the jump from level 3 aims at eta, not at the
+    # resolution, so the same level refuses it, not the cap's level 12
+    (("--resolution", "1e-300"), 3,
+     "numeric error: delta did not settle to resolution 1e-300 by level 11: bracket ["),
 ])
 def test_group_delta_rejections_name_their_cause(std_config, args, code, cause):
     got, out, err = main_io("--config", std_config, "group", "delta", *args)
@@ -363,6 +367,18 @@ def test_bers_reports_density_error_bound(std_config):
     res = json.loads(r.stdout)["results"]
     assert 0.0 < res["density_rel_err"] <= 1e-12
     assert res["estimate_rel_err"] >= (2.0 / 0.2984) * res["density_rel_err"]
+
+
+def test_bers_at_a_tiny_delta_reports_an_infinite_bound(std_config):
+    """At delta = 1e-300 the bound (1 + density_rel_err)^(2/delta) - 1
+    passes the float range: it is reported infinite, as where
+    density_rel_err >= 1, not raised as an OverflowError."""
+    code, out, err = main_io("--config", std_config, "bers", "--depth", "3",
+                             "--samples", "1000", "--delta", "1e-300")
+    assert code == 0 and err == "", err
+    res = json.loads(out)["results"]
+    assert 0.0 < res["density_rel_err"] <= 1e-12
+    assert res["estimate_rel_err"] == math.inf
 
 
 @pytest.mark.parametrize("weight", ["holomorphic", "absolute"])

@@ -15,7 +15,6 @@ from kleinlog.moebius import (
     as_sphere_point,
     chordal,
     from_fixed_points_multiplier,
-    phi,
 )
 
 
@@ -68,8 +67,8 @@ def test_identity_and_inverse():
     assert e.is_identity()
     for _ in range(100):
         m = rand_map(rng)
-        assert (m @ m.inverse()).is_identity()
-        assert (m.inverse() @ m).is_identity()
+        assert m.compose(m.inverse()).is_identity()
+        assert m.inverse().compose(m).is_identity()
 
 
 def test_apply_composition_consistency():
@@ -77,7 +76,7 @@ def test_apply_composition_consistency():
     for _ in range(300):
         m1, m2 = rand_map(rng), rand_map(rng)
         p = rand_point(rng)
-        lhs = (m1 @ m2).apply(p)
+        lhs = m1.compose(m2).apply(p)
         rhs = m1.apply(m2.apply(p))
         assert chordal(lhs, rhs) < 1e-9
 
@@ -110,11 +109,6 @@ def test_chordal_closed_forms():
     # 0 and infinity are antipodal; 0 and 1 sit at distance sqrt(2)
     assert abs(chordal(SpherePoint(0j), INF) - 2.0) < 1e-15
     assert abs(chordal(SpherePoint(0j), SpherePoint(1 + 0j)) - math.sqrt(2)) < 1e-15
-    # phi is half the squared chordal distance
-    rng = random.Random(19)
-    for _ in range(100):
-        x, y = rand_point(rng), rand_point(rng)
-        assert abs(phi(x, y) - 0.5 * chordal(x, y) ** 2) < 1e-13
 
 
 def test_spherical_derivative_chain_rule():
@@ -122,7 +116,7 @@ def test_spherical_derivative_chain_rule():
     for _ in range(200):
         g, h = rand_map(rng), rand_map(rng)
         p = rand_point(rng)
-        lhs = (g @ h).spherical_derivative(p)
+        lhs = g.compose(h).spherical_derivative(p)
         rhs = g.spherical_derivative(h.apply(p)) * h.spherical_derivative(p)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
@@ -132,10 +126,10 @@ def test_spherical_derivative_matches_chordal_ratio():
     for _ in range(100):
         m = rand_map(rng)
         p = rand_point(rng)
-        if p.is_finite and m.c != 0 and abs(complex(p) + m.d / m.c) < 1e-2:
+        if not p.is_infinity and m.c != 0 and abs(complex(p) + m.d / m.c) < 1e-2:
             continue  # finite differencing is hopeless next to the pole
         q = as_sphere_point(
-            (complex(p) if p.is_finite else 1e8) + 1e-6 * cmath.exp(2j * rng.random())
+            (1e8 if p.is_infinity else complex(p)) + 1e-6 * cmath.exp(2j * rng.random())
         )
         ratio = chordal(m.apply(p), m.apply(q)) / chordal(p, q)
         assert abs(ratio - m.spherical_derivative(p)) < 1e-3 * max(

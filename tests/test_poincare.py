@@ -97,7 +97,7 @@ def test_tail_estimate_honest(std_group):
 def test_short_truncation_is_inconclusive(std_group):
     ev = evaluate(std_group, z=1j, max_len=2, tol=1e-8)
     assert ev.verdict == "inconclusive"
-    assert ev.tail_estimate > ev.tol
+    assert ev.tail_estimate > 1e-8
 
 
 def test_automorphy_residual_decreases(std_group):
@@ -421,7 +421,7 @@ def scalar_fundamental_domain_samples(group, n, seed):
         for p, m in zip(pts, msk):
             sp = INF if m else SpherePoint(complex(p))
             if len(out) < n and not any(
-                    sp.is_finite and abs(sp.value - c.center) < c.radius + SAMPLE_MARGIN
+                    not sp.is_infinity and abs(sp.value - c.center) < c.radius + SAMPLE_MARGIN
                     for c in group.circles or ()):
                 out.append(sp)
     return out

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kleinlog.moebius import INF, SpherePoint, as_sphere_point, phi
+from kleinlog.moebius import INF, SpherePoint, as_sphere_point, chordal
 from kleinlog.psmeasure import (
     PAIR_BUDGET,
     POINT_BATCH,
@@ -99,15 +99,6 @@ def test_wrong_delta_inflates_residual(std_group, sharp_delta):
     assert bad > 5.0 * good
 
 
-def test_custom_test_functions(std_group, sharp_delta):
-    m = build_ps(std_group, sharp_delta, 6)
-    only_const = quasi_invariance_residual(
-        m, std_group, test_functions=[("1", lambda n1, n2, n3: np.ones_like(n1))]
-    )
-    full = quasi_invariance_residual(m, std_group)
-    assert only_const <= full + 1e-15
-
-
 def test_residual_in_blocks_is_bitwise(monkeypatch, std_group, sharp_delta):
     """Blocks of 1,000 and 7 atoms give the bits of one block, and those are
     the bits of fsum over whole arrays."""
@@ -122,7 +113,7 @@ def test_residual_in_blocks_is_bitwise(monkeypatch, std_group, sharp_delta):
         img, img_msk, num, den = act(g.a, g.b, g.c, g.d, Z, W)
         jac = stretch(Z, W, num, den) ** m.delta
         cy = sphere_coords_many(img, img_msk)
-        for _, f in psmeasure.DEFAULT_TEST_FUNCTIONS:
+        for _, f in psmeasure.TEST_FUNCTIONS:
             fx = f(*cx)
             rel = abs(fsum(m.weights * fx) - fsum(m.weights * jac * f(*cy))) / (
                 fsum(m.weights * np.abs(fx)) + psmeasure.RESIDUAL_EPS)
@@ -138,11 +129,11 @@ def test_single_atom_density_closed_form():
     rng = np.random.default_rng(211)
     for _ in range(50):
         x = SpherePoint(complex(rng.normal(), rng.normal()))
-        expected = 1.0 / phi(x, SpherePoint(0j))
+        expected = 1.0 / (0.5 * chordal(x, SpherePoint(0j)) ** 2)
         assert abs(F(d, x) - expected) < 1e-12 * abs(expected)
     # antipode of 0 is infinity: phi = 2 there, F = 1/2
     assert abs(F(d, INF) - 0.5) < 1e-15
-    assert abs(F(d, INF) ** (2.0 / d.delta) - 0.25) < 1e-15
+    assert abs(F(d, INF) ** (2.0 / d.measure.delta) - 0.25) < 1e-15
 
 
 def test_density_singular_at_atom():

@@ -216,8 +216,8 @@ def test_limit_set_matches_scalar(std_group):
             for direction, seed in ((i, fp.fix_attracting), (-i, fp.fix_repelling)):
                 refs += [m.apply(seed) for m, w in zip(maps, words)
                          if w.letters[-1] != -direction]
-        assert len(sample.points) == len(refs)
-        for p, ref in zip(sample.points, refs):
+        assert len(sample) == len(refs)
+        for p, ref in zip(sample, refs):
             assert chordal(p, ref) <= 8 * U
 
 

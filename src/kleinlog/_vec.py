@@ -2,9 +2,11 @@
 
 Points are (complex ndarray, bool inf-mask) pairs; the formulas go through
 bounded homogeneous coordinates, so nothing overflows near infinity.  act
-and stretch are the Moebius kernels that every vector path shares.  The
-scalar methods of moebius stay the bit references: numpy and CPython round the same formulas differently (complex
-division, hypot), so a scalar call is not a one-element vector call.
+serves only quasi_invariance_residual, and stretch it and the shell sums;
+the word walk applies its maps in place in SchottkyGroup._grow.  The
+scalar methods of moebius stay the bit references: numpy and CPython round
+the same formulas differently (complex division, hypot), so a scalar call
+is not a one-element vector call.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -330,12 +331,16 @@ def config_from_dict(data: dict) -> RunConfig:
 # serialization ----------------------------------------------------------------
 
 def _jsonable(obj):
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    """`obj` in JSON types, a record as its fields; a non-finite float is
+    the string "inf", "-inf" or "nan", so every report is strict JSON."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(float(obj))
+    if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return [_jsonable(obj.real), _jsonable(obj.imag)]
     if isinstance(obj, SpherePoint):
-        return "inf" if obj.is_infinity else [obj.value.real, obj.value.imag]
+        return "inf" if obj.is_infinity else _jsonable(obj.value)
     if isinstance(obj, np.generic):
         return _jsonable(obj.item())
     if isinstance(obj, np.ndarray):
@@ -366,7 +371,8 @@ def _writing(out_path):
 
 
 def emit_report(report: dict, out_path) -> None:
-    text = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_jsonable(report), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
     if out_path:
         with _writing(out_path), open(out_path, "w", encoding="ascii") as f:
             f.write(text)
@@ -592,13 +598,7 @@ def _run(args) -> tuple[dict, int]:
             z = s.get("z")
             if z is None:
                 raise ConfigError("--z", "series eval needs a point")
-            ev = evaluate(group, None, z, weight, max_len, stol)
-            report["results"] = {
-                "value": ev.value, "tail_estimate": ev.tail_estimate,
-                "verdict": ev.verdict, "weight_mode": ev.weight_mode,
-                "shells": ev.shells, "weight_shells": ev.weight_shells,
-                "comparability": ev.comparability,
-            }
+            ev = report["results"] = evaluate(group, None, z, weight, max_len, stol)
             if ev.verdict != "converged":
                 report["diagnostics"]["verdict"] = ev.verdict
                 code = EXIT_NUMERIC
@@ -613,25 +613,14 @@ def _run(args) -> tuple[dict, int]:
             report["results"] = {"residuals": per, "max_len": max_len,
                                  "weight_mode": weight, "n_samples": n}
         else:
-            rep = convergence_report(group, s.get("z"), max_len,
-                                     s.get("resolution", 1e-3))
-            report["results"] = {
-                "exponents": rep.exponents, "shell_sums": rep.shell_sums,
-                "ratios": rep.ratios, "delta": rep.delta,
-                "delta_bracket": rep.delta_bracket,
-            }
+            report["results"] = convergence_report(group, s.get("z"), max_len,
+                                                   s.get("resolution", 1e-3))
 
     elif cmd == "bers":
         n_samples = _setting(s, "samples", 10000, 1000)
         density = NayataniDensity(_measure(group, s))
-        r = bers_integral(density, None, n_samples, s.get("seed", 0))
-        report["results"] = {
-            "estimate": r.estimate, "stderr": r.stderr,
-            "n_samples": r.n_samples, "n_singular": r.n_singular,
-            "decile_shares": r.decile_shares, "heavy_tail": r.heavy_tail,
-            "density_rel_err": r.density_rel_err,
-            "estimate_rel_err": r.estimate_rel_err,
-        }
+        r = report["results"] = bers_integral(density, None, n_samples,
+                                              s.get("seed", 0))
         if r.heavy_tail:
             report["diagnostics"]["heavy_tail"] = (
                 "top decile carries more than half the sampled mass; the "

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._vec import fsum, fsum_c
-from .moebius import as_sphere_point
+from .moebius import _clean, as_sphere_point
 
 EPS = 2.220446049250313e-16
 TWO_PI = 2.0 * math.pi
@@ -97,13 +97,6 @@ def _harmonic(n: int) -> float:
     return sum(1.0 / j for j in range(1, n + 1))
 
 
-def _clean_neg(z: complex) -> complex:
-    # -z with negative-zero components collapsed, so principal logs on the
-    # real axis stay on the continuity-from-below branch
-    w = -z
-    return complex(w.real + 0.0, w.imag + 0.0)
-
-
 def _li_series(n: int, z: complex, tol: float) -> PolylogResult:
     # direct sum, valid for |z| <= 1/2: tail after K terms is
     # <= |z|^{K+1} / ((K+1)^n (1 - |z|))
@@ -134,7 +127,7 @@ def _bernoulli_poly(n: int, u: complex) -> complex:
 def _li_inversion(n: int, z: complex, tol: float) -> PolylogResult:
     # Li_n(z) = (-1)^{n-1} Li_n(1/z) - (2 pi i)^n / n! * B_n(1/2 + log(-z)/(2 pi i))
     inner = _li_series(n, 1.0 / z, 0.5 * tol)
-    u = 0.5 + cmath.log(_clean_neg(z)) / (2j * math.pi)
+    u = 0.5 + cmath.log(_clean(-z)) / (2j * math.pi)
     corr = -((2j * math.pi) ** n) / math.factorial(n) * _bernoulli_poly(n, u)
     value = (-1.0) ** (n - 1) * inner.value + corr
     err = inner.error_bound + 8.0 * EPS * (abs(corr) + abs(value))
@@ -155,7 +148,7 @@ def _li_log_band(n: int, z: complex, tol: float) -> PolylogResult:
     used = 0
     while True:
         if k == n - 1:
-            terms.append(mupow / fact * (_harmonic(n - 1) - cmath.log(_clean_neg(mu))))
+            terms.append(mupow / fact * (_harmonic(n - 1) - cmath.log(_clean(-mu))))
             used += 1
         else:
             zv = zeta_int(n - k)
@@ -192,7 +185,7 @@ def li(n: int, z, tol: float = 1e-12) -> PolylogResult:
     if n == 1:
         if zz == 1:
             raise SingularArgumentError("Li_1 has a pole at z = 1")
-        value = -cmath.log(_clean_neg(zz - 1.0))
+        value = -cmath.log(_clean(-(zz - 1.0)))
         return PolylogResult(value, 4.0 * EPS * (1.0 + abs(value)), 1)
     try:
         az = abs(zz)
@@ -219,7 +212,7 @@ def _bloch_wigner_bounded(z: complex, tol: float) -> tuple[float, float]:
         return -value, err
     res = li(2, z, tol)
     logabs = math.log(abs(z))
-    corr = cmath.phase(_clean_neg(z - 1.0)) * logabs
+    corr = cmath.phase(_clean(-(z - 1.0))) * logabs
     value = res.value.imag + corr
     err = res.error_bound + 4.0 * EPS * (abs(res.value.imag) + abs(corr))
     return value, err

@@ -62,6 +62,8 @@ class PSMeasure:
             raise MeasureError("a measure needs at least one atom")
         if np.any(wts < 0) or not np.all(np.isfinite(wts)):
             raise MeasureError("weights must be finite and nonnegative")
+        if not np.all(np.isfinite(pts[~msk])):
+            raise MeasureError("a point not marked infinite must be finite")
         total = fsum(wts)
         if abs(total - 1.0) > MASS_TOL:
             raise MeasureError(f"total mass {total!r} is not 1 within {MASS_TOL}")
@@ -610,12 +612,15 @@ def read_measure_csv(path) -> PSMeasure:
                     continue
                 re_s, im_s, w_s = line.split(b",")
                 re_v, im_v = float(re_s), float(im_s)
-                if math.isinf(re_v) or math.isinf(im_v):
+                if re_v == im_v == math.inf:
                     pts.append(0j)
                     msk.append(True)
-                else:
+                elif math.isfinite(re_v) and math.isfinite(im_v):
                     pts.append(complex(re_v, im_v))
                     msk.append(False)
+                else:  # named below with its line
+                    raise ValueError("a point is two finite coordinates or "
+                                     f"inf,inf, got {re_v!r},{im_v!r}")
                 wts.append(float(w_s))
         except KeyError as e:
             raise MeasureError(f"line 1: header lacks {e}") from None

@@ -88,6 +88,31 @@ def test_bad_multiplier_rejected_naming_field(tmp_path):
     assert b"multiplier" in r.stderr
 
 
+def test_fixed_point_generators_match_the_matrix_form(tmp_path):
+    """The standard generators given by fixed points and multiplier, in
+    closed form: z -> (4z + 8.5)/(2z + 4) fixes +-sqrt(17)/2 with multiplier
+    -(4 + sqrt(17))^2, z -> (4z + 7.5i)/(-2iz + 4) fixes +-i sqrt(15)/2 with
+    (4 + sqrt(15))^2.  The group validates, and each matrix is std_spec()'s
+    up to sign within 4 ulps of its largest entry (2 measured)."""
+    r17, r15 = math.sqrt(17.0), math.sqrt(15.0)
+    spec = std_spec()
+    want = [[complex(*e) for e in g["matrix"]] for g in spec["group"]["generators"]]
+    spec["group"]["generators"] = [
+        {"fixed_points": [[r17 / 2, 0], [-r17 / 2, 0]], "multiplier": [-(4 + r17) ** 2, 0]},
+        {"fixed_points": [[0, r15 / 2], [0, -r15 / 2]], "multiplier": [(4 + r15) ** 2, 0]},
+    ]
+    cfg = tmp_path / "fixed_points.json"
+    cfg.write_text(json.dumps(spec))
+    code, out, err = main_io("--config", str(cfg), "group", "validate")
+    assert code == 0 and err == "", err
+    res = json.loads(out)["results"]
+    assert res["ok"] and res["violations"] == []
+    for g, w in zip(res["group"]["generators"], want):
+        got = [complex(*e) for e in g["matrix"]]
+        dev = min(max(abs(sign * x - y) for x, y in zip(got, w)) for sign in (1, -1))
+        assert dev <= 4 * math.ulp(max(map(abs, w))), (got, w)
+
+
 def test_malformed_json_reports_line(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text('{\n  "group": {,}\n}\n')
@@ -371,14 +396,14 @@ def test_bers_reports_density_error_bound(std_config):
 
 def test_bers_at_a_tiny_delta_reports_an_infinite_bound(std_config):
     """At delta = 1e-300 the bound (1 + density_rel_err)^(2/delta) - 1
-    passes the float range: it is reported infinite, as where
+    passes the float range: it is reported as "inf", as where
     density_rel_err >= 1, not raised as an OverflowError."""
     code, out, err = main_io("--config", std_config, "bers", "--depth", "3",
                              "--samples", "1000", "--delta", "1e-300")
     assert code == 0 and err == "", err
     res = json.loads(out)["results"]
     assert 0.0 < res["density_rel_err"] <= 1e-12
-    assert res["estimate_rel_err"] == math.inf
+    assert res["estimate_rel_err"] == "inf"
 
 
 @pytest.mark.parametrize("weight", ["holomorphic", "absolute"])
@@ -600,18 +625,29 @@ EVERY_COMMAND = [
     ("series", "report", "--max-len", "5"),
     ("bers", "--depth", "4", "--samples", "1000"),
     ("bers", "--depth", "4", "--samples", "1000", "--delta", "0.4"),
+    ("bers", "--depth", "3", "--samples", "1000", "--delta", "1e-300"),
 ]
+
+
+def strict_json(text: str):
+    """json.loads refusing the bare Infinity, -Infinity and NaN tokens,
+    which RFC 8259 parsers reject."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
 
 
 @pytest.mark.parametrize("rank", [2, 3])
 @pytest.mark.parametrize("seed", range(8))
 def test_random_groups_through_every_command(tmp_path, seed, rank):
     """On random classical groups every command ends with exit 0, 2
-    (config) or 3 (numeric), and none raises."""
+    (config) or 3 (numeric), none raises, and every report is strict JSON."""
     cfg = random_group_config(tmp_path, seed, rank)
     for args in EVERY_COMMAND:
-        code, _, err = main_io("--config", cfg, *args)
+        code, out, err = main_io("--config", cfg, *args)
         assert code in (0, 2, 3), (args, code, err)
+        if out:
+            strict_json(out)
 
 
 def test_parser_is_built_once_and_carries_nothing_over(std_config, tmp_path):
@@ -686,6 +722,45 @@ def test_bad_measure_csv_rejected_naming_it(tmp_path, name, content, cause):
     code, _, err = main_io("--config", str(cfg), "measure", "residual")
     assert code == 2
     assert err.startswith("config error: measure_csv:") and cause in err, err
+
+
+@pytest.mark.parametrize("command", [("measure", "residual"),
+                                     ("bers", "--samples", "1000")])
+@pytest.mark.parametrize("row, shown", [("nan,0.0", "nan,0.0"), ("inf,0.0", "inf,0.0"),
+                                        ("-inf,inf", "-inf,inf"), ("inf,inf", None)])
+def test_measure_csv_points_are_finite_or_inf_inf(tmp_path, command, row, shown):
+    """A measure row holds two finite coordinates or inf,inf, as
+    write_measure_csv writes infinity; any other non-finite row is refused
+    naming its line.  At the parent a nan row gave residual 0.0 and a bers
+    estimate of NaN, and a row with one infinite coordinate was infinity."""
+    csv = tmp_path / "m.csv"
+    csv.write_text('# {"basepoint": "inf", "delta": 0.3, "depth": 2}\n'
+                   f"re,im,weight\n{row},0.5\n3.0,0.0,0.5\n")
+    cfg = tmp_path / "withcsv.json"
+    cfg.write_text(json.dumps({**std_spec(), "measure_csv": str(csv)}))
+    code, out, err = main_io("--config", str(cfg), *command)
+    if shown is None:
+        assert code == 0 and err == "", err
+        strict_json(out)
+    else:
+        assert (code, out) == (2, "")
+        assert err == ("config error: measure_csv: line 3: a point is two finite "
+                       f"coordinates or inf,inf, got {shown}\n")
+
+
+def test_non_finite_floats_report_as_strings(tmp_path):
+    """Every report is strict JSON: a non-finite float, also inside a
+    complex number or a numpy value, is the string "inf", "-inf" or "nan"."""
+    from kleinlog.cli import emit_report
+
+    out = tmp_path / "report.json"
+    emit_report({"a": math.inf, "b": -math.inf, "c": math.nan, "d": 1.5,
+                 "z": complex(math.inf, math.nan), "n": np.float64(-math.inf),
+                 "v": np.array([1.0, math.inf]), "w": np.array([complex(0, -math.inf)])},
+                out)
+    assert strict_json(out.read_text()) == {
+        "a": "inf", "b": "-inf", "c": "nan", "d": 1.5, "z": ["inf", "nan"],
+        "n": "-inf", "v": [1.0, "inf"], "w": [[0.0, "-inf"]]}
 
 
 @pytest.mark.parametrize("weight", ["holomorphic", "absolute"])

@@ -80,6 +80,12 @@ def test_psmeasure_validation():
     assert len(m) == 2
     with pytest.raises(ValueError):
         m.weights[0] = 1.0  # arrays are frozen
+    for bad in (complex(math.nan, 0.0), complex(0.0, math.inf)):
+        with pytest.raises(MeasureError, match="not marked infinite"):
+            PSMeasure(np.array([bad, 1 + 0j]), msk, np.array([0.5, 0.5]), 0.5, 1, INF)
+    # a point marked infinite is not read
+    PSMeasure(np.array([complex(math.inf, 0.0), 1 + 0j]), np.array([True, False]),
+              np.array([0.5, 0.5]), 0.5, 1, INF)
 
 
 def test_quasi_invariance_residual_decreases(std_group, sharp_delta):
@@ -397,6 +403,69 @@ def test_density_evaluated_on_whole_arrays(monkeypatch, std_group, sharp_delta):
     calls.clear()
     conformality_report(den, std_group, n_points=50, seed=0)
     assert 1 + std_group.rank <= len(calls) <= 1 + std_group.rank + 1
+
+
+class MarkedSingular:
+    """A NayataniDensity whose F_many also marks chosen points singular:
+    marks[i] indexes the points of the i-th call."""
+
+    def __init__(self, density, marks):
+        self.measure = density.measure
+        self.density, self.marks, self.calls = density, marks, []
+
+    def F_many(self, points, inf_mask):
+        vals, singular, rel = self.density.F_many(points, inf_mask)
+        idx = self.marks[len(self.calls)] if len(self.calls) < len(self.marks) else []
+        self.calls.append(len(points))
+        vals[idx], singular[idx] = math.inf, True
+        return vals, singular, rel
+
+
+def resampled(density, n, seed, marks):
+    """(estimate, stderr) from the points bers_integral should end with:
+    those marked on each call drawn again, in order, from the same stream."""
+    from kleinlog._vec import fsum, uniform_sphere_points
+    from kleinlog.poincare import BLOCH_WIGNER_INTEGRAND
+
+    rng = np.random.default_rng(seed)
+    pts, msk = uniform_sphere_points(rng, n)
+    where = np.arange(n)
+    for idx in marks:
+        where = where[idx]
+        pts[where], msk[where] = uniform_sphere_points(rng, where.size)
+    fvals, singular, _ = density.F_many(pts, msk)
+    assert not singular.any()
+    vals = fvals ** (2.0 / density.measure.delta) * np.abs(
+        BLOCH_WIGNER_INTEGRAND.eval_many(pts, msk))
+    mean = fsum(vals) / n
+    var = fsum((vals - mean) ** 2) / (n - 1)
+    return 4.0 * math.pi * mean, 4.0 * math.pi * math.sqrt(var / n)
+
+
+@pytest.mark.parametrize("marks", [[[7]], [[3, 50, 700, 999]], [[3, 50, 700], [1]],
+                                   [list(range(0, 10000, 100))]])
+def test_bers_resamples_singular_hits_from_the_stream(std_group, marks):
+    """Points marked singular are drawn again from the same generator, and
+    a point marked again is drawn again once more; 1% of the samples (100
+    of 10,000) may be resampled."""
+    from kleinlog.poincare import bers_integral
+
+    den = NayataniDensity(build_ps(std_group, 0.3, 4))
+    n = 10000 if len(marks[0]) == 100 else 1000
+    stand_in = MarkedSingular(den, marks)
+    r = bers_integral(stand_in, n_samples=n, seed=5)
+    assert stand_in.calls == [n, *(len(idx) for idx in marks)]
+    assert r.n_singular == sum(len(idx) for idx in marks)
+    assert (r.estimate, r.stderr) == resampled(den, n, 5, marks)
+    assert (r.estimate, r.stderr) != resampled(den, n, 5, [])
+
+
+def test_bers_refuses_more_than_one_percent_singular(std_group):
+    from kleinlog.poincare import bers_integral
+
+    den = NayataniDensity(build_ps(std_group, 0.3, 4))
+    with pytest.raises(MeasureError, match="101 singular resamples out of 10000"):
+        bers_integral(MarkedSingular(den, [list(range(101))]), n_samples=10000)
 
 
 def test_tree_matches_exact_path_on_other_layouts(tmp_path, std_group, sharp_delta):

@@ -53,6 +53,7 @@ class PSMeasure:
     basepoint: SpherePoint
 
     def __post_init__(self):
+        _check_delta(self.delta)
         pts = np.asarray(self.points, dtype=complex)
         msk = np.asarray(self.inf_mask, dtype=bool)
         wts = np.asarray(self.weights, dtype=float)
@@ -78,6 +79,13 @@ class PSMeasure:
         return self.weights.size
 
 
+def _check_delta(delta) -> float:
+    """delta as a float, refused unless finite and nonnegative."""
+    if (delta := float(delta)) >= 0.0 and math.isfinite(delta):
+        return delta
+    raise MeasureError(f"delta must be a finite nonnegative real, got {delta!r}")
+
+
 def build_ps(group: SchottkyGroup, delta, depth: int = 8) -> PSMeasure:
     """Deepest-shell orbit measure: atoms w(basepoint) over |w| = depth,
     weights proportional to (spherical derivative of w at basepoint)^delta,
@@ -86,11 +94,7 @@ def build_ps(group: SchottkyGroup, delta, depth: int = 8) -> PSMeasure:
         raise MeasureError(f"depth must be >= 2, got {depth}")
     if group.rank == 0:
         raise MeasureError("the trivial group carries no limit-set measure")
-    if isinstance(delta, DeltaEstimate):
-        delta = delta.delta
-    delta = float(delta)
-    if not (delta >= 0.0 and math.isfinite(delta)):
-        raise MeasureError(f"delta must be a finite nonnegative real, got {delta!r}")
+    delta = _check_delta(delta.delta if isinstance(delta, DeltaEstimate) else delta)
     bp = group.default_basepoint()
     size = group.shell_size(depth)
     pts, msk, sph = np.empty(size, dtype=complex), np.empty(size, dtype=bool), np.empty(size)

@@ -531,9 +531,11 @@ def _not_loxodromic(generators) -> list[str]:
 
 def _gap(z, r, w, t) -> Fraction:
     """|z - w|^2 - (r + t)^2, exactly, for complex z and w or exact pairs."""
-    (x, y), (v, s) = (c if isinstance(c, tuple) else (Fraction(c.real), Fraction(c.imag))
-                      for c in (z, w))
-    return (x - v) ** 2 + (y - s) ** 2 - (Fraction(r) + Fraction(t)) ** 2
+    (x, y), (v, s) = (c if isinstance(c, tuple) else (c.real, c.imag) for c in (z, w))
+    parts = [f.as_integer_ratio() for f in (x, y, v, s, r, t)]
+    den = math.lcm(*(q for _, q in parts))
+    x, y, v, s, r, t = (n * (den // q) for n, q in parts)
+    return Fraction((x - v) ** 2 + (y - s) ** 2 - (r + t) ** 2, den * den)
 
 
 @lru_cache(maxsize=64)  # the letters of the last few groups
@@ -552,19 +554,21 @@ def _letter(a: complex, b: complex, c: complex, d: complex):
             math.sqrt(float(k[0] ** 2 + k[1] ** 2)))
 
 
-def image_disk(g: MoebiusMap, centre, radius):
+def image_disk(g, centre, radius):
     """(centre, radius, log_sup, log_inf, pad) of the image under g = a/c -
-    k/(z - p) of the disks |z - centre| <= r, arrays or one: with q = centre
-    - p, centre a/c - k conj(q)/(|q|^2 - r^2) and radius |k| r/||q|^2 -
-    r^2|, the image of the complement where p is inside.  The radius is
-    padded by pad, twice the first-order bound of the rounding of + - * /
-    and sqrt in the centre and radius, so that the disk holds the exact
-    image; that needs |q|^2 - r^2 within a quarter of itself, else
-    EstimationError.  Where p is outside every disk, the logs bound log|g'|
-    = log|k| - 2 log|z - p| over each through |q| -+ r, padded alike and
-    for a 4-ulp math.log and numpy log; else None."""
+    k/(z - p) of the disks |z - centre| <= r, arrays or one, or under each
+    map g[i] of a list, with its own call's bits, of the disks in row i of
+    2-d arrays: with q = centre - p, centre a/c - k conj(q)/(|q|^2 - r^2)
+    and radius |k| r/||q|^2 - r^2|, the image of the complement where p is
+    inside.  The radius is padded by pad, twice the first-order bound of
+    the rounding of + - * / and sqrt in the centre and radius, so that the
+    disk holds the exact image; that needs |q|^2 - r^2 within a quarter of
+    itself, else EstimationError.  Where p is outside every disk, the logs
+    bound log|g'| = log|k| - 2 log|z - p| over each through |q| -+ r,
+    padded alike and for a 4-ulp math.log and numpy log; else None."""
     u = 2.0 ** -53
-    _, A, p, k, kabs = _letter(g.a, g.b, g.c, g.d)
+    A, p, k, kabs = (np.reshape(c, (-1, 1)) if isinstance(g, list) else c[0] for c in zip(*(
+        _letter(h.a, h.b, h.c, h.d)[1:] for h in (g if isinstance(g, list) else [g]))))
     q = np.asarray(centre, dtype=complex) - p
     r = np.asarray(radius, dtype=float)
     q1 = abs(q.real) + abs(q.imag)
@@ -583,7 +587,7 @@ def image_disk(g: MoebiusMap, centre, radius):
         raise EstimationError("a cylinder disk reaches a generator's pole within rounding")
     if inside:
         return cx + 1j * cy, rad + pad, None, None, pad
-    lk = math.log(kabs)
+    lk = np.reshape([math.log(x) for x in np.ravel(kabs)], np.shape(kabs))
     return cx + 1j * cy, rad + pad, *(lk - 2.0 * ld + side * 2.0 * u * (
         2.0 + 8.0 * (abs(lk) + 2.0 * abs(ld)) + abs(lk - 2.0 * ld)) for side, ld in (
             (1.0, np.log(aq - r - eaq)), (-1.0, np.log(aq + r + eaq)))), pad
@@ -632,18 +636,19 @@ def _cylinder_levels(group: SchottkyGroup):
             if m != -l and _gap(*disks[j], holes[i].center, holes[i].radius) <= 0:
                 raise EstimationError(f"no delta certificate: the level-1 disk of "
                                       f"letter {m} meets the circle of letter {-l}")
-    centres, radii = map(np.array, zip(*disks))
-    while True:  # letter i's words skip those starting with letter i ^ 1
-        run = centres.size // len(letters)
-        centres, radii, ls, li = map(np.concatenate, zip(*(image_disk(g, *(
-            np.delete(a, slice((i ^ 1) * run, ((i ^ 1) + 1) * run))
-            for a in (centres, radii)))[:4] for i, g in enumerate(maps))))
-        yield centres, radii, ls, li
+    centres, radii = (np.array(a)[:, None] for a in zip(*disks))  # one row per first letter
+    rest = [[j for j in range(len(maps)) if j != i ^ 1] for i in range(len(maps))]
+    w = EVAL_CHUNK // len(maps)  # columns a call: image_disk holds some 20 arrays of them
+    while True:  # letter i's words skip the row of those starting with letter i ^ 1
+        c, r = (a[rest].reshape(len(maps), -1) for a in (centres, radii))
+        centres, radii, ls, li = (np.concatenate(p, axis=1) for p in zip(*(image_disk(
+            maps, c[:, j:j + w], r[:, j:j + w])[:4] for j in range(0, c.shape[1], w))))
+        yield centres.ravel(), radii.ravel(), ls.ravel(), li.ravel()
 
 
 def _eta(s: float, top: float, b: int) -> float:
-    """A ratio's relative rounding at s, for logs of modulus at most top in rows
-    of b: s * logs, exp (4 ulps), the products, the row sum, the division, doubled."""
+    """A ratio's relative rounding at s, for logs of modulus at most top in rows of
+    b: s * logs, exp (4 ulps), products, the row sum left to right, division, doubled."""
     return 2.0 * 2.0 ** -53 * (s * top + b + 9.0)
 
 
@@ -652,20 +657,21 @@ def _bracket_end(logs, cols, s0: float, s1: float, x, sign: int):
     least s found where every Collatz-Wielandt ratio (M x)_i / x_i of M =
     exp(s logs) is below 1 - eta, which proves delta < s; for sign +1 and
     inf logs the largest where every one is above 1 + eta, proving delta >
-    s.  Secant steps from s0 and s1 aim at 1 -+ 2 eta, power steps take x
-    towards M's Perron vector.  Else delta's trivial bound, 2 or 0."""
+    s.  Secant steps from s0 and s1 aim at 1 -+ 2 eta; power steps, each row
+    of M x summed left to right, take x to M's Perron vector.  Else 2 or 0."""
     b, top = logs.shape[1], abs(logs).max()
+    logs, idx = logs.T.copy(), np.arange(b)[:, None] + cols * b  # one row per column of M
 
     def trial(s, x):
-        a = np.exp(s * logs)
-        eta = _eta(s, top, b)
+        a, eta = np.exp(s * logs), _eta(s, top, b)
+        aim = math.log1p(2.0 * sign * eta)
         for _ in range(64):
-            y = (a * x.reshape(-1, b)[cols]).sum(axis=1)
+            y = np.add.reduce(a * x.take(idx))  # M x: axis 0's rows added in turn
             ratio = y / x
-            hi, lo = ratio.max(), ratio.min()
-            x = y / y.max()
+            hi, lo = np.maximum.reduce(ratio), np.minimum.reduce(ratio)
+            x = y / np.maximum.reduce(y)
             r = hi if sign < 0 else lo
-            f = math.log(r) - math.log1p(2.0 * sign * eta)
+            f = math.log(r) - aim
             # rho(M) is in [lo, hi]: step until that is within eta, or a
             # quarter of r's distance from the aim
             if hi - lo <= max(eta, 0.25 * abs(f)) * lo:
@@ -710,7 +716,7 @@ def estimate_delta(group: SchottkyGroup, resolution: float = 0.01,
     if not (0.0 < resolution <= 1.0):
         raise SchottkyError(f"resolution must be in (0, 1], got {resolution!r}")
     if max_depth is None:
-        max_depth = next((n for n in range(64, 4, -1) if group.fits_depth(n + 1)), 4)
+        max_depth = next((n for n in range(4, 64) if not group.fits_depth(n + 2)), 64)
     if max_depth < 4:
         raise SchottkyError(f"estimate_delta needs max_depth >= 4, got {max_depth}")
     group.check_depth(max_depth + 1)

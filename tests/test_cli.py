@@ -748,6 +748,24 @@ def test_measure_csv_points_are_finite_or_inf_inf(tmp_path, command, row, shown)
                        f"coordinates or inf,inf, got {shown}\n")
 
 
+@pytest.mark.parametrize("command", [("measure", "residual"),
+                                     ("bers", "--samples", "1000")])
+@pytest.mark.parametrize("delta, shown", [("NaN", "nan"), ("-0.5", "-0.5"),
+                                          ("Infinity", "inf")])
+def test_measure_csv_delta_is_finite_and_nonnegative(tmp_path, command, delta, shown):
+    """A measure CSV's header delta obeys build_ps's rule.  Before, a NaN
+    delta gave residual 0.0 and a bers estimate of NaN, and -0.5 a residual
+    of 4e12, each with exit 0."""
+    csv = tmp_path / "m.csv"
+    csv.write_text(f'# {{"basepoint": "inf", "delta": {delta}, "depth": 2}}\n'
+                   "re,im,weight\n3.0,0.0,0.5\n-3.0,0.0,0.5\n")
+    cfg = tmp_path / "withcsv.json"
+    cfg.write_text(json.dumps({**std_spec(), "measure_csv": str(csv)}))
+    assert main_io("--config", str(cfg), *command) == (
+        2, "", "config error: measure_csv: delta must be a finite nonnegative "
+               f"real, got {shown}\n")
+
+
 def test_non_finite_floats_report_as_strings(tmp_path):
     """Every report is strict JSON: a non-finite float, also inside a
     complex number or a numpy value, is the string "inf", "-inf" or "nan"."""

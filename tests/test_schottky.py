@@ -1,5 +1,7 @@
 import ast
 import cmath
+import hashlib
+import json
 import math
 import weakref
 from collections import Counter
@@ -746,6 +748,45 @@ def test_delta_brackets_nest_to_nine_digits(std_group):
         assert lo <= lo2 < hi2 <= hi
     assert all(lo <= 0.2984031016794595 <= hi for lo, hi in brackets)
     assert brackets[-1][1] - brackets[-1][0] <= 1e-9
+
+
+def make_symmetric_group(rank: int, radius: float = 0.35) -> SchottkyGroup:
+    """Rank-g group pairing opposite circles of `radius` at 3 exp(i pi k / g)."""
+    c = [Circle(3.0 * cmath.exp(1j * math.pi * k / rank), radius)
+         for k in range(2 * rank)]
+    return SchottkyGroup([pairing_map(c[k], c[k + rank]) for k in range(rank)],
+                         [c[k + h] for k in range(rank) for h in (0, rank)])
+
+
+PINNED_GROUPS = {**DELTA_GROUPS, "rank3": make_rank3_group,
+                 "rank4": lambda: make_symmetric_group(4),
+                 "rank5": lambda: make_symmetric_group(5)}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GROUPS))
+def test_delta_and_cylinder_levels_keep_their_bits(name):
+    """repr(estimate_delta) or its EstimationError at the pinned resolutions,
+    and a digest of _cylinder_levels' arrays through level 5 at rank 2 and
+    level 4 above, equal those in data/delta_pins.json.  Recorded with numpy
+    2.4.6 on an AVX-512 CPU, as the other files in data/ are.  Resolution
+    1e-15 is pinned only where it takes under a second, and 1e-8 on every
+    group but the two rank-3 ones that take 5 s to level 8.  Rank 5's rows
+    of 9 are summed left to right, where numpy's row sum of 9 is pairwise,
+    so its values are those of left-to-right sums, an ulp or two from the
+    pairwise ones."""
+    group = PINNED_GROUPS[name]()
+    pins = json.loads((Path(__file__).parent / "data" / "delta_pins.json").read_text())
+    digest, levels = hashlib.sha256(), schottky._cylinder_levels(group)
+    for _ in range(5 if group.rank == 2 else 4):
+        for a in next(levels):
+            digest.update(a.tobytes())
+    assert digest.hexdigest() == pins[name]["levels"]
+    for resolution, pinned in pins[name]["delta"].items():
+        try:
+            got = repr(estimate_delta(group, float(resolution)))
+        except EstimationError as e:
+            got = f"EstimationError: {e}"
+        assert got == pinned, resolution
 
 
 def mp_image(g: MoebiusMap, z):

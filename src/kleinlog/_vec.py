@@ -11,17 +11,16 @@ is not a one-element vector call.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 FSUM_BLOCK = 1 << 14
-# below this length math.fsum over a list is faster than the binned sum
+# below this length math.fsum over a list is faster than the exact sum
 FSUM_SHORT = 2048
-# frexp exponents of finite doubles run from -1073 to 1024
+# ExactSum counts in units of 2**-(_EXP_BIAS + 53): a double of frexp
+# exponent e >= -1073 is an integer times 2**(e - 53)
 _EXP_BIAS = 1073
-_NBINS = _EXP_BIAS + 1025
 
 
 def fsum(x) -> float:
@@ -45,13 +44,16 @@ def fsum_c(z) -> complex:
 
 
 def _fsum_binned(a: np.ndarray) -> float:
+    """fsum of an array by ExactSum, or by math.fsum where add says the two
+    may differ."""
     acc = ExactSum()
-    return acc.value() if acc.add(a) else _fsum_python(a)
+    return acc.value() if acc.add(a) else math.fsum(a)
 
 
-def _fsum_python(a: np.ndarray) -> float:
-    return math.fsum(itertools.chain.from_iterable(
-        a[i:i + FSUM_BLOCK].tolist() for i in range(0, a.size, FSUM_BLOCK)))
+def _units(v: float) -> int:
+    """v exactly, in units of 2**-(_EXP_BIAS + 53)."""
+    m, e = math.frexp(v)
+    return int(m * 2.0**53) << (e + _EXP_BIAS)
 
 
 class ExactSum:
@@ -67,36 +69,34 @@ class ExactSum:
         """Add a 1-d float array.  False where math.fsum of the array alone
         may differ from its exact sum: it holds nan or an infinity, or its
         partial sums may reach 2**1023."""
-        # Every finite double is m * 2**(e - 53) with a signed 53-bit integer
-        # m and its frexp exponent e.  Per exponent, np.bincount sums the
-        # high 27 and low 26 bits of m over blocks of FSUM_BLOCK elements;
-        # each partial sum is an integer (the low bits in units of 2**-26)
-        # below 2**27 * FSUM_BLOCK <= 2**53, so the float sums are exact, and
-        # int64 accumulates the blocks without loss.  A block bins only its
-        # own exponent range.  The bins then join the Python int total.
-        hi_acc = np.zeros(_NBINS, dtype=np.int64)
-        lo_acc = np.zeros(_NBINS, dtype=np.int64)
-        emax, used = 0, slice(_NBINS, 0)
+        # Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput.
+        # 31, 2008) on blocks x of n <= 2**(M - 1): where |x| < 2**(k - M),
+        # q = (x + 2**k) - 2**k is a multiple of 2**(k - 53) with
+        # |q| <= 2**(k - M), so q sums exactly in any order numpy takes, and
+        # r = x - q is exact, with |r| <= 2**(k - 53).  Only + - abs and max
+        # are used, and they round alike at every SIMD level.  Where 2**k
+        # would overflow, the block's elements are added one by one.
+        M = FSUM_BLOCK.bit_length()
+        emax = 0
+        scratch = np.empty((2, min(a.size, FSUM_BLOCK)))
         for start in range(0, a.size, FSUM_BLOCK):
-            m, e = np.frexp(a[start:start + FSUM_BLOCK])
-            m *= 2.0**27
-            hi = np.floor(m)
-            with np.errstate(invalid="ignore"):
-                m -= hi  # nan for nan and infinities
-            e0, e1 = int(e.min()), int(e.max())
-            emax = max(emax, e1)
-            e -= e0
-            lo = np.bincount(e, weights=m)
-            if not np.isfinite(lo).all():
+            x = a[start:start + FSUM_BLOCK]
+            q, r = scratch[:, :x.size]
+            top = np.maximum.reduce(np.abs(x, out=q))
+            if not math.isfinite(top):
                 self.special += np.unique(a[~np.isfinite(a)]).tolist()
                 return False
-            span = slice(e0 + _EXP_BIAS, e1 + _EXP_BIAS + 1)
-            hi_acc[span] += np.bincount(e, weights=hi).astype(np.int64)
-            lo_acc[span] += (lo * 2.0**26).astype(np.int64)
-            used = slice(min(used.start, span.start), max(used.stop, span.stop))
-        nz = np.flatnonzero(hi_acc[used] | lo_acc[used]) + used.start
-        for b, h, lo in zip(nz.tolist(), hi_acc[nz].tolist(), lo_acc[nz].tolist()):
-            self.total += ((h << 26) + lo) << b
+            e = math.frexp(top)[1]
+            emax = max(emax, e)
+            if e > 1023 - M:
+                self.total += sum(map(_units, x.tolist()))
+                continue
+            while top:
+                sigma = 2.0 ** max(math.frexp(top)[1] + M, -1022)
+                np.subtract(np.add(x, sigma, out=q), sigma, out=q)
+                x = np.subtract(x, q, out=r)
+                self.total += _units(np.add.reduce(q))
+                top = np.maximum.reduce(np.abs(x, out=q))
         return emax + a.size.bit_length() <= 1023
 
     def value(self) -> float:

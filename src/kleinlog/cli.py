@@ -502,6 +502,16 @@ def _setting(settings: dict, key: str, default, least):
                                                _flag(key))
 
 
+def _depth_setting(group: SchottkyGroup, s: dict, key: str, default: int,
+                   least: int, diagnostics: dict) -> int:
+    """The setting, else `default` capped at the deepest that fits_depth
+    allows; a cap is named in diagnostics["capped_default"]."""
+    fits = next((n for n in range(default, least, -1) if group.fits_depth(n)), least)
+    if key not in s and fits < default:
+        diagnostics["capped_default"] = {key: fits}
+    return _setting(s, key, fits, least)
+
+
 def _run(args) -> tuple[dict, int]:
     for key, v in vars(args).items():
         if isinstance(v, list):  # argparse's value for "--flag=--"
@@ -573,7 +583,7 @@ def _run(args) -> tuple[dict, int]:
             report["diagnostics"]["classical_preserved"] = moved.validation.ok
 
     elif cmd == "measure":
-        measure = _measure(group, s)
+        measure = _measure(group, s, report["diagnostics"])
         if args.action == "build":
             if out_path and out_path.endswith(".csv"):
                 with _writing(out_path):
@@ -591,7 +601,7 @@ def _run(args) -> tuple[dict, int]:
                                  "depth": measure.depth}
 
     elif cmd == "series":
-        max_len = s.get("max_len", 10)
+        max_len = _depth_setting(group, s, "max_len", 10, 0, report["diagnostics"])
         weight = s.get("weight", "holomorphic")
         stol = s.get("tol", 1e-8)
         if args.action == "eval":
@@ -618,7 +628,7 @@ def _run(args) -> tuple[dict, int]:
 
     elif cmd == "bers":
         n_samples = _setting(s, "samples", 10000, 1000)
-        density = NayataniDensity(_measure(group, s))
+        density = NayataniDensity(_measure(group, s, report["diagnostics"]))
         r = report["results"] = bers_integral(density, None, n_samples,
                                               s.get("seed", 0))
         if r.heavy_tail:
@@ -629,17 +639,17 @@ def _run(args) -> tuple[dict, int]:
     return report, code
 
 
-def _measure(group: SchottkyGroup, s: dict):
+def _measure(group: SchottkyGroup, s: dict, diagnostics: dict):
     """The measure read from measure_csv if given.  Else build_ps at --depth
-    (default 8) with --delta, or with delta estimated to --resolution
-    (default 0.01) at estimate_delta's default level cap; --depth is the
-    depth of the measure only."""
+    (default 8, capped as _depth_setting caps it) with --delta, or with
+    delta estimated to --resolution (default 0.01) at estimate_delta's
+    default level cap; --depth is the depth of the measure only."""
     if "measure_csv" in s:
         try:
             return read_measure_csv(s["measure_csv"])
         except (OSError, ValueError) as e:  # MeasureError included
             raise ConfigError("measure_csv", str(e)) from None
-    depth = _setting(s, "depth", 8, 2)
+    depth = _depth_setting(group, s, "depth", 8, 2, diagnostics)
     group.check_depth(depth)
     delta = s.get("delta")
     if delta is None:

@@ -17,6 +17,7 @@ from tests.conftest import (
     STD_CENTERS,
     STD_RADIUS,
     make_random_group,
+    make_rank3_group,
     make_standard_group,
 )
 
@@ -601,15 +602,19 @@ def main_io(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def random_group_config(tmp_path, seed: int, rank: int) -> str:
-    g = make_random_group(seed, rank)
+def group_config(tmp_path, g, name: str) -> str:
     gens = [{"matrix": [[v.real, v.imag] for v in (m.a, m.b, m.c, m.d)]}
             for m in g.generators]
     circles = [{"center": [c.center.real, c.center.imag], "radius": c.radius}
                for c in g.circles]
-    cfg = tmp_path / f"random_{seed}_{rank}.json"
+    cfg = tmp_path / f"{name}.json"
     cfg.write_text(json.dumps({"group": {"generators": gens, "circles": circles}}))
     return str(cfg)
+
+
+def random_group_config(tmp_path, seed: int, rank: int) -> str:
+    return group_config(tmp_path, make_random_group(seed, rank),
+                        f"random_{seed}_{rank}")
 
 
 EVERY_COMMAND = [
@@ -1029,3 +1034,33 @@ def test_bers_reads_measure_csv(std_config, tmp_path):
                                   "1000", *extra)
         assert code == 0, err
         assert json.loads(read)["results"] == json.loads(built)["results"]
+
+
+@pytest.mark.parametrize("rank, args, capped", [
+    (3, ("series", "eval", "--z", "0.1,0.2"), {"max_len": 9}),
+    (3, ("series", "report"), {"max_len": 9}),
+    (4, ("measure", "build", "--delta", "0.4"), {"depth": 7}),
+])
+def test_default_depth_capped_where_it_does_not_fit(tmp_path, rank, args, capped):
+    """Without --max-len or --depth, a default whose shells would exceed
+    MAX_WORDS is capped at the deepest that fits, named in the diagnostics;
+    the report's results are those of that value given as a flag, and one
+    more than it, here the default, given as a flag still exits 2."""
+    from tests.test_schottky import make_symmetric_group
+
+    group = make_rank3_group() if rank == 3 else make_symmetric_group(rank)
+    cfg = group_config(tmp_path, group, f"rank{rank}")
+    (key, depth), = capped.items()
+    flag = "--max-len" if key == "max_len" else "--depth"
+    code, out, err = main_io("--config", cfg, *args)
+    assert code in (0, 3), err
+    report = strict_json(out)
+    assert report["diagnostics"]["capped_default"] == capped
+    code, out_flag, err = main_io("--config", cfg, *args, flag, str(depth))
+    assert code in (0, 3), err
+    assert "capped_default" not in strict_json(out_flag)["diagnostics"]
+    assert strict_json(out_flag)["results"] == report["results"]
+    code, out, err = main_io("--config", cfg, *args, flag, str(depth + 1))
+    assert code == 2 and not out
+    assert err == (f"validation error: shells through length {depth + 1} "
+                   "would exceed 4000000 words\n")

@@ -1,4 +1,10 @@
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,3 +328,119 @@ def test_exact_sum_rounds_where_fsum_overflows_part_way():
     acc.add(np.array([1.7976931348623157e308]))
     with pytest.raises(OverflowError):
         acc.value()
+
+
+# extraction's edge cases: each sum against math.fsum's bits ----------------------
+
+
+def assert_every_sum_like_union(xs, seed: int = 0):
+    """fsum, _fsum_binned and an ExactSum fed xs in pieces give math.fsum's
+    bits (the union's, where math.fsum overflows part-way)."""
+    assert_same(xs)
+    for cuts in (0, 5):
+        assert_pieces_sum_like_union(xs, seed, cuts)
+
+
+def below(e: int, n: int, seed: int) -> np.ndarray:
+    """n doubles just below 2**e: 2**e less 1 to 2**40 of its lower
+    neighbour's ulps, so their low bits are random."""
+    ulp = np.spacing(np.nextafter(2.0**e, 0.0))
+    return 2.0**e - np.random.default_rng(seed).integers(1, 2**40, n) * ulp
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("e", [-1030, 0, 1008, 1009])
+def test_full_block_just_below_a_power_of_two(e, sign):
+    """The top exponents of the vector path (1008) and of the element path
+    (1009), a subnormal one and 0, at the block's full length."""
+    x = sign * below(e, FSUM_BLOCK, e & 0xFFFF)
+    assert math.frexp(np.abs(x).max())[1] == e
+    assert_every_sum_like_union(x, seed=abs(e))
+
+
+@pytest.mark.parametrize("unpaired", [0, 3])
+def test_block_mixing_the_top_of_the_vector_path_with_subnormals(unpaired):
+    big = spread(11, 4000, 1000, 1008)
+    tiny = spread(12, FSUM_BLOCK - 8000 - unpaired, -1074, -1040)
+    xs = np.concatenate([big, -big, tiny, big[:unpaired]])
+    np.random.default_rng(13).shuffle(xs)
+    assert xs.size == FSUM_BLOCK
+    assert_every_sum_like_union(xs, seed=unpaired)
+
+
+@pytest.mark.parametrize("top", [1.0, -1.0, 2.0**-1022, 2.0**-1074, 2.0**1008,
+                                 -(2.0**1009)])
+def test_block_whose_max_is_a_power_of_two(top):
+    e = math.frexp(top)[1]
+    xs = np.concatenate([spread(e & 0xFF, FSUM_BLOCK - 1, e - 60, e - 1)
+                         if e > -1000 else np.full(FSUM_BLOCK - 1, 2.0**-1074),
+                         [top]])
+    assert np.abs(xs).max() == abs(top)
+    assert_every_sum_like_union(xs, seed=e & 0xFF)
+
+
+@pytest.mark.parametrize("top", [2.0**-1074, 1.5, np.nextafter(2.0**1008, 0.0),
+                                 2.0**1008, 1.7976931348623157e308])
+@pytest.mark.parametrize("extra", [[], [0.25], [2.0**-1074, -3.0]])
+def test_alternating_plus_minus_max(top, extra):
+    xs = np.concatenate([np.tile([top, -top], FSUM_BLOCK // 2 + 3), extra])
+    assert_every_sum_like_union(xs)
+
+
+@pytest.mark.parametrize("first, second", [((-5, 5), (900, 1000)),
+                                           ((900, 1000), (-5, 5)),
+                                           ((-1074, -1000), (0, 40)),
+                                           ((1000, 1023), (-1074, -1050))])
+def test_two_blocks_with_very_different_maxima(first, second):
+    xs = np.concatenate([spread(21, FSUM_BLOCK, *first),
+                         spread(22, FSUM_BLOCK - 7, *second)])
+    assert_every_sum_like_union(xs, seed=first[0] & 0xFF)
+
+
+# exact sums at every SIMD level ---------------------------------------------------
+
+SIMD_CHILD = """
+import json, math, sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from kleinlog._vec import ExactSum, fsum
+
+def spread(rng, n, lo, hi):
+    mant = rng.integers(2**52, 2**53, n).astype(float)
+    return rng.choice([-1.0, 1.0], n) * np.ldexp(mant, rng.integers(lo, hi + 1, n) - 53)
+
+out = {"off": [f for f in sys.argv[1:] if __cpu_features__.get(f)], "sums": []}
+rng = np.random.default_rng(31)
+for n, lo, hi in [(3000, -12, 0), (20000, -60, 0), (40000, -300, 300),
+                  (17000, -1074, 1000), (5000, -1074, -1000), (9000, 950, 1008)]:
+    x = spread(rng, n, lo, hi)
+    x = np.concatenate([x, -x[: n // 2], spread(rng, 50, lo, min(hi, lo + 20))])
+    acc = ExactSum()
+    for piece in np.array_split(x, 3):
+        acc.add(piece)
+    out["sums"].append([fsum(x).hex(), acc.value().hex(), math.fsum(x.tolist()).hex()])
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the disabled feature names are x86-64 ones")
+def test_exact_sums_do_not_depend_on_the_simd_level():
+    """One child process per NPY_DISABLE_CPU_FEATURES setting (AVX-512 off,
+    then AVX2 as well) sums the same seeded arrays with fsum and ExactSum:
+    every child gives math.fsum's bits."""
+    src = str(Path(_vec.__file__).resolve().parents[1])
+    results = []
+    for off in ["", "X86_V4 AVX512_ICL AVX512_SPR",
+                "X86_V4 AVX512_ICL AVX512_SPR X86_V3"]:
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": off,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        child = subprocess.run([sys.executable, "-c", SIMD_CHILD, *off.split()],
+                               env=env, capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        out = json.loads(child.stdout)
+        assert out["off"] == [], f"still enabled with {off!r}: {out['off']}"
+        for fs, acc, ref in out["sums"]:
+            assert fs == acc == ref
+        results.append(out["sums"])
+    assert results[0] == results[1] == results[2]

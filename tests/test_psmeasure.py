@@ -328,21 +328,28 @@ def reference_accept(den, lv, pi, nj, pt, rel_tol):
         t = np.minimum(R, np.sqrt(2.0 * phi0 * (1.0 + eps)) * R + 0.5 * R * R)
         rho = t * (1.0 + 8.0 * _U) / phi_lo
         n1, n2, n3 = take(nvec, pi, axis=1)
-        m1, M2 = take(lv.m1, nj, axis=1), take(lv.M2, nj, axis=1)
+        m1, M2, M3 = (take(m, nj, axis=1) for m in (lv.m1, lv.M2, lv.M3))
         a = n1 * m1[0] + n2 * m1[1] + n3 * m1[2]
         q = (n1 * (n1 * M2[0] + 2.0 * (n2 * M2[3] + n3 * M2[4]))
              + n2 * (n2 * M2[1] + 2.0 * n3 * M2[5]) + n3 * n3 * M2[2])
-        Wn, eta1, eta2 = take(lv.W, nj), take(lv.eta1, nj), take(lv.eta2, nj)
-        c3 = d * (d + 1.0) * (d + 2.0) / 6.0 * (1.0 - MAX_RHO) ** (-d - 3.0)
-        trunc = c3 * rho * (np.maximum(q, 0.0) + eta2) / phi_lo**2
-        mom = d * eta1 / phi_lo + 0.5 * d * (d + 1.0) * eta2 / phi_lo**2
+        T = (n1 * (n1 * (n1 * M3[0] + 3.0 * (n2 * M3[3] + n3 * M3[4]))
+                   + 3.0 * (n2 * (n2 * M3[5] + 2.0 * n3 * M3[9]) + n3 * n3 * M3[7]))
+             + n2 * (n2 * (n2 * M3[1] + 3.0 * n3 * M3[6]) + 3.0 * n3 * n3 * M3[8])
+             + n3 * n3 * n3 * M3[2])
+        Wn, eta1, eta2, eta3 = (take(e, nj) for e in (lv.W, lv.eta1, lv.eta2, lv.eta3))
+        c4 = (d * (d + 1.0) * (d + 2.0) * (d + 3.0) / 24.0
+              * (1.0 - MAX_RHO) ** (-d - 4.0))
+        trunc = c4 * rho * rho * (np.maximum(q, 0.0) + eta2) / phi_lo**2
+        mom = (d * eta1 / phi_lo + 0.5 * d * (d + 1.0) * eta2 / phi_lo**2
+               + d * (d + 1.0) * (d + 2.0) / 6.0 * eta3 / (phi_lo**2 * phi_lo))
         bound = trunc + mom + Wn * ((d + 2.0) * eps + 16.0 * _U)
         ok = ((eps <= 1e-3) & (rho <= MAX_RHO)
               & (phi_lo * (1.0 - rho) > GUARD_PHI)
               & (bound * (1.0 + MAX_RHO) ** d <= rel_tol * Wn))
     phi0 = phi0[ok]
     P = phi0**-d
-    val = P * (Wn[ok] + d / phi0 * (a[ok] + 0.5 * (d + 1.0) * q[ok] / phi0))
+    val = P * (Wn[ok] + d / phi0 * (a[ok] + 0.5 * (d + 1.0)
+                                    * (q[ok] + (d + 2.0) / 3.0 * T[ok] / phi0) / phi0))
     return pi[ok], val, bound[ok] * P, pi[~ok], nj[~ok]
 
 
@@ -383,6 +390,128 @@ def test_accept_in_place_matches_whole_array_text(std_group, sharp_delta, scale,
             assert_same_bits(den._accept(lv, *one, pt, REL_TOL, rows),
                              reference_accept(den, lv, *one, pt, REL_TOL))
     assert accepted > 0
+
+
+def scaled_group(group, scale):
+    from kleinlog.schottky import Circle, SchottkyGroup, pairing_map
+
+    c = [Circle(scale * k.center, scale * k.radius) for k in group.circles]
+    return SchottkyGroup([pairing_map(c[0], c[1]), pairing_map(c[2], c[3])], c)
+
+
+def accepted_pairs(den, lv, pt, n_points):
+    """Every (point, node) pair of a level through _accept at REL_TOL: the
+    accepted pairs' points and nodes, with their values and bounds."""
+    from kleinlog.psmeasure import _accept_rows
+
+    N = lv.W.size
+    pi, nj = np.repeat(np.arange(n_points), N), np.tile(np.arange(N), n_points)
+    hit, val, bnd, kpi, knj = den._accept(lv, pi, nj, pt, REL_TOL, _accept_rows())
+    ok = np.ones(pi.size, dtype=bool)
+    ok[kpi * N + knj] = False
+    assert np.array_equal(hit, pi[ok])
+    return pi[ok], nj[ok], val, bnd
+
+
+def node_kernel_sums(den, pt, p, j, size):
+    """math.fsum of the leaf kernel w_i phi(x, x_i)^-delta over the atoms of
+    node j at point p, pair by pair, and a bound on the kernel's rounding
+    (_leaf_sums's per-term bound, with the fsum's own rounding)."""
+    from kleinlog._vec import hom_many, sphere_embed
+    from kleinlog.psmeasure import _U
+
+    m = den.measure
+    d = m.delta
+    Za, Wa = hom_many(m.points, m.inf_mask)
+    na, sa = sphere_embed(Za, Wa)[0], Wa == 1.0
+    Z, W, nsq, _, small, inf = pt
+    sums, errs = np.empty(p.size), np.empty(p.size)
+    rows = max(1, (1 << 16) // size)
+    for lo in range(0, p.size, rows):
+        pp, at = p[lo:lo + rows, None], j[lo:lo + rows, None] * size + np.arange(size)
+        dz = Z[pp] * Wa[at] - Za[at] * W[pp]
+        ph = 2.0 * (dz.real**2 + dz.imag**2) / (nsq[pp] * na[at])
+        terms = m.weights[at] * ph**-d
+        cross = (small[pp] != sa[at]) & ~inf[pp]
+        sums[lo:lo + rows] = list(map(math.fsum, terms.tolist()))
+        errs[lo:lo + rows] = (terms * (d * (12.0 + 5.0 * cross * np.sqrt(2.0 / ph))
+                                       + 10.0)).sum(axis=1) * _U
+    return sums, errs + sums * _U
+
+
+@pytest.mark.parametrize("case", ["standard", "scaled", "random"])
+def test_every_accepted_node_is_within_its_bound(std_group, sharp_delta, case):
+    """At every level, each (point, node) pair that _accept accepts is
+    within its bound of the node's exact sum: math.fsum of the leaf kernel
+    over the node's atoms, give or take the kernel's own rounding.  Scaled
+    by 1/4, the standard group's atoms move into the |z| <= 1 chart, so
+    uniform points meet them across charts; random rank 3, seed 1 has atoms
+    in both charts, and a subsample of its pairs is also checked against
+    40-digit sums."""
+    import mpmath as mp
+
+    from kleinlog._vec import hom_many, sphere_embed, uniform_sphere_points
+    from kleinlog.schottky import estimate_delta
+
+    from tests.conftest import make_random_group
+
+    if case == "random":
+        group = make_random_group(1, 3)
+        m = build_ps(group, estimate_delta(group, resolution=1e-3), 6)
+    else:
+        m = build_ps(std_group if case == "standard" else scaled_group(std_group, 0.25),
+                     sharp_delta, 8)
+    den = NayataniDensity(m)
+    rng = np.random.default_rng(41)
+    near, near_msk = near_atom_points(m, rng, 30)
+    far, far_msk = uniform_sphere_points(rng, 120)
+    inf = np.concatenate([near_msk, far_msk])
+    Z, W = hom_many(np.concatenate([near, far]), inf)
+    pt = (Z, W, *sphere_embed(Z, W), W == 1.0, inf)
+    checked = []
+    for lv in den._levels:
+        p, j, val, bnd = accepted_pairs(den, lv, pt, Z.size)
+        size = len(m) // lv.W.size
+        exact, kernel_err = node_kernel_sums(den, pt, p, j, size)
+        assert (np.abs(val - exact) <= bnd + kernel_err).all()
+        checked.append(p.size)
+        if case != "random" or p.size == 0:
+            continue
+        with mp.workdps(40):
+            d = mp.mpf(m.delta)
+            atoms = [(mp.mpc(z), mp.mpc(w), mp.mpf(wt))
+                     for z, w, wt in zip(*hom_many(m.points, m.inf_mask), m.weights)]
+            for k in np.linspace(0, p.size - 1, 6).astype(int):
+                zp, wp = mp.mpc(Z[p[k]]), mp.mpc(W[p[k]])
+                nps = abs(zp) ** 2 + abs(wp) ** 2
+                ref = mp.fsum(wt * (2 * abs(zp * w - z * wp) ** 2
+                                    / (nps * (abs(z) ** 2 + abs(w) ** 2))) ** -d
+                              for z, w, wt in atoms[j[k] * size:(j[k] + 1) * size])
+                assert abs(val[k] - ref) <= bnd[k]
+    assert sum(checked) > 0 and checked[-1] > 0
+
+
+def test_third_order_accepts_most_pairs_one_level_up(monkeypatch, std_group,
+                                                     sharp_delta):
+    """Pairs tested and accepted at each level of the walk over 1,024
+    seeded uniform points at depth 8.  With the second-order expansion the
+    12-node level accepted 890 of its 12,288 pairs and 34,194 pairs reached
+    the 36-node level (per level, tested/accepted: 1,024/0, 4,096/0,
+    12,288/890, 34,194/33,445, 2,247/2,247, 0/0)."""
+    from kleinlog._vec import uniform_sphere_points
+
+    den = NayataniDensity(build_ps(std_group, sharp_delta, 8))
+    accept, counts = NayataniDensity._accept, {}
+
+    def counted(self, lv, pi, *args):
+        got = accept(self, lv, pi, *args)
+        counts[lv.W.size] = (pi.size, got[0].size)
+        return got
+
+    monkeypatch.setattr(NayataniDensity, "_accept", counted)
+    den.F_many(*uniform_sphere_points(np.random.default_rng(32), 1024))
+    assert counts[12][0] == 12288 and counts[12][1] > counts[12][0] / 2
+    assert counts[36][0] <= 0.4 * 34194
 
 
 def test_density_evaluated_on_whole_arrays(monkeypatch, std_group, sharp_delta):

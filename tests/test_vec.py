@@ -92,8 +92,8 @@ def test_heavy_cancellation_bitwise(seed, n, lo, residues):
     assert_same(xs)
 
 
-@pytest.mark.parametrize("n", [0, 1, FSUM_SHORT - 1, FSUM_SHORT,
-                               2 * FSUM_BLOCK + 3, 2**17 + 3])
+@pytest.mark.parametrize("n", [0, 1, FSUM_SHORT - 1, FSUM_SHORT, FSUM_SHORT + 1,
+                               2047, 2048, 2049, 2 * FSUM_BLOCK + 3, 2**17 + 3])
 def test_lengths_and_block_boundaries(n):
     x = spread(n, n, -40, 40)
     assert_same(x)
@@ -328,6 +328,22 @@ def test_exact_sum_rounds_where_fsum_overflows_part_way():
     acc.add(np.array([1.7976931348623157e308]))
     with pytest.raises(OverflowError):
         acc.value()
+
+
+@pytest.mark.parametrize("lo, hi", [(-40, 40), (-1074, -1000), (900, 1023),
+                                    (-1074, 1023)])
+def test_exact_sum_of_pieces_of_every_short_length(lo, hi):
+    """Pieces of each length 1..40 (the last one shorter), on both sides of
+    FSUM_UNITS, added in order: math.fsum's bits, or its OverflowError."""
+    xs = spread(lo & 0xFFFF, 200, lo, hi)
+    xs = np.concatenate([xs, -xs[:150]])
+    np.random.default_rng(hi & 0xFFFF).shuffle(xs)
+    ref = union_outcome(xs)
+    for n in range(1, 41):
+        acc = _vec.ExactSum()
+        for piece in np.split(xs, range(n, xs.size, n)):
+            acc.add(piece)
+        assert outcome(lambda _: acc.value(), xs) == ref, n
 
 
 # extraction's edge cases: each sum against math.fsum's bits ----------------------

@@ -18,9 +18,6 @@ import numpy as np
 FSUM_BLOCK = 1 << 14
 # below this length math.fsum over a list is faster than the exact sum
 FSUM_SHORT = 512
-# ExactSum adds blocks shorter than this one element at a time, which costs
-# less than extraction's six numpy calls per level
-FSUM_UNITS = 32
 # ExactSum counts in units of 2**-(_EXP_BIAS + 53): a double of frexp
 # exponent e >= -1073 is an integer times 2**(e - 53)
 _EXP_BIAS = 1073
@@ -78,8 +75,7 @@ class ExactSum:
         # |q| <= 2**(k - M), so q sums exactly in any order numpy takes, and
         # r = x - q is exact, with |r| <= 2**(k - 53).  Only + - abs and max
         # are used, and they round alike at every SIMD level.  Where 2**k
-        # would overflow, or the block is shorter than FSUM_UNITS, the block's
-        # elements are added one by one.
+        # would overflow, the block's elements are added one by one.
         M = FSUM_BLOCK.bit_length()
         emax = 0
         scratch = np.empty((2, min(a.size, FSUM_BLOCK)))
@@ -92,7 +88,7 @@ class ExactSum:
                 return False
             e = math.frexp(top)[1]
             emax = max(emax, e)
-            if e > 1023 - M or x.size < FSUM_UNITS:
+            if e > 1023 - M:
                 self.total += sum(map(_units, x.tolist()))
                 continue
             while top:

@@ -255,32 +255,42 @@ class Setting(NamedTuple):
     # typed, and raises ConfigError naming the key or flag; text(text, flag)
     # turns untyped flag text into a value parse takes
     parse: Callable
+    type: Callable = None  # argparse's type for the flag
+    commands: tuple = ()  # the subcommands whose parsers take the flag
+    shared: bool = False  # every parser takes the flag, before or after
     text: Callable = None
+    help: str = None
     in_config: bool = True  # a config key too, not a flag only
 
 
 # every setting of a run, keyed by its config key; its flag is --key with
-# dashes for underscores (mode's flag is --strict)
+# dashes for underscores.  _parser adds those flags, and by hand --strict
+# (mode's flag) and polylog's --li and --ramakrishnan
 SETTINGS = {
     "group": Setting(_group_from_spec),
-    "delta": Setting(_at_least(_number, 0.0)),
-    "depth": Setting(_integer),
-    "max_len": Setting(_at_least(_integer, 0)),
-    "tol": Setting(_positive),
-    "seed": Setting(_at_least(_integer, 0)),
-    "weight": Setting(_choice(*WEIGHT_MODES)),
-    "samples": Setting(_integer),
+    "delta": Setting(_at_least(_number, 0.0), float, ("measure", "bers")),
+    "depth": Setting(_integer, int, shared=True),
+    "max_len": Setting(_at_least(_integer, 0), int, shared=True),
+    "tol": Setting(_positive, float, shared=True),
+    "seed": Setting(_at_least(_integer, 0), int, shared=True),
+    "weight": Setting(_choice(*WEIGHT_MODES), shared=True,
+                      help=" or ".join(WEIGHT_MODES)),
+    "samples": Setting(_integer, int, ("series", "bers")),
     "mode": Setting(_choice("strict")),
-    "window": Setting(_positive),
-    "width": Setting(_at_least(_integer, 1)),
-    "height": Setting(_at_least(_integer, 1)),
-    "z": Setting(_point_field, _cli_complex),
-    "q": Setting(_complex_field, _cli_complex),
-    "x": Setting(_complex_field, _cli_complex),
-    "resolution": Setting(_ranged(_number, "in (0, 1]", lambda x: 0.0 < x <= 1.0)),
-    "move": Setting(_move_field, _cli_move),
-    "element": Setting(_element_field, _cli_element),
-    "odd_denominator": Setting(_choice(*ODD_DENOMINATORS)),
+    "window": Setting(_positive, float, ("group",)),
+    "width": Setting(_at_least(_integer, 1), int, ("group",)),
+    "height": Setting(_at_least(_integer, 1), int, ("group",)),
+    "z": Setting(_point_field, None, ("polylog", "series"), text=_cli_complex,
+                 help="re,im, or inf"),
+    "q": Setting(_complex_field, None, ("elliptic",), text=_cli_complex, help="re,im"),
+    "x": Setting(_complex_field, None, ("elliptic",), text=_cli_complex, help="re,im"),
+    "resolution": Setting(_ranged(_number, "in (0, 1]", lambda x: 0.0 < x <= 1.0),
+                          float, ("group", "measure", "series", "bers")),
+    "move": Setting(_move_field, None, ("group",), text=_cli_move,
+                    help="kind:i[:j], e.g. multiply:1:2"),
+    "element": Setting(_element_field, None, ("series",), text=_cli_element,
+                       help="letter or comma letters"),
+    "odd_denominator": Setting(_choice(*ODD_DENOMINATORS), None, ("polylog",)),
     "measure_csv": Setting(lambda v, path: _want(v, path, str)),
     "li": Setting(_at_least(_integer, 1), in_config=False),
     "ramakrishnan": Setting(_at_least(_integer, 1), in_config=False),
@@ -417,11 +427,6 @@ def _parser() -> argparse.ArgumentParser:
     S = argparse.SUPPRESS
     common.add_argument("--config", default=S, help="JSON config path")
     common.add_argument("--out", default=S, help="output path (default stdout)")
-    common.add_argument("--tol", type=float, default=S)
-    common.add_argument("--max-len", type=int, default=S, dest="max_len")
-    common.add_argument("--depth", type=int, default=S)
-    common.add_argument("--seed", type=int, default=S)
-    common.add_argument("--weight", choices=WEIGHT_MODES, default=S)
     # accepted and checked for compatibility; it has no effect and is left
     # out of config_hash
     common.add_argument("--threads", type=int, default=S)
@@ -429,55 +434,34 @@ def _parser() -> argparse.ArgumentParser:
     # config_hash (via _overrides), so reports that pass it keep their hash
     common.add_argument("--strict", action="store_const", const="strict",
                         dest="mode", default=S)
+    # before the parsers that copy common's flags are made
+    for key, s in SETTINGS.items():
+        if s.shared:
+            common.add_argument(_flag(key), type=s.type, default=S, help=s.help)
 
     ap = argparse.ArgumentParser(prog="kleinlog", parents=[common],
                                  description="single-valued polylogarithms and "
                                              "Poincare series over Schottky groups")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("polylog", parents=[common],
-                       help="Li_n, Bloch-Wigner D, Ramakrishnan D_m")
-    p.add_argument("--z", required=True, help="complex as re,im")
-    kind = p.add_mutually_exclusive_group()
+    parsers = {name: sub.add_parser(name, parents=[common], help=text) for name, text in [
+        ("polylog", "Li_n, Bloch-Wigner D, Ramakrishnan D_m"),
+        ("elliptic", "elliptic Bloch-Wigner average"),
+        ("group", "group validation, limit set, delta, moves"),
+        ("measure", "Patterson-Sullivan build and residuals"),
+        ("series", "Poincare series evaluation and tests"),
+        ("bers", "Monte-Carlo sphere integral of F^(2/delta)|D|")]}
+    kind = parsers["polylog"].add_mutually_exclusive_group()
     kind.add_argument("--bloch-wigner", action="store_true", dest="bw")
     kind.add_argument("--li", type=int, default=None, metavar="N")
     kind.add_argument("--ramakrishnan", type=int, default=None, metavar="M")
-    p.add_argument("--odd-denominator", default=None, dest="odd_denominator")
-
-    p = sub.add_parser("elliptic", parents=[common],
-                       help="elliptic Bloch-Wigner average")
-    p.add_argument("--q", required=False, help="complex as re,im")
-    p.add_argument("--x", required=False, help="complex as re,im")
-
-    p = sub.add_parser("group", parents=[common],
-                       help="group validation, limit set, delta, moves")
-    p.add_argument("action", choices=("validate", "limitset", "delta", "nielsen"))
-    p.add_argument("--format", choices=("json", "ppm"), default="json")
-    p.add_argument("--resolution", type=float, default=None)
-    p.add_argument("--move", default=None, help="kind:i[:j], e.g. multiply:1:2")
-    p.add_argument("--window", type=float, default=None)
-    p.add_argument("--width", type=int, default=None)
-    p.add_argument("--height", type=int, default=None)
-
-    p = sub.add_parser("measure", parents=[common],
-                       help="Patterson-Sullivan build and residuals")
-    p.add_argument("action", choices=("build", "residual"))
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--resolution", type=float, default=None)
-
-    p = sub.add_parser("series", parents=[common],
-                       help="Poincare series evaluation and tests")
-    p.add_argument("action", choices=("eval", "automorphy", "report"))
-    p.add_argument("--z", default=None, help="complex as re,im, or inf")
-    p.add_argument("--element", default=None, help="letter or comma letters")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--resolution", type=float, default=None)
-
-    p = sub.add_parser("bers", parents=[common],
-                       help="Monte-Carlo sphere integral of F^(2/delta)|D|")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--resolution", type=float, default=None)
+    parsers["group"].add_argument("action", choices=("validate", "limitset",
+                                                     "delta", "nielsen"))
+    parsers["group"].add_argument("--format", choices=("json", "ppm"), default="json")
+    parsers["measure"].add_argument("action", choices=("build", "residual"))
+    parsers["series"].add_argument("action", choices=("eval", "automorphy", "report"))
+    for key, s in SETTINGS.items():
+        for name in s.commands:
+            parsers[name].add_argument(_flag(key), type=s.type, help=s.help)
     return ap
 
 
@@ -531,7 +515,8 @@ def _run(args) -> tuple[dict, int]:
         group = cfg.build_group()
 
     if cmd == "polylog":
-        z = s["z"]
+        if (z := s.get("z")) is None:
+            raise ConfigError("--z", "polylog needs a point")
         if "li" in s or "ramakrishnan" in s:
             if "li" in s:
                 kind, r = f"li{s['li']}", li(s["li"], z, s.get("tol", 1e-12))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._vec import fsum
+from ._vec import _EXP_BIAS, _units, fsum
 from .moebius import as_sphere_point
 from .polylog import D_GLOBAL_BOUND, PolylogResult, SingularArgumentError, _bloch_wigner_bounded
 
@@ -56,12 +56,6 @@ def _d_envelope(r: float) -> float:
     return D_GLOBAL_BOUND
 
 
-def _units(x: float) -> int:
-    """A nonnegative float as an exact integer multiple of 2**-1074."""
-    num, den = x.as_integer_ratio()
-    return num * ((1 << 1074) // den)
-
-
 def _tail_bounds(aq: float, ax: float, tol: float = math.inf):
     """Yield, for terms = 0, 1, 2, ..., an upper bound for the mass of all
     |k| > terms summands of the average at |q| = aq and |x| = ax, as
@@ -85,7 +79,7 @@ def _tail_bounds(aq: float, ax: float, tol: float = math.inf):
         r0 = aq ** k0
         geo0 = r0 / (1.0 - aq)
         geo1 = r0 * (k0 - (k0 - 1) * aq) / (1.0 - aq) ** 2
-        return explicit / (1 << 1074) + 2.0 * a * (
+        return explicit / (1 << (_EXP_BIAS + 53)) + 2.0 * a * (
             (1.0 + abs(math.log(a))) * geo0 + biglog * geo1)
 
     for a, k1 in sides:
@@ -100,7 +94,7 @@ def _tail_bounds(aq: float, ax: float, tol: float = math.inf):
     if last > 0.5 * tol:
         raise ConvergenceRegimeError(
             f"tail bound {last} did not reach tol {tol} within {_MAX_PAIRS} pairs")
-    # the explicit values of k = terms + 1 .. k1 - 1, in units of 2**-1074
+    # the explicit values of k = terms + 1 .. k1 - 1, in _vec._units
     left = [sum(_units(_d_envelope(a * aq ** k)) for k in range(1, k1))
             for a, k1 in sides]
 

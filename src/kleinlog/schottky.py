@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -404,8 +404,8 @@ class SchottkyGroup:
         but the deepest are grown whole, each from the one before.  The
         deepest and every longer shell come in pieces of FSUM_BLOCK rows,
         which no shell grows from, their rows with prefix p being M_p
-        applied to rows of the last whole shell, the prefixes of each length
-        enumerated once a walk.  Pieces are fresh arrays
+        applied to rows of the last whole shell, each shell's prefixes
+        listed once, before its pieces.  Pieces are fresh arrays
         if `regions` is None, else written to one of that pair of 1-d
         complex arrays (see _orbit_block): whole shell n to region n % 2,
         and deeper pieces, one over the other, to the region the last whole
@@ -417,16 +417,16 @@ class SchottkyGroup:
         top, top_n = _orbit_block(k, 1), 0
         top.num[:, 0], top.den[:, 0] = np.transpose(starts)
         top.first[0], top.last[0] = 0, 0
-        prefixes = cache(lambda j: [w for w in self.enumerate_words(j) if w.length == j])
         for n in range(1, depth + 1):
             size = self.shell_size(n)
             whole = self._is_whole(n, depth)
             step = size if whole else FSUM_BLOCK
             j = n - top_n
+            prefixes = [w for w in self.enumerate_words(j) if w.length == j]
             region = None if regions is None else regions[(top_n + 1) % 2]
             for lo in range(0, size, step):
                 out = _orbit_block(k, min(lo + step, size) - lo, region)
-                piece = self._grow(top, prefixes(j), lo, out)
+                piece = self._grow(top, prefixes, lo, out)
                 if not (np.isfinite(piece.num).all() and np.isfinite(piece.den).all()):
                     raise ShellOverflowError(n)
                 yield n, piece

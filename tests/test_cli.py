@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -688,6 +689,67 @@ def test_parser_is_built_once_and_carries_nothing_over(std_config, tmp_path):
     for order in (commands, commands[::-1]):
         for args in order:
             assert main_io(*args) == first[args], args
+
+
+S = argparse.SUPPRESS
+# every option string of each parser: (dest, argparse type, default)
+SHARED_FLAGS = {
+    "-h": ("help", None, S), "--help": ("help", None, S),
+    "--config": ("config", None, S), "--out": ("out", None, S),
+    "--tol": ("tol", float, S), "--max-len": ("max_len", int, S),
+    "--depth": ("depth", int, S), "--seed": ("seed", int, S),
+    "--weight": ("weight", None, S), "--threads": ("threads", int, S),
+    "--strict": ("mode", None, S),
+}
+FLAG_SURFACE = {
+    "kleinlog": SHARED_FLAGS,
+    "polylog": {**SHARED_FLAGS, "--z": ("z", None, None),
+                "--bloch-wigner": ("bw", None, False), "--li": ("li", int, None),
+                "--ramakrishnan": ("ramakrishnan", int, None),
+                "--odd-denominator": ("odd_denominator", None, None)},
+    "elliptic": {**SHARED_FLAGS, "--q": ("q", None, None),
+                 "--x": ("x", None, None)},
+    "group": {**SHARED_FLAGS, "--format": ("format", None, "json"),
+              "--resolution": ("resolution", float, None),
+              "--move": ("move", None, None),
+              "--window": ("window", float, None),
+              "--width": ("width", int, None),
+              "--height": ("height", int, None)},
+    "measure": {**SHARED_FLAGS, "--delta": ("delta", float, None),
+                "--resolution": ("resolution", float, None)},
+    "series": {**SHARED_FLAGS, "--z": ("z", None, None),
+               "--element": ("element", None, None),
+               "--samples": ("samples", int, None),
+               "--resolution": ("resolution", float, None)},
+    "bers": {**SHARED_FLAGS, "--samples": ("samples", int, None),
+             "--delta": ("delta", float, None),
+             "--resolution": ("resolution", float, None)},
+}
+
+
+def test_flag_surface_is_pinned():
+    """The top-level parser and each subcommand's take exactly these
+    flags, with these dests, types and defaults: shared flags after the
+    subcommand too, and unset ones left out of the namespace."""
+    from kleinlog.cli import _parser
+
+    ap = _parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {name: {o: (a.dest, a.type, a.default)
+                      for a in p._actions for o in a.option_strings}
+               for name, p in {"kleinlog": ap, **sub.choices}.items()}
+    assert surface == FLAG_SURFACE
+
+
+@pytest.mark.parametrize("args, flag", [
+    (("series", "eval", "--z", "0.3,0.7", "--weight", "none"), "--weight"),
+    (("polylog", "--li", "2"), "--z"),
+])
+def test_bad_weight_and_missing_polylog_z_exit_2_naming_the_flag(std_config,
+                                                                 args, flag):
+    code, out, err = main_io("--config", std_config, *args)
+    assert code == 2 and out == ""
+    assert flag in err, err
 
 
 @pytest.mark.parametrize("key, value", [

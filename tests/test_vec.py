@@ -333,8 +333,8 @@ def test_exact_sum_rounds_where_fsum_overflows_part_way():
 @pytest.mark.parametrize("lo, hi", [(-40, 40), (-1074, -1000), (900, 1023),
                                     (-1074, 1023)])
 def test_exact_sum_of_pieces_of_every_short_length(lo, hi):
-    """Pieces of each length 1..40 (the last one shorter), on both sides of
-    FSUM_UNITS, added in order: math.fsum's bits, or its OverflowError."""
+    """Pieces of each length 1..40 (the last one shorter), added in order:
+    math.fsum's bits, or its OverflowError."""
     xs = spread(lo & 0xFFFF, 200, lo, hi)
     xs = np.concatenate([xs, -xs[:150]])
     np.random.default_rng(hi & 0xFFFF).shuffle(xs)
@@ -435,6 +435,11 @@ for n, lo, hi in [(3000, -12, 0), (20000, -60, 0), (40000, -300, 300),
     for piece in np.array_split(x, 3):
         acc.add(piece)
     out["sums"].append([fsum(x).hex(), acc.value().hex(), math.fsum(x.tolist()).hex()])
+x = spread(rng, 820, -40, 40)  # added in pieces of each length 1..40
+acc = ExactSum()
+for piece in np.split(x, np.cumsum(range(1, 40))):
+    acc.add(piece)
+out["sums"].append([fsum(x).hex(), acc.value().hex(), math.fsum(x.tolist()).hex()])
 print(json.dumps(out))
 """
 
